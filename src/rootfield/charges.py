@@ -14,8 +14,8 @@ from scipy import optimize
 
 from .errors import (CertificateError, ProjectionDegenerate, SearchExhausted,
                      SingularCurve, SingularPoint)
+from .poly import SINGULAR_GUARD
 
-SINGULAR_GUARD = 1e-12
 MIN_SAMPLES = 10_000      # curve sampling floor
 SAMPLES_PER_CHARGE = 100
 CERT_FACTOR = 4           # certificate re-samples at this density multiple

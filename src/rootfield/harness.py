@@ -3,12 +3,15 @@
 Builds p = q * r from sampled root configurations, counts roots and
 critical points against K and its neighborhood, drives the region
 pipeline per delta, and assembles deterministic structured reports.
+A run solves the critical points of p and of q once each and builds its
+masks once; the report carries the first mask, so the figure shows the
+mask its components were counted on.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from .charges import TorusConfig, lemma1_curve_bound, sharp_example, \
 from .errors import ConfigError, GrowBBox, RootfieldError, SearchExhausted
 from .geometry import ConvexDomain, bounding_box, boundary_point, \
     contains_many, diameter, distance, distance_many
-from .poly import RootSplit, critical_points
+from .poly import RootSplit
 from . import charges as _charges
 from . import regions
 
@@ -25,6 +28,8 @@ MULT_JITTER = 1e-9        # duplicate roots move by this times the root scale
 _SAMPLER_CAP = 200        # rejection batches before giving up
 _GROW_RETRIES = 3         # far-field bbox enlargements before reporting
 _GOLDEN_TURN = 0.6180339887498949
+
+MASK_NOT_CARRIED = object()   # TheoremReport.mask of a report read from JSON
 
 SWEEP_M_COLUMNS = ("n", "m", "m_log_n_over_n", "verdict",
                    "min_escape_distance")
@@ -216,6 +221,9 @@ class TheoremReport:
     deltas: tuple[DeltaReport, ...]
     errors: tuple[tuple[str, str], ...]
     version: str
+    # first delta's mask for the figure, None if none was built; not
+    # serialized, so a report read from JSON holds MASK_NOT_CARRIED
+    mask: object = field(default=MASK_NOT_CARRIED, compare=False, repr=False)
 
     def to_json(self) -> dict:
         def pts(a):
@@ -323,21 +331,30 @@ def escape_distance(K: ConvexDomain, epsilon: float, z) -> float:
     return epsilon + inner
 
 
-def _delta_stage(split: RootSplit, cfg: ExperimentConfig,
-                 crit: np.ndarray) -> list[DeltaReport]:
+def delta_masks(split: RootSplit,
+                cfg: ExperimentConfig) -> list[regions.RegionMask] | None:
+    """One mask per delta of cfg, all on one bbox; None if none fits.
+
+    Starts from regions.default_bbox and follows up to _GROW_RETRIES
+    GrowBBox suggestions.  The delta stage and render both build here.
+    """
     bbox = regions.default_bbox(split, cfg.domain, cfg.epsilon)
-    masks = None
     for _ in range(_GROW_RETRIES):
         try:
-            masks = regions.build_masks(split, list(cfg.delta_sweep), bbox,
-                                        cfg.resolution)
-            break
+            return regions.build_masks(split, list(cfg.delta_sweep), bbox,
+                                       cfg.resolution)
         except GrowBBox as exc:
             bbox = exc.suggested
+    return None
+
+
+def _delta_stage(split: RootSplit, cfg: ExperimentConfig):
+    """(one DeltaReport per delta, the first delta's mask or None)."""
+    masks = delta_masks(split, cfg)
     if masks is None:
-        return [DeltaReport(delta=d, error="far-field check failed after "
-                            f"{_GROW_RETRIES} bbox enlargements")
-                for d in cfg.delta_sweep]
+        return tuple(DeltaReport(delta=d, error="far-field check failed "
+                                 f"after {_GROW_RETRIES} bbox enlargements")
+                     for d in cfg.delta_sweep), None
     out = []
     for mask in masks:
         try:
@@ -351,7 +368,7 @@ def _delta_stage(split: RootSplit, cfg: ExperimentConfig,
         except RootfieldError as exc:
             out.append(DeltaReport(delta=mask.delta,
                                    error=f"{type(exc).__name__}: {exc}"))
-    return out
+    return tuple(out), masks[0]
 
 
 def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremReport:
@@ -376,7 +393,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremReport:
 
     crit = np.zeros(0, dtype=np.complex128)
     try:
-        crit = critical_points(split.product())
+        crit = split.critical
     except RootfieldError as exc:
         errors.append(("critical_points", f"{type(exc).__name__}: {exc}"))
     crit_in = int(np.sum(distance_many(cfg.domain, crit) <= cfg.epsilon))
@@ -384,9 +401,10 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremReport:
     verdict = bool(crit.size > 0 and crit_in >= roots_in - 1)
 
     deltas: tuple[DeltaReport, ...] = ()
+    mask = None
     if cfg.delta_sweep:
         try:
-            deltas = tuple(_delta_stage(split, cfg, crit))
+            deltas, mask = _delta_stage(split, cfg)
         except RootfieldError as exc:
             errors.append(("adelta", f"{type(exc).__name__}: {exc}"))
 
@@ -394,18 +412,28 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremReport:
         config=cfg, inside_roots=inside, outside_roots=outside,
         critical=crit, roots_in_K=roots_in, roots_outside=roots_out,
         crit_in_Keps=crit_in, crit_elsewhere=crit_out, verdict=verdict,
-        deltas=deltas, errors=tuple(errors), version=__version__)
+        deltas=deltas, errors=tuple(errors), version=__version__,
+        mask=mask)
 
 
 # ---------------------------------------------------------------------------
 # sweeps and suites
 # ---------------------------------------------------------------------------
 
-def _sweep_worker(sub: ExperimentConfig):
+def _sweep_row(sub: ExperimentConfig) -> dict:
+    """One sweep row; only the row leaves the worker, never the report."""
     try:
-        return run_theorem_experiment(sub)
+        rep = run_theorem_experiment(sub)
     except RootfieldError as exc:
-        return exc
+        escape = float("nan")
+        verdict: object = f"error: {type(exc).__name__}"
+    else:
+        escape = min((escape_distance(sub.domain, sub.epsilon, w)
+                      for w in rep.critical), default=float("nan"))
+        verdict = "error" if rep.errors else rep.verdict
+    return {"n": sub.n, "m": sub.m,
+            "m_log_n_over_n": sub.m * np.log(sub.n) / sub.n,
+            "verdict": verdict, "min_escape_distance": escape}
 
 
 def sweep_m(cfg: ExperimentConfig, m_values, path=None,
@@ -422,22 +450,9 @@ def sweep_m(cfg: ExperimentConfig, m_values, path=None,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            results = list(pool.map(_sweep_worker, subs))
+            rows = list(pool.map(_sweep_row, subs))
     else:
-        results = [_sweep_worker(sub) for sub in subs]
-    rows = []
-    for sub, rep in zip(subs, results):
-        if isinstance(rep, RootfieldError):
-            escape = float("nan")
-            verdict: object = f"error: {type(rep).__name__}"
-        else:
-            escape = min((escape_distance(cfg.domain, cfg.epsilon, w)
-                          for w in rep.critical), default=float("nan"))
-            verdict = "error" if rep.errors else rep.verdict
-        rows.append({"n": cfg.n, "m": sub.m,
-                     "m_log_n_over_n": sub.m * np.log(cfg.n) / cfg.n,
-                     "verdict": verdict,
-                     "min_escape_distance": escape})
+        rows = [_sweep_row(sub) for sub in subs]
     if path is not None:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=SWEEP_M_COLUMNS)

@@ -14,7 +14,8 @@ therefore switch to the reversed polynomial p(z) = z^n g(1/z) for large
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +74,8 @@ class RootSplit:
 
     `inside` are the roots assigned to the convex domain, `outside` the
     rest.  The product polynomial is the original; the two factors are
-    exposed as polynomials with stored roots.
+    exposed as polynomials with stored roots.  The critical points of the
+    product and of q are solved once per split; a failed solve is not kept.
     """
 
     inside: np.ndarray
@@ -111,6 +113,16 @@ class RootSplit:
     def product(self) -> Polynomial:
         return from_roots(np.concatenate([self.inside, self.outside]))
 
+    @cached_property
+    def critical(self) -> np.ndarray:
+        """Critical points of the product p."""
+        return critical_points(self.product())
+
+    @cached_property
+    def inside_critical(self) -> np.ndarray:
+        """Critical points of the inside factor q."""
+        return critical_points(self.inside_poly())
+
 
 # ---------------------------------------------------------------------------
 # construction and basic calculus
@@ -145,9 +157,7 @@ def evaluate(p: Polynomial, z):
     `phase_logmag` instead.
     """
     zz = np.asarray(z, dtype=np.complex128)
-    acc = np.full_like(zz, p.coeffs[-1])
-    for k in range(p.degree - 1, -1, -1):
-        acc = acc * zz + p.coeffs[k]
+    acc = _horner(p.coeffs, zz)
     if np.isscalar(z) or zz.ndim == 0:
         return complex(acc)
     return acc

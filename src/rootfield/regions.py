@@ -29,8 +29,8 @@ from . import contours as _contours
 from .errors import (GrowBBox, NonIntegerWinding, RootOnContour, SingularCell,
                      SingularPoint)
 from .geometry import ConvexDomain, contains_many, distance_many
-from .poly import (Polynomial, RootSplit, SINGULAR_GUARD, critical_points,
-                   derivative, phase_logmag)
+from .poly import (Polynomial, RootSplit, SINGULAR_GUARD, derivative,
+                   phase_logmag)
 
 EQUALITY_TOL = 1e-14   # |g| at or below this counts as inside (closed set)
 _RING_LIMIT = 6        # moat growth rings before a component count gives up
@@ -70,16 +70,6 @@ class RegionMask:
         xs = self.bbox[0] + (np.arange(nx) + 0.5) * h
         ys = self.bbox[2] + (np.arange(ny) + 0.5) * h
         return xs[None, :] + 1j * ys[:, None]
-
-    def cell_of(self, z: complex):
-        """(row, col) of the cell containing z, or None outside the grid."""
-        h = self.cell_size
-        j = int(np.floor((z.real - self.bbox[0]) / h))
-        i = int(np.floor((z.imag - self.bbox[2]) / h))
-        ny, nx = self.indicator.shape
-        if 0 <= i < ny and 0 <= j < nx:
-            return i, j
-        return None
 
 
 @dataclass(frozen=True)
@@ -132,33 +122,23 @@ def _abs_field_sum(roots: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return out.reshape(zs.shape)
 
 
-def _min_root_distance(roots: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    if roots.size == 0:
-        return np.full(zs.shape, np.inf)
-    flat = zs.ravel()
-    out = np.empty(flat.shape)
-    step = max(1, (1 << 22) // roots.size)
-    for lo in range(0, len(flat), step):
-        out[lo:lo + step] = np.abs(flat[lo:lo + step, None] - roots
-                                   ).min(axis=-1)
-    return out.reshape(zs.shape)
-
-
 def _indicator_terms(split: RootSplit, zs: np.ndarray):
-    """(A, B, C) with g = A - B - delta*C, plus a singular-proximity mask."""
-    q_roots = split.inside
-    r_roots = split.outside
-    a = _abs_field_sum(q_roots, zs)
-    b = _abs_field_sum(r_roots, zs)
-    if r_roots.size:
+    """(A, B, C) with g = A - B - delta*C."""
+    a = _abs_field_sum(split.inside, zs)
+    b = _abs_field_sum(split.outside, zs)
+    if split.m:
         _, logmag = phase_logmag(split.outside_poly().coeffs, zs.ravel())
         with np.errstate(over="ignore"):
             c = (2.0 ** (-logmag)).reshape(zs.shape)
     else:
         c = np.ones(zs.shape)  # r is the constant 1
-    near = np.minimum(_min_root_distance(q_roots, zs),
-                      _min_root_distance(r_roots, zs)) < SINGULAR_GUARD
-    return a, b, c, near
+    return a, b, c
+
+
+def _near_root(split: RootSplit, zs: np.ndarray) -> np.ndarray:
+    """Points of the short 1-D array zs within SINGULAR_GUARD of a root."""
+    roots = np.concatenate([split.inside, split.outside])
+    return np.abs(zs[:, None] - roots).min(axis=1) < SINGULAR_GUARD
 
 
 def adelta_indicator(split: RootSplit, delta: float, z) -> float:
@@ -166,9 +146,9 @@ def adelta_indicator(split: RootSplit, delta: float, z) -> float:
     if not delta > 0:
         raise ValueError("delta must be positive")
     zz = np.array([complex(z)])
-    a, b, c, near = _indicator_terms(split, zz)
-    if near[0]:
+    if _near_root(split, zz)[0]:
         raise SingularPoint(complex(z))
+    a, b, c = _indicator_terms(split, zz)
     return float(a[0] - b[0] - delta * c[0])
 
 
@@ -217,8 +197,12 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
     for lo in range(0, ny, row_block):
         hi = min(ny, lo + row_block)
         zs = xs[None, :] + 1j * ys[lo:hi, None]
-        a[lo:hi], b[lo:hi], c[lo:hi], near[lo:hi] = \
-            _indicator_terms(split, zs)
+        a[lo:hi], b[lo:hi], c[lo:hi] = _indicator_terms(split, zs)
+    # a center within SINGULAR_GUARD of a root lies in that root's cell
+    roots = np.concatenate([split.inside, split.outside])
+    cells = _cells_of_points((xmin, xmax, ymin, ymax), h, (ny, nx), roots)
+    ii, jj = cells[cells[:, 0] >= 0].T
+    near[ii, jj] = _near_root(split, xs[jj] + 1j * ys[ii])
 
     masks = []
     for delta in deltas:
@@ -249,9 +233,9 @@ def _patch_singular_cells(split, delta, g, bad, xs, ys, h):
     for i, j in np.argwhere(bad):
         center = xs[j] + 1j * ys[i]
         pts = center + offsets
-        aa, bb, cc, nn = _indicator_terms(split, pts)
+        aa, bb, cc = _indicator_terms(split, pts)
         vals = aa - bb - delta * cc
-        good = ~nn & ~np.isnan(vals)
+        good = ~_near_root(split, pts) & ~np.isnan(vals)
         if not np.any(good):
             raise SingularCell(center)
         order = np.argsort(np.abs(pts - center), kind="stable")
@@ -269,21 +253,6 @@ def _far_field_check(g: np.ndarray, bbox):
     w, v = 0.75 * (xmax - xmin), 0.75 * (ymax - ymin)
     suggested = (cx - w, cx + w, cy - v, cy + v)
     raise GrowBBox(bbox, suggested)
-
-
-def default_delta(split: RootSplit, bbox, resolution: float = 16.0) -> float:
-    """1e-3 scaled by the median |r| over a coarse grid on the bbox."""
-    if split.m == 0:
-        return 1e-3
-    xmin, xmax, ymin, ymax = bbox
-    nx = max(8, int((xmax - xmin) * resolution))
-    ny = max(8, int((ymax - ymin) * resolution))
-    xs = np.linspace(xmin, xmax, nx)
-    ys = np.linspace(ymin, ymax, ny)
-    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
-    _, logmag = phase_logmag(split.outside_poly().coeffs, zs)
-    med = float(np.median(logmag[np.isfinite(logmag)]))
-    return 1e-3 * 2.0 ** med
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +345,11 @@ def loop_area(loop: np.ndarray) -> float:
     return float(0.5 * np.sum(v.real * w.imag - v.imag * w.real))
 
 
-def _cells_of_points(mask: RegionMask, pts: np.ndarray) -> np.ndarray:
+def _cells_of_points(bbox, h: float, shape, pts: np.ndarray) -> np.ndarray:
     """(k, 2) rows of (i, j) cell indices; -1 rows for points off-grid."""
-    h = mask.cell_size
-    jj = np.floor((pts.real - mask.bbox[0]) / h).astype(int)
-    ii = np.floor((pts.imag - mask.bbox[2]) / h).astype(int)
-    ny, nx = mask.shape
+    jj = np.floor((pts.real - bbox[0]) / h).astype(int)
+    ii = np.floor((pts.imag - bbox[2]) / h).astype(int)
+    ny, nx = shape
     bad = (ii < 0) | (ii >= ny) | (jj < 0) | (jj >= nx)
     ii[bad] = -1
     jj[bad] = -1
@@ -421,7 +389,7 @@ def _moat(mask: RegionMask, component: int, protect: np.ndarray,
     win = window_around([component])
     current = labels == component
     absorbed: set[int] = set()
-    pcells = _cells_of_points(mask, protect)
+    pcells = _cells_of_points(mask.bbox, mask.cell_size, mask.shape, protect)
     for _ in range(_RING_LIMIT):
         view = current[win]
         grown = ndimage.binary_dilation(view, structure=_EIGHT)
@@ -491,9 +459,8 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     if not epsilon > 0:
         from .errors import InvalidEpsilon
         raise InvalidEpsilon("epsilon must be strictly positive")
-    p = split.product()
-    dp = derivative(p)
-    crit = critical_points(p) if p.degree >= 2 else np.zeros(0, complex)
+    crit = split.critical
+    dp = derivative(split.product())
     dpoly = Polynomial(dp.coeffs, roots=crit) if dp.degree >= 1 else dp
     q = split.inside_poly()
     r = split.outside_poly()
@@ -501,9 +468,9 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     rp = derivative(r)
 
     in_k, out_keps = _grid_flags(mask, K, epsilon)
-    r_cells = _cells_of_points(mask, split.outside)
-    qp_roots = critical_points(q) if q.degree >= 2 else np.zeros(0, complex)
-    qp_cells = _cells_of_points(mask, qp_roots)
+    grid = (mask.bbox, mask.cell_size, mask.shape)
+    r_cells = _cells_of_points(*grid, split.outside)
+    qp_cells = _cells_of_points(*grid, split.inside_critical)
     windows = _component_windows(mask)
 
     reports = []

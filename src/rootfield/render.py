@@ -1,7 +1,8 @@
 """Deterministic SVG figures: K, its neighborhood, roots, regions.
 
 String-built SVG with a fixed element order and fixed float formatting,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files.  A report's figure
+shows the report's own first-delta mask, rebuilt only for JSON input.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import numpy as np
 
 from . import harness as _harness
 from . import regions
-from .errors import GrowBBox
 from .geometry import ConvexDomain
 from .poly import RootSplit
 
@@ -141,18 +141,18 @@ def _witness_layer(frame, path):
 
 
 def _report_mask(report) -> regions.RegionMask | None:
-    cfg = report.config
-    if not cfg.delta_sweep:
+    """The mask the report's first delta was counted on, or None.
+
+    Carried by a fresh report; for one read from JSON, rebuilt the way
+    the harness built it.
+    """
+    if report.mask is not _harness.MASK_NOT_CARRIED:
+        return report.mask
+    if not report.deltas:
         return None
     split = RootSplit(report.inside_roots, report.outside_roots)
-    bbox = regions.default_bbox(split, cfg.domain, cfg.epsilon)
-    delta = cfg.delta_sweep[0]
-    for _ in range(3):
-        try:
-            return regions.build_mask(split, delta, bbox, cfg.resolution)
-        except GrowBBox as exc:
-            bbox = exc.suggested
-    return None
+    masks = _harness.delta_masks(split, report.config)
+    return None if masks is None else masks[0]
 
 
 def emit_svg(obj, path, *, split: RootSplit | None = None,

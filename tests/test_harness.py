@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rootfield import geometry as geo
-from rootfield import harness, regions
+from rootfield import harness, poly, regions
 from rootfield.errors import ConfigError, GrowBBox
 
 K = geo.ConvexDomain.disk(0.0, 1.0)
@@ -153,6 +153,25 @@ def test_run_is_deterministic():
     assert np.array_equal(a.critical, b.critical)
     assert np.array_equal(a.inside_roots, b.inside_roots)
     assert a.to_json() == b.to_json()
+
+
+def test_run_solves_each_critical_point_set_once(monkeypatch):
+    # p' and q' are the only derivatives of degree > 20 a run solves; the
+    # delta stage and every census read the split's cached solutions
+    degrees = []
+    real = poly.find_roots
+
+    def counting(p, *args, **kwargs):
+        degrees.append(p.degree)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(poly, "find_roots", counting)
+    cfg = _cfg(n=30, delta_sweep=(1e-3, 1e-2), resolution=60.0)
+    rep = harness.run_theorem_experiment(cfg)
+    assert rep.errors == () and len(rep.deltas) == 2
+    assert all(d.error is None for d in rep.deltas)
+    assert sorted(d for d in degrees if d > 20) == [cfg.n - 1,
+                                                    cfg.n + cfg.m - 1]
 
 
 def test_delta_stage_grows_bbox_on_demand():

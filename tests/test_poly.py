@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from rootfield import poly
-from rootfield.errors import SingularPoint
+from rootfield.errors import NoConvergence, SingularPoint
 
 MATCH_TOL_LOW_DEG = 1e-8   # round-trip matching error, degree <= 12
 LOG2_EVAL_TOL = 1e-9       # agreement of log2 magnitudes across eval branches
@@ -238,6 +238,26 @@ def test_critical_points_polish_beats_coefficients_at_high_degree():
     assert len(w) == 259
     res, scale = poly._log_deriv_rel(roots, w)
     assert np.all(res <= poly.LOG_DERIV_TOL * scale)
+
+
+def test_split_keeps_solved_critical_points_but_not_failures(monkeypatch):
+    degrees = []
+    real = poly.critical_points
+
+    def flaky(p):
+        degrees.append(p.degree)
+        if len(degrees) == 1:
+            raise NoConvergence(1.0, 1)
+        return real(p)
+
+    monkeypatch.setattr(poly, "critical_points", flaky)
+    split = poly.RootSplit([0.0, 1.0, 2j], [5.0])
+    with pytest.raises(NoConvergence):
+        split.critical
+    assert split.critical is split.critical
+    assert split.inside_critical is split.inside_critical
+    assert degrees == [4, 4, 3]
+    assert matched_error(real(split.product()), split.critical) == 0.0
 
 
 # ---------------------------------------------------------------------------

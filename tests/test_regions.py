@@ -144,10 +144,16 @@ def test_no_outside_roots_blobs_shrink_with_delta():
 
 
 def test_root_on_cell_center_is_patched():
-    # h = 0.1 grid over (-1,1)^2 has a center at exactly 0.05 + 0.05j
-    split = poly.RootSplit(np.array([0.05 + 0.05j, -0.3]), [5.0])
-    mask = regions.build_mask(split, 1e-2, (-1.0, 1.0, -1.0, 1.0), 10.0)
-    assert np.all(np.isfinite(mask.indicator))
+    for inside, outside, bbox in (
+            # h = 0.1 grid over (-1,1)^2 has a center at 0.05 + 0.05j
+            ([0.05 + 0.05j, -0.3], [5.0], (-1.0, 1.0, -1.0, 1.0)),
+            # a root of r on the center 1.25 + 0.05j of the grid on (-3,3)^2
+            ([0.05, -0.3], [1.25 + 0.05j], (-3.0, 3.0, -3.0, 3.0))):
+        split = poly.RootSplit(np.array(inside), outside)
+        mask = regions.build_mask(split, 1e-2, bbox, 10.0)
+        assert np.all(np.isfinite(mask.indicator))
+        # unpatched, the root's own cell would read about 1e16
+        assert np.abs(mask.indicator).max() < 1e3
 
 
 def test_mask_csv_round_trip(tmp_path):

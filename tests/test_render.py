@@ -78,11 +78,46 @@ def test_witness_polyline_layer(tmp_path):
 
 
 def test_no_delta_report_has_no_fill_rects(tmp_path):
-    rep = _report(delta_sweep=())
-    path = tmp_path / "plain.svg"
+    for kw in (dict(delta_sweep=()),
+               # the far-field check fails on every bbox the harness
+               # tries: no mask was counted, so none is drawn
+               dict(epsilon=0.25, n=3, m=1, delta_sweep=(1e-3, 10.0),
+                    resolution=30.0, seed=0)):
+        rep = _report(**kw)
+        assert all(d.components == () for d in rep.deltas)
+        path = tmp_path / "plain.svg"
+        render.emit_svg(rep, path)
+        assert path.read_text().count("<rect") == 1     # background only
+        ET.parse(path)
+
+
+def test_report_figure_draws_the_census_mask(tmp_path, monkeypatch):
+    # delta = 3 forces the bbox to grow; the first delta alone would fit
+    # the default bbox, but its components were counted on the grown one
+    built = []
+    real = regions.build_masks
+
+    def recording(*args):
+        masks = real(*args)
+        built.append(masks)
+        return masks
+
+    monkeypatch.setattr(regions, "build_masks", recording)
+    rep = _report(epsilon=0.25, n=6, m=1, delta_sweep=(1e-3, 3.0),
+                  resolution=30.0, seed=0)
+    path = tmp_path / "grown.svg"
     render.emit_svg(rep, path)
-    assert path.read_text().count("<rect") == 1     # background only
-    ET.parse(path)
+    assert len(built) == 1              # the harness's build, none in render
+    counted = built[0][0]
+    assert counted.bbox != regions.default_bbox(
+        poly.RootSplit(rep.inside_roots, rep.outside_roots), K, 0.25)
+    # the grown bbox is the default one scaled about its center, so the
+    # canvas size alone cannot tell them apart: compare the cells drawn
+    frame = render._Frame(counted.bbox)
+    text = path.read_text()
+    assert render._component_rects(frame, counted)[1:-1] \
+        == [ln for ln in text.split("\n") if ln.startswith("<rect x=")]
+    assert f'r="{frame.d(1.0)}"' in text           # K's outline, same frame
 
 
 def test_polygon_domain_renders(tmp_path):
