@@ -2,12 +2,12 @@
 
 __version__ = "0.1.0"
 
-from . import charges, contours, errors, geometry, harness, poly, regions, \
-    render, search
+from . import charges, contours, errors, geometry, harness, kernels, poly, \
+    regions, render, search
 from .charges import (ChargeSet, Curve, TorusConfig, curve_min,
                       lemma1_curve_bound, sharp_example,
                       torus_low_potential_point)
-from .geometry import ConvexDomain, Neighborhood
+from .geometry import ConvexDomain
 from .harness import (ExperimentConfig, LemmaSuiteReport, TheoremReport,
                       run_lemma_suite, run_theorem_experiment, sweep_m)
 from .poly import Polynomial, RootSplit, critical_points, find_roots, from_roots
@@ -20,11 +20,11 @@ from .search import SearchConfig, SearchResult, conjecture_sweep, \
 
 __all__ = [
     "__version__",
-    "charges", "contours", "errors", "geometry", "harness", "poly",
+    "charges", "contours", "errors", "geometry", "harness", "kernels", "poly",
     "regions", "render", "search",
     "ChargeSet", "Curve", "TorusConfig", "curve_min", "lemma1_curve_bound",
     "sharp_example", "torus_low_potential_point",
-    "ConvexDomain", "Neighborhood",
+    "ConvexDomain",
     "ExperimentConfig", "LemmaSuiteReport", "TheoremReport",
     "run_lemma_suite", "run_theorem_experiment", "sweep_m",
     "Polynomial", "RootSplit", "critical_points", "find_roots", "from_roots",

@@ -14,6 +14,7 @@ from scipy import optimize
 
 from .errors import (CertificateError, ProjectionDegenerate, SearchExhausted,
                      SingularCurve, SingularPoint)
+from .kernels import field_sum, min_distance, modulus_sum
 from .poly import SINGULAR_GUARD
 
 MIN_SAMPLES = 10_000      # curve sampling floor
@@ -23,7 +24,7 @@ CERT_REL_TOL = 1e-2
 GRID_PER_CHARGE = 100     # torus candidates per charge
 DIST_FLOOR = 10.0         # torus point keeps distance >= 1/(10m)
 KERNEL_CAP = 20.0         # f_m plateau height 20m inside |x| < 1/(20m)
-_CHUNK = 1 << 20          # point-charge pairs per evaluation block
+_CHUNK = 1 << 20          # torus grid-charge pairs per scan block
 _LIFT_ATTEMPTS = 5
 
 
@@ -96,14 +97,19 @@ class Curve:
         out = self.vertices[k] + frac * (self.vertices[k + 1] - self.vertices[k])
         return complex(out) if tt.ndim == 0 else out
 
-    def clearance(self, charges) -> float:
-        """Smallest distance from any charge to the polyline."""
+    def nearest_points(self, charges):
+        """(segments, charges) arrays: nearest segment points, distances."""
         z = np.atleast_1d(np.asarray(charges, dtype=np.complex128))
         a = self.vertices[:-1][:, None]
         d = np.diff(self.vertices)[:, None]
         frac = np.clip(((z[None, :] - a) * np.conj(d)).real / np.abs(d) ** 2,
                        0.0, 1.0)
-        return float(np.abs(z[None, :] - (a + frac * d)).min())
+        near = a + frac * d
+        return near, np.abs(z[None, :] - near)
+
+    def clearance(self, charges) -> float:
+        """Smallest distance from any charge to the polyline."""
+        return float(self.nearest_points(charges)[1].min())
 
     def is_conjecture_normalized(self, tol: float = 1e-12) -> bool:
         """True when gamma(0) = 0 and gamma(1) = 1."""
@@ -146,38 +152,32 @@ def torus_distance(a, b):
 # pointwise potentials
 # ---------------------------------------------------------------------------
 
+def _guarded(C: ChargeSet, z) -> np.ndarray:
+    zz = np.asarray(z, dtype=np.complex128)
+    if min_distance(zz, C.charges).min() < SINGULAR_GUARD:
+        raise SingularPoint("evaluation point coincides with a charge")
+    return zz
+
+
 def complex_field(C: ChargeSet, z):
     """Sum of 1/(z - z_l) over the charges; scalar or array z."""
-    zz = np.asarray(z, dtype=np.complex128)
-    diff = zz[..., None] - C.charges
-    if np.abs(diff).min() < SINGULAR_GUARD:
-        raise SingularPoint("evaluation point coincides with a charge")
-    out = np.sum(1.0 / diff, axis=-1)
+    zz = _guarded(C, z)
+    out = field_sum(zz, C.charges)
     return complex(out) if zz.ndim == 0 else out
 
 
 def modulus_potential(C: ChargeSet, z):
     """Sum of 1/|z - z_l|; dominates |complex_field| pointwise."""
-    zz = np.asarray(z, dtype=np.complex128)
-    d = np.abs(zz[..., None] - C.charges)
-    if d.min() < SINGULAR_GUARD:
-        raise SingularPoint("evaluation point coincides with a charge")
-    out = np.sum(1.0 / d, axis=-1)
+    zz = _guarded(C, z)
+    out = modulus_sum(zz, C.charges)
     return float(out) if zz.ndim == 0 else out
 
 
 def _along(C: ChargeSet, curve: Curve, ts: np.ndarray, mode: str) -> np.ndarray:
-    # blockwise evaluation keeps the point-by-charge matrix bounded
-    out = np.empty(ts.size)
-    block = max(1, _CHUNK // C.m)
-    for k in range(0, ts.size, block):
-        pts = np.atleast_1d(curve.point(ts[k:k + block]))
-        diff = pts[:, None] - C.charges[None, :]
-        if mode == "modulus":
-            out[k:k + block] = np.sum(1.0 / np.abs(diff), axis=1)
-        else:
-            out[k:k + block] = np.abs(np.sum(1.0 / diff, axis=1))
-    return out
+    pts = curve.point(ts)
+    if mode == "modulus":
+        return modulus_sum(pts, C.charges)
+    return np.abs(field_sum(pts, C.charges))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def lemma1_curve_bound(C: ChargeSet, curve: Curve) -> LemmaWitness:
     exclude: list[float] = []
     for _ in range(_LIFT_ATTEMPTS):
         y, torus_value = torus_low_potential_point(cfg, exclude=tuple(exclude))
-        if np.abs(zn.real - y).min() < SINGULAR_GUARD:
+        if min_distance(y, zn.real) < SINGULAR_GUARD:
             exclude.append(y)      # cannot happen while the floor holds
             continue
         break
@@ -358,19 +358,15 @@ def lemma1_curve_bound(C: ChargeSet, curve: Curve) -> LemmaWitness:
 
     rn = ((curve.vertices - v0) / s).real
     cum = curve._cum
-    cands = _lift_candidates(rn, cum / cum[-1], y)
-    best_t, best_p = None, np.inf
-    for t in cands:
-        gn = (curve.point(t) - v0) / s
-        p = float(np.sum(1.0 / np.abs(gn - zn)))
-        if p < best_p:
-            best_t, best_p = t, p
-    if best_t is None:
+    cands = np.array(_lift_candidates(rn, cum / cum[-1], y))
+    if not cands.size:
         raise ProjectionDegenerate("no curve point projects onto the "
                                    "selected torus point")
-
-    gn = (curve.point(best_t) - v0) / s
-    one_d = float(np.sum(1.0 / np.abs(gn.real - zn.real)))
+    gns = (curve.point(cands) - v0) / s
+    ps = modulus_sum(gns, zn)
+    i = int(np.argmin(ps))               # first occurrence -> smaller t
+    best_t, best_p, gn = float(cands[i]), float(ps[i]), gns[i]
+    one_d = float(modulus_sum(gn.real, zn.real))
     slack = 1.0 + 1e-9
     if not (best_p <= one_d * slack and one_d <= torus_value * slack):
         raise CertificateError(

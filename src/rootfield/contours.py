@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonIntegerWinding, RootOnContour
-from .poly import Polynomial, phase_logmag, majorant_logmag
+from .errors import ImpossibleCount, NonIntegerWinding, RootOnContour
+from .kernels import min_distance
+from .poly import Polynomial, majorant_logmag, newton_ratio, phase_logmag
 
 WINDING_TOL = 0.2      # |winding - nearest integer| allowed after refinement
 MAX_REFINE = 6         # sample-density doublings before giving up
@@ -92,6 +93,13 @@ def _sample_polyline(vertices: np.ndarray, refinement: float) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def loop_area(loop: np.ndarray) -> float:
+    """Signed shoelace area of a closed vertex loop; positive when CCW."""
+    v = loop[:-1]
+    w = loop[1:]
+    return float(0.5 * np.sum(v.real * w.imag - v.imag * w.real))
+
+
 def _resample(c: Contour, level: int) -> np.ndarray:
     density = c.refinement * 2.0 ** level
     if c.kind == "circle":
@@ -113,7 +121,8 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
     2/refinement of a sample) is enforced against the density actually
     used: exactly when the root list is stored, otherwise via the safe
     direction of the Newton-step bound (a small |p/p'| places a root
-    provably nearby).
+    provably nearby).  A count whose sign disagrees with the orientation
+    of the samples, or which exceeds the degree, raises ImpossibleCount.
     """
     if p.degree < 1:
         return 0
@@ -133,25 +142,23 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
             if level < MAX_REFINE:
                 continue
             raise NonIntegerWinding(winding)
-        return int(round(winding))
+        count = int(round(winding))
+        if abs(count) > p.degree or count * loop_area(pts) < 0:
+            raise ImpossibleCount(count, p.degree)
+        return count
     raise AssertionError("unreachable")  # pragma: no cover
 
 
 def _check_clearance(p: Polynomial, pts: np.ndarray, clearance: float):
     if p.roots is not None and p.roots.size:
-        # exact: O(samples x roots) distance table, chunked for memory
-        dmin = np.inf
-        for lo in range(0, len(pts), 2048):
-            blk = pts[lo:lo + 2048]
-            d = np.abs(blk[:, None] - p.roots[None, :]).min()
-            dmin = min(dmin, float(d))
+        # exact: the nearest stored root of every sample
+        dmin = float(min_distance(pts, p.roots).min())
         if dmin < clearance:
             raise RootOnContour(dmin, clearance)
         return
     if p.degree == 0:
         return
     dc = p.coeffs[1:] * np.arange(1, p.degree + 1)
-    from .poly import newton_ratio
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.abs(newton_ratio(p.coeffs, dc, pts))
     # nearest root lies within degree * |p/p'| of the sample, so a small

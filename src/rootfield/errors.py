@@ -76,6 +76,16 @@ class NonIntegerWinding(RootfieldError):
         )
 
 
+class ImpossibleCount(NonIntegerWinding):
+    """A count no polynomial has on the contour: its sign disagrees with
+    the orientation of the samples, or it exceeds the degree."""
+
+    def __init__(self, winding: int, degree: int):
+        self.winding = winding
+        RootfieldError.__init__(self, f"count {winding} is impossible for a "
+                                f"degree-{degree} polynomial on this contour")
+
+
 class GrowBBox(RootfieldError):
     """Indicator is not positive on the bbox border; mask needs a larger box.
 

@@ -2,8 +2,10 @@
 
 Points are complex numbers throughout.  Domains are closed sets, so
 boundary points count as inside and all membership comparisons are exact
-(deterministic ties).  Epsilon-neighborhoods are never materialized:
-membership in K_eps is a distance query against K.
+(deterministic ties).  The queries take a scalar or an array of points and
+answer in kind.  Epsilon-neighborhoods are never materialized: membership
+in K_eps is `distance(K, z) <= epsilon`, and `escape_distance` measures how
+far a point sits from leaving K_eps.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHull, InvalidEpsilon
+from .errors import DegenerateHull
 
 _FLAT_TOL = 0.0  # hull collinearity uses exact cross-product comparisons
 
@@ -74,21 +76,6 @@ class ConvexDomain:
         raise ValueError(f"unknown domain kind {obj['kind']!r}")
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Closed epsilon-neighborhood of a convex domain (implicit)."""
-
-    base: ConvexDomain
-    epsilon: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise InvalidEpsilon("epsilon must be strictly positive")
-
-    def contains(self, z) -> bool:
-        return bool(distance(self.base, z) <= self.epsilon)
-
-
 # ---------------------------------------------------------------------------
 # hull construction
 # ---------------------------------------------------------------------------
@@ -132,50 +119,55 @@ def convex_hull(points) -> ConvexDomain:
 # queries
 # ---------------------------------------------------------------------------
 
-def contains(domain: ConvexDomain, z) -> bool:
-    """Closed-set membership."""
-    zz = complex(z)
+def contains(domain: ConvexDomain, z):
+    """Closed-set membership: a bool for scalar z, else a bool array."""
+    zz = np.asarray(z, dtype=np.complex128)
     if domain.kind == "disk":
-        return abs(zz - domain.center) <= domain.radius
-    v = domain.vertices
-    w = np.roll(v, -1)
-    cr = ((w - v).real * (zz - v).imag - (w - v).imag * (zz - v).real)
-    return bool(np.all(cr >= 0))
+        out = np.abs(zz - domain.center) <= domain.radius
+    else:
+        v = domain.vertices
+        e = np.roll(v, -1) - v
+        d = zz[..., None] - v
+        out = np.all(e.real * d.imag - e.imag * d.real >= 0, axis=-1)
+    return bool(out) if zz.ndim == 0 else out
 
 
-def contains_many(domain: ConvexDomain, zs: np.ndarray) -> np.ndarray:
-    zs = np.asarray(zs, dtype=np.complex128)
+def _edge_distance(vertices: np.ndarray, zz: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest edge of the closed polygon."""
+    e = np.roll(vertices, -1) - vertices
+    d = zz[..., None] - vertices
+    t = np.clip((d.real * e.real + d.imag * e.imag)
+                / (e.real ** 2 + e.imag ** 2), 0.0, 1.0)
+    return np.min(np.abs(zz[..., None] - (vertices + t * e)), axis=-1)
+
+
+def distance(domain: ConvexDomain, z):
+    """Euclidean distance to the closed domain, 0 inside: a float for
+    scalar z, else an array."""
+    zz = np.asarray(z, dtype=np.complex128)
     if domain.kind == "disk":
-        return np.abs(zs - domain.center) <= domain.radius
-    v = domain.vertices
-    w = np.roll(v, -1)
-    e = (w - v)
-    d = zs[..., None] - v
-    cr = e.real * d.imag - e.imag * d.real
-    return np.all(cr >= 0, axis=-1)
+        out = np.maximum(np.abs(zz - domain.center) - domain.radius, 0.0)
+    else:
+        out = np.where(contains(domain, zz), 0.0,
+                       _edge_distance(domain.vertices, zz))
+    return float(out) if zz.ndim == 0 else out
 
 
-def distance(domain: ConvexDomain, z) -> float:
-    """Euclidean distance to the closed domain; 0 inside."""
-    return float(distance_many(domain, np.array([complex(z)]))[0])
-
-
-def distance_many(domain: ConvexDomain, zs: np.ndarray) -> np.ndarray:
-    zs = np.asarray(zs, dtype=np.complex128)
+def escape_distance(domain: ConvexDomain, epsilon: float, z):
+    """Distance from z to the complement of K_eps: epsilon plus the depth
+    inside K, epsilon minus the distance to K outside it, 0 beyond K_eps.
+    A float for scalar z, else an array."""
+    zz = np.asarray(z, dtype=np.complex128)
+    d = distance(domain, zz)
     if domain.kind == "disk":
-        return np.maximum(np.abs(zs - domain.center) - domain.radius, 0.0)
-    v = domain.vertices
-    w = np.roll(v, -1)
-    e = w - v
-    el2 = (e.real ** 2 + e.imag ** 2)
-    d = zs[..., None] - v
-    t = (d.real * e.real + d.imag * e.imag) / el2
-    t = np.clip(t, 0.0, 1.0)
-    foot = v + t * e
-    seg = np.abs(zs[..., None] - foot)
-    dist = np.min(seg, axis=-1)
-    dist[contains_many(domain, zs)] = 0.0
-    return dist
+        # hypot rounds as the scalar abs does; array np.abs can be 1 ulp off
+        w = zz - domain.center
+        inner = domain.radius - np.hypot(w.real, w.imag)
+    else:
+        inner = _edge_distance(domain.vertices, zz)
+    out = np.where(d > epsilon, 0.0,
+                   np.where(d > 0.0, epsilon - d, epsilon + inner))
+    return float(out) if zz.ndim == 0 else out
 
 
 def diameter(domain: ConvexDomain) -> float:
@@ -194,13 +186,6 @@ def diameter(domain: ConvexDomain) -> float:
             j = (j + 1) % k
         best = max(best, abs(v[i] - v[j]), abs(v[ni] - v[j]))
     return best
-
-
-def neighborhood_contains(domain: ConvexDomain, epsilon: float, z) -> bool:
-    """Membership in the closed epsilon-neighborhood K_eps."""
-    if not (epsilon > 0):
-        raise InvalidEpsilon("epsilon must be strictly positive")
-    return bool(distance(domain, z) <= epsilon)
 
 
 def bounding_box(domain: ConvexDomain) -> tuple[float, float, float, float]:

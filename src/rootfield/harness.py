@@ -5,7 +5,8 @@ critical points against K and its neighborhood, drives the region
 pipeline per delta, and assembles deterministic structured reports.
 A run solves the critical points of p and of q once each and builds its
 masks once; the report carries the first mask, so the figure shows the
-mask its components were counted on.
+mask its components were counted on.  Membership in K and K_eps and the
+escape distance come from `geometry`, one call per point array.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .charges import TorusConfig, lemma1_curve_bound, sharp_example, \
     torus_distance, torus_low_potential_point
 from .errors import ConfigError, GrowBBox, RootfieldError, SearchExhausted
 from .geometry import ConvexDomain, bounding_box, boundary_point, \
-    contains_many, diameter, distance, distance_many
+    contains, diameter, distance
 from .poly import RootSplit
 from . import charges as _charges
-from . import regions
+from . import geometry, regions
 
 MULT_JITTER = 1e-9        # duplicate roots move by this times the root scale
 _SAMPLER_CAP = 200        # rejection batches before giving up
@@ -128,7 +129,7 @@ def _sample_inside(K: ConvexDomain, n: int, kind, rng) -> np.ndarray:
         if pts.size != n:
             raise ConfigError(f"explicit root list has {pts.size} points, "
                               f"config says n={n}")
-        if np.any(distance_many(K, pts) > 0):
+        if np.any(distance(K, pts) > 0):
             raise ConfigError("an explicit inside root lies outside K")
         return pts
     if kind == "boundary":
@@ -142,7 +143,7 @@ def _sample_inside(K: ConvexDomain, n: int, kind, rng) -> np.ndarray:
     for _ in range(_SAMPLER_CAP):
         cand = (rng.uniform(x0, x1, size=2 * n)
                 + 1j * rng.uniform(y0, y1, size=2 * n))
-        out = np.concatenate([out, cand[contains_many(K, cand)]])
+        out = np.concatenate([out, cand[contains(K, cand)]])
         if out.size >= n:
             return out[:n]
     raise ConfigError("rejection sampler failed to fill K")
@@ -156,7 +157,7 @@ def _sample_outside(K: ConvexDomain, m: int, spec, rng) -> np.ndarray:
         if pts.size != m:
             raise ConfigError(f"explicit outside list has {pts.size} "
                               f"points, config says m={m}")
-        if np.any(distance_many(K, pts) <= 0):
+        if np.any(distance(K, pts) <= 0):
             raise ConfigError("an explicit outside root lies in K")
         return pts
     _, lo, hi = spec
@@ -168,7 +169,7 @@ def _sample_outside(K: ConvexDomain, m: int, spec, rng) -> np.ndarray:
         rho = d * rng.uniform(lo, hi, size=2 * m)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=2 * m)
         cand = K.center + rho * np.exp(1j * theta)
-        out = np.concatenate([out, cand[distance_many(K, cand) > 0]])
+        out = np.concatenate([out, cand[distance(K, cand) > 0]])
         if out.size >= m:
             return out[:m]
     raise ConfigError("annulus sampler kept landing inside K; raise lo")
@@ -311,26 +312,6 @@ class TheoremReport:
 # theorem pipeline
 # ---------------------------------------------------------------------------
 
-def escape_distance(K: ConvexDomain, epsilon: float, z) -> float:
-    """Distance from z to the complement of the epsilon-neighborhood."""
-    zz = complex(z)
-    d = distance(K, zz)
-    if d > epsilon:
-        return 0.0
-    if d > 0.0:
-        return epsilon - d
-    if K.kind == "disk":
-        inner = K.radius - abs(zz - K.center)
-    else:
-        v = K.vertices
-        e = np.roll(v, -1) - v
-        diff = zz - v
-        t = np.clip((diff.real * e.real + diff.imag * e.imag)
-                    / (e.real ** 2 + e.imag ** 2), 0.0, 1.0)
-        inner = float(np.abs(zz - (v + t * e)).min())
-    return epsilon + inner
-
-
 def delta_masks(split: RootSplit,
                 cfg: ExperimentConfig) -> list[regions.RegionMask] | None:
     """One mask per delta of cfg, all on one bbox; None if none fits.
@@ -360,8 +341,7 @@ def _delta_stage(split: RootSplit, cfg: ExperimentConfig):
         try:
             comps = regions.classify_components(mask, split, cfg.domain,
                                                 cfg.epsilon)
-            bridge = regions.bridging_check(split, mask.delta, cfg.domain,
-                                            cfg.epsilon, mask)
+            bridge = regions.bridging_check(mask, cfg.domain, cfg.epsilon)
             out.append(DeltaReport(delta=mask.delta, components=tuple(comps),
                                    bridged=bridge.bridged,
                                    witness=bridge.path))
@@ -387,8 +367,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremReport:
     inside, outside = jittered[:cfg.n], jittered[cfg.n:]
     split = RootSplit(inside, outside)
 
-    roots_in = int(np.sum(distance_many(cfg.domain, inside) <= 0)
-                   + np.sum(distance_many(cfg.domain, outside) <= 0))
+    roots_in = int(np.sum(distance(cfg.domain, jittered) <= 0))
     roots_out = cfg.n + cfg.m - roots_in
 
     crit = np.zeros(0, dtype=np.complex128)
@@ -396,7 +375,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremReport:
         crit = split.critical
     except RootfieldError as exc:
         errors.append(("critical_points", f"{type(exc).__name__}: {exc}"))
-    crit_in = int(np.sum(distance_many(cfg.domain, crit) <= cfg.epsilon))
+    crit_in = int(np.sum(distance(cfg.domain, crit) <= cfg.epsilon))
     crit_out = crit.size - crit_in
     verdict = bool(crit.size > 0 and crit_in >= roots_in - 1)
 
@@ -428,8 +407,8 @@ def _sweep_row(sub: ExperimentConfig) -> dict:
         escape = float("nan")
         verdict: object = f"error: {type(exc).__name__}"
     else:
-        escape = min((escape_distance(sub.domain, sub.epsilon, w)
-                      for w in rep.critical), default=float("nan"))
+        esc = geometry.escape_distance(sub.domain, sub.epsilon, rep.critical)
+        escape = float(esc.min()) if esc.size else float("nan")
         verdict = "error" if rep.errors else rep.verdict
     return {"n": sub.n, "m": sub.m,
             "m_log_n_over_n": sub.m * np.log(sub.n) / sub.n,

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence, SingularPoint
+from .kernels import field_sum, min_distance
 
 ROOT_TOL = 1e-10          # |p(root)| <= ROOT_TOL * scale(p)
 LOG_DERIV_TOL = 1e-9      # relative agreement of the two log-derivative paths
@@ -158,9 +159,7 @@ def evaluate(p: Polynomial, z):
     """
     zz = np.asarray(z, dtype=np.complex128)
     acc = _horner(p.coeffs, zz)
-    if np.isscalar(z) or zz.ndim == 0:
-        return complex(acc)
-    return acc
+    return complex(acc) if zz.ndim == 0 else acc
 
 
 def derivative(p: Polynomial) -> Polynomial:
@@ -181,19 +180,16 @@ def log_derivative(p: Polynomial, z):
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if p.roots is not None:
-        d = zz[:, None] - p.roots[None, :]
-        if np.min(np.abs(d)) <= SINGULAR_GUARD:
+        if np.min(min_distance(zz, p.roots)) <= SINGULAR_GUARD:
             raise SingularPoint("evaluation point within guard of a root")
-        out = np.sum(1.0 / d, axis=1)
+        out = field_sum(zz, p.roots)
     else:
         if p.is_zero:
             raise SingularPoint("zero polynomial has no log-derivative")
         pv = evaluate(p, zz)
-        pv = np.atleast_1d(np.asarray(pv))
         if np.any(pv == 0):
             raise SingularPoint("evaluation point is a root")
-        dv = np.atleast_1d(np.asarray(evaluate(derivative(p), zz)))
-        out = dv / pv
+        out = evaluate(derivative(p), zz) / pv
     return complex(out[0]) if scalar else out
 
 
@@ -450,9 +446,9 @@ def _aberth(c: np.ndarray, max_iters: int) -> np.ndarray:
 
 
 def _separate_duplicates(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    dup_rows = np.where(np.min(np.abs(diff), axis=1) == 0.0)[0]
+    # sorting finds exact repeats in O(n log n); inf and nan never repeat
+    _, inv, counts = np.unique(x, return_inverse=True, return_counts=True)
+    dup_rows = np.where((counts[inv] > 1) & np.isfinite(x))[0]
     if dup_rows.size:
         x = x.copy()
         bump = 1e-9 * (1.0 + np.abs(x[dup_rows]))

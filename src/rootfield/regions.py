@@ -26,9 +26,10 @@ import numpy as np
 from scipy import ndimage
 
 from . import contours as _contours
-from .errors import (GrowBBox, NonIntegerWinding, RootOnContour, SingularCell,
-                     SingularPoint)
-from .geometry import ConvexDomain, contains_many, distance_many
+from .errors import (GrowBBox, InvalidEpsilon, NonIntegerWinding,
+                     RootOnContour, SingularCell, SingularPoint)
+from .geometry import ConvexDomain, bounding_box, contains, diameter, distance
+from .kernels import field_sum, min_distance
 from .poly import (Polynomial, RootSplit, SINGULAR_GUARD, derivative,
                    phase_logmag)
 
@@ -108,24 +109,10 @@ def field_lower_bound(n: int, d: float, diam: float) -> float:
     return n * d / (d + diam) ** 2
 
 
-def _abs_field_sum(roots: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """|sum 1/(z - root)|; inf where z collides with a root exactly."""
-    if roots.size == 0:
-        return np.zeros(zs.shape)
-    flat = zs.ravel()
-    out = np.empty(flat.shape)
-    step = max(1, (1 << 22) // roots.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, len(flat), step):
-            inv = 1.0 / (flat[lo:lo + step, None] - roots)
-            out[lo:lo + step] = np.abs(inv.sum(axis=-1))
-    return out.reshape(zs.shape)
-
-
 def _indicator_terms(split: RootSplit, zs: np.ndarray):
-    """(A, B, C) with g = A - B - delta*C."""
-    a = _abs_field_sum(split.inside, zs)
-    b = _abs_field_sum(split.outside, zs)
+    """(A, B, C) with g = A - B - delta*C; A, B are inf or nan on a root."""
+    a = np.abs(field_sum(zs, split.inside))
+    b = np.abs(field_sum(zs, split.outside))
     if split.m:
         _, logmag = phase_logmag(split.outside_poly().coeffs, zs.ravel())
         with np.errstate(over="ignore"):
@@ -136,9 +123,9 @@ def _indicator_terms(split: RootSplit, zs: np.ndarray):
 
 
 def _near_root(split: RootSplit, zs: np.ndarray) -> np.ndarray:
-    """Points of the short 1-D array zs within SINGULAR_GUARD of a root."""
+    """Points of zs within SINGULAR_GUARD of a root."""
     roots = np.concatenate([split.inside, split.outside])
-    return np.abs(zs[:, None] - roots).min(axis=1) < SINGULAR_GUARD
+    return min_distance(zs, roots) < SINGULAR_GUARD
 
 
 def adelta_indicator(split: RootSplit, delta: float, z) -> float:
@@ -158,7 +145,6 @@ def adelta_indicator(split: RootSplit, delta: float, z) -> float:
 
 def default_bbox(split: RootSplit, K: ConvexDomain, epsilon: float):
     """Hull of all roots inflated by 2*(epsilon + diam K) on every side."""
-    from .geometry import bounding_box, diameter
     roots = np.concatenate([split.inside, split.outside])
     kx0, kx1, ky0, ky1 = bounding_box(K)
     xs = np.concatenate([roots.real, [kx0, kx1]])
@@ -338,13 +324,6 @@ def _compress_collinear(loop: np.ndarray) -> np.ndarray:
     return np.concatenate([kept, kept[:1]])
 
 
-def loop_area(loop: np.ndarray) -> float:
-    """Signed shoelace area of a closed vertex loop (grid units)."""
-    v = loop[:-1]
-    w = loop[1:]
-    return float(0.5 * np.sum(v.real * w.imag - v.imag * w.real))
-
-
 def _cells_of_points(bbox, h: float, shape, pts: np.ndarray) -> np.ndarray:
     """(k, 2) rows of (i, j) cell indices; -1 rows for points off-grid."""
     jj = np.floor((pts.real - bbox[0]) / h).astype(int)
@@ -457,7 +436,6 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     leaves crit_points_inside at 0.
     """
     if not epsilon > 0:
-        from .errors import InvalidEpsilon
         raise InvalidEpsilon("epsilon must be strictly positive")
     crit = split.critical
     dp = derivative(split.product())
@@ -533,13 +511,13 @@ def _grid_flags(mask: RegionMask, K: ConvexDomain, epsilon: float):
     out_keps = np.empty(centers.shape, dtype=bool)
     for lo in range(0, len(centers), _CHUNK):
         blk = centers[lo:lo + _CHUNK]
-        in_k[lo:lo + _CHUNK] = contains_many(K, blk)
-        out_keps[lo:lo + _CHUNK] = distance_many(K, blk) > epsilon
+        in_k[lo:lo + _CHUNK] = contains(K, blk)
+        out_keps[lo:lo + _CHUNK] = distance(K, blk) > epsilon
     return in_k.reshape(mask.shape), out_keps.reshape(mask.shape)
 
 
-def bridging_check(split: RootSplit, delta: float, K: ConvexDomain,
-                   epsilon: float, mask: RegionMask) -> BridgeResult:
+def bridging_check(mask: RegionMask, K: ConvexDomain,
+                   epsilon: float) -> BridgeResult:
     """Find a component crossing from K to outside K_eps, with a witness.
 
     The witness is a 4-connected cell-center path inside the component

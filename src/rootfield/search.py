@@ -105,23 +105,21 @@ def _shell_init(cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _project_to_margin(curve: Curve, charges: np.ndarray,
                        margin: float) -> np.ndarray:
-    """Push any charge in the exclusion shell out to the margin."""
-    out = charges.copy()
-    a = curve.vertices[:-1]
-    d = np.diff(curve.vertices)
-    for i, z in enumerate(charges):
-        frac = np.clip(((z - a) * np.conj(d)).real / np.abs(d) ** 2, 0.0, 1.0)
-        near = a + frac * d
-        dist = np.abs(z - near)
-        k = int(np.argmin(dist))
-        if dist[k] >= margin:
-            continue
-        if dist[k] < SINGULAR_GUARD:
-            u = 1j * d[k] / abs(d[k])
-        else:
-            u = (z - near[k]) / dist[k]
-        out[i] = near[k] + u * margin * (1.0 + _MARGIN_NUDGE)
-    return out
+    """Push any charge in the exclusion shell out to the margin.
+
+    A charge moves away from its nearest curve point, or along that
+    segment's normal when it sits on the curve.
+    """
+    near, dist = curve.nearest_points(charges)
+    k = np.argmin(dist, axis=0)            # first segment on ties
+    cols = np.arange(charges.size)
+    near, dist = near[k, cols], dist[k, cols]
+    d = np.diff(curve.vertices)[k]
+    normal = 1j * d / np.hypot(d.real, d.imag)   # hypot: as the scalar abs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(dist < SINGULAR_GUARD, normal, (charges - near) / dist)
+    pushed = near + u * margin * (1.0 + _MARGIN_NUDGE)
+    return np.where(dist >= margin, charges, pushed)
 
 
 def optimize_charges(cfg: SearchConfig) -> SearchResult:

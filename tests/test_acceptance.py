@@ -46,7 +46,7 @@ def test_criterion_1_gauss_lucas_hull():
         rts = _disk_points(rng, deg)
         crit = poly.critical_points(poly.from_roots(rts))
         hull = geo.convex_hull(rts)
-        worst = max(worst, float(geo.distance_many(hull, crit).max()))
+        worst = max(worst, float(geo.distance(hull, crit).max()))
     el = time.perf_counter() - t0
     ok = worst <= 1e-9 and el < 30
     _verdict(ok, 1, "500 polynomials deg 3-100, every critical point in "
@@ -165,7 +165,7 @@ def test_criterion_6_theorem_end_to_end():
                     domain=DISK, epsilon=0.25, n=n, m=m, seed=606 + seed)
                 rep = harness.run_theorem_experiment(cfg)
                 assert rep.critical.size == n + m - 1   # count conservation
-                din = geo.distance_many(DISK, rep.critical)
+                din = geo.distance(DISK, rep.critical)
                 # root draws do not depend on epsilon, so this report
                 # answers for both neighborhood sizes
                 for eps in (0.25, 0.5):

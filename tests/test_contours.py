@@ -7,8 +7,8 @@ Rouché checks are cross-validated by actually counting roots of f+g.
 import numpy as np
 import pytest
 
-from rootfield import contours, poly
-from rootfield.errors import NonIntegerWinding, RootOnContour
+from rootfield import contours, geometry, harness, poly
+from rootfield.errors import ImpossibleCount, NonIntegerWinding, RootOnContour
 
 CUBE_ROOTS_OF_UNITY = poly.Polynomial([-1.0, 0.0, 0.0, 1.0])
 
@@ -125,6 +125,31 @@ def test_finer_contour_resolves_near_root():
     p = poly.from_roots([1.99 + 0j, 0.0])
     c = contours.circle(0, 2.0, refinement=256.0)
     assert contours.count_roots_in(p, c) == 2
+
+
+def test_clockwise_loop_counts_negative():
+    # a hole is traced clockwise; its negative count is a valid one
+    p = poly.from_roots([0.0 + 0j, 3.0])
+    cw = contours.polygon_loop([1 + 1j, 1 - 1j, -1 - 1j, -1 + 1j])
+    assert contours.loop_area(cw.samples) < 0
+    assert contours.count_roots_in(p, cw) == -1
+
+
+def test_impossible_counts_raise_on_n500_instance():
+    # p' of the harness-seed-1 instance (n=500 in the unit disk, m=2): the
+    # coefficient phase inside |z| ~ 1 is rounding noise at degree 501, and
+    # the counterclockwise circles of radius 1.25 and 1.5 used to return
+    # -4 and -105 where 499 critical points lie inside
+    rng = np.random.default_rng(1)
+    K = geometry.ConvexDomain.disk(0.0, 1.0)
+    inside = harness._sample_inside(K, 500, "uniform", rng)
+    outside = harness._sample_outside(K, 2, ("annulus", 1.0, 2.0), rng)
+    roots = harness.multiplicity_jitter(np.concatenate([inside, outside]))
+    dp = poly.derivative(poly.from_roots(roots))
+    for radius in (1.25, 1.5):
+        with pytest.raises(ImpossibleCount):
+            contours.count_roots_in(dp, contours.circle(0.0, radius))
+    assert issubclass(ImpossibleCount, NonIntegerWinding)
 
 
 def test_clearance_check_without_root_list():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootfield import geometry as geo
-from rootfield.errors import DegenerateHull, InvalidEpsilon
+from rootfield.errors import DegenerateHull
 
 SQUARE = geo.ConvexDomain.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 DISK = geo.ConvexDomain.disk(1 + 1j, 2.0)
@@ -75,9 +75,12 @@ def test_disk_membership_boundary_inclusive():
 def test_contains_many_matches_scalar():
     rng = np.random.default_rng(8)
     zs = rng.uniform(-1, 2, size=200) + 1j * rng.uniform(-1, 2, size=200)
-    bulk = geo.contains_many(SQUARE, zs)
+    bulk = geo.contains(SQUARE, zs)
     singles = np.array([geo.contains(SQUARE, z) for z in zs])
+    assert isinstance(geo.contains(SQUARE, zs[0]), bool)
     assert np.array_equal(bulk, singles)
+    grid = zs.reshape(20, 10)
+    assert np.array_equal(geo.contains(SQUARE, grid), singles.reshape(20, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,10 @@ def test_distance_to_square_hand_values():
     assert geo.distance(SQUARE, 2.0 + 0.5j) == pytest.approx(1.0)
     assert geo.distance(SQUARE, 2.0 + 2.0j) == pytest.approx(np.sqrt(2))
     assert geo.distance(SQUARE, 0.5 - 3.0j) == pytest.approx(3.0)
+    # membership in K_eps is distance(K, z) <= eps
+    assert geo.distance(SQUARE, 1.4 + 0.5j) <= 0.5
+    assert geo.distance(SQUARE, 1.6 + 0.5j) > 0.5
+    assert geo.distance(SQUARE, -0.3 + 0.5j) <= 0.5
 
 
 def test_distance_to_disk_exact():
@@ -106,9 +113,11 @@ def test_distance_is_zero_iff_contained(seed):
     except DegenerateHull:
         return
     zs = rng.normal(size=30) * 2 + 1j * rng.normal(size=30) * 2
-    dist = geo.distance_many(dom, zs)
-    inside = geo.contains_many(dom, zs)
+    dist = geo.distance(dom, zs)
+    inside = geo.contains(dom, zs)
     assert np.all((dist == 0.0) == inside)
+    assert dist[0] == geo.distance(dom, zs[0])
+    assert isinstance(geo.distance(dom, zs[0]), float)
 
 
 # ---------------------------------------------------------------------------
@@ -135,24 +144,6 @@ def test_diameter_matches_brute_force(seed):
     v = dom.vertices
     brute = np.max(np.abs(v[:, None] - v[None, :]))
     assert geo.diameter(dom) == pytest.approx(brute, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# neighborhoods
-# ---------------------------------------------------------------------------
-
-def test_neighborhood_membership():
-    nb = geo.Neighborhood(SQUARE, 0.5)
-    assert nb.contains(1.4 + 0.5j)
-    assert not nb.contains(1.6 + 0.5j)
-    assert geo.neighborhood_contains(SQUARE, 0.5, -0.3 + 0.5j)
-
-
-def test_nonpositive_epsilon_rejected():
-    with pytest.raises(InvalidEpsilon):
-        geo.Neighborhood(SQUARE, 0.0)
-    with pytest.raises(InvalidEpsilon):
-        geo.neighborhood_contains(SQUARE, -0.1, 0.5 + 0.5j)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_uniform_sampler_fills_domain():
     rng = np.random.default_rng(5)
     pts = harness._sample_inside(SQUARE, 300, "uniform", rng)
     assert pts.size == 300
-    assert np.all(geo.distance_many(SQUARE, pts) == 0)
+    assert np.all(geo.distance(SQUARE, pts) == 0)
     # deterministic per seed
     again = harness._sample_inside(SQUARE, 300, "uniform",
                                    np.random.default_rng(5))
@@ -93,7 +93,7 @@ def test_annulus_sampler_respects_radii():
     rng = np.random.default_rng(7)
     pts = harness._sample_outside(K, 150, ("annulus", 1.0, 2.0), rng)
     radii = np.abs(pts)          # diameter(K) = 2
-    assert np.all(geo.distance_many(K, pts) > 0)
+    assert np.all(geo.distance(K, pts) > 0)
     assert radii.min() >= 2.0 - 1e-12 and radii.max() <= 4.0 + 1e-12
 
 
@@ -229,17 +229,20 @@ def test_report_json_shape():
 # -- escape distance ---------------------------------------------------------
 
 def test_escape_distance_disk_hand_values():
-    assert harness.escape_distance(K, 0.5, 0.0) == pytest.approx(1.5)
-    assert harness.escape_distance(K, 0.5, 1.2) == pytest.approx(0.3)
-    assert harness.escape_distance(K, 0.5, 2.0) == 0.0
-    assert harness.escape_distance(K, 0.5, 0.8j) == pytest.approx(0.7)
+    assert geo.escape_distance(K, 0.5, 0.0) == pytest.approx(1.5)
+    assert geo.escape_distance(K, 0.5, 1.2) == pytest.approx(0.3)
+    assert geo.escape_distance(K, 0.5, 2.0) == 0.0
+    assert geo.escape_distance(K, 0.5, 0.8j) == pytest.approx(0.7)
 
 
 def test_escape_distance_polygon_hand_values():
-    assert harness.escape_distance(SQUARE, 0.5, 0.0) == pytest.approx(1.5)
-    assert harness.escape_distance(SQUARE, 0.5, 1.25) == pytest.approx(0.25)
-    assert harness.escape_distance(SQUARE, 0.5, 0.5 + 0.5j) \
+    assert geo.escape_distance(SQUARE, 0.5, 0.0) == pytest.approx(1.5)
+    assert geo.escape_distance(SQUARE, 0.5, 1.25) == pytest.approx(0.25)
+    assert geo.escape_distance(SQUARE, 0.5, 0.5 + 0.5j) \
         == pytest.approx(1.0)
+    got = geo.escape_distance(SQUARE, 0.5, np.array([0.0, 1.25, 0.5 + 0.5j,
+                                                     2.0, -1.2 - 1.0j]))
+    assert got == pytest.approx([1.5, 0.25, 1.0, 0.0, 0.3])
 
 
 # -- sweeps and suites -------------------------------------------------------

@@ -1,0 +1,53 @@
+"""Points x sources kernels: blocking changes no bit of any result.
+
+The oracle is the unblocked numpy expression over the full points x
+sources table; a tiny block size forces many blocks and a partial last one.
+"""
+
+import numpy as np
+import pytest
+
+from rootfield import kernels
+
+
+def _unblocked(z, a):
+    d = z[..., None] - a
+    return (1.0 / d).sum(axis=-1), (1.0 / np.abs(d)).sum(axis=-1), \
+        np.abs(d).min(axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(23,), (5, 9)])
+@pytest.mark.parametrize("n_sources", [3, 40])
+def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
+                                                      n_sources):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=n_sources) + 1j * rng.normal(size=n_sources)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # 7 pairs per block: 2 points per block for 3 sources, 1 for 40; 23 and
+    # 45 points leave a partial last block
+    monkeypatch.setattr(kernels, "_PAIRS", 7)
+    field, modulus, nearest = _unblocked(z, a)
+    got = (kernels.field_sum(z, a), kernels.modulus_sum(z, a),
+           kernels.min_distance(z, a))
+    for g, want in zip(got, (field, modulus, nearest)):
+        assert g.shape == shape
+        assert g.dtype == want.dtype
+        assert np.array_equal(g, want)
+
+
+def test_kernels_without_sources_or_points():
+    z = np.array([[0.5, 1j], [2.0, -1.0]])
+    none = np.zeros(0, dtype=complex)
+    assert np.array_equal(kernels.field_sum(z, none), np.zeros((2, 2)))
+    assert np.array_equal(kernels.modulus_sum(z, none), np.zeros((2, 2)))
+    assert np.array_equal(kernels.min_distance(z, none),
+                          np.full((2, 2), np.inf))
+    for f in (kernels.field_sum, kernels.modulus_sum, kernels.min_distance):
+        assert f(none, z.ravel()).shape == (0,)
+
+
+def test_kernel_hand_values():
+    a = np.array([1.0, -1.0, 2j])
+    assert kernels.field_sum(0.0, a) == pytest.approx(-1.0 + 1.0 + 0.5j)
+    assert kernels.modulus_sum(0.0, a) == pytest.approx(2.5)
+    assert kernels.min_distance(0.5, a) == pytest.approx(0.5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootfield import geometry as geo
-from rootfield import poly, regions
+from rootfield import contours, poly, regions
 from rootfield.errors import GrowBBox, SingularPoint
 
 RES = 200.0
@@ -180,7 +180,7 @@ def test_loop_area_matches_cell_count():
             mask, cid, protect=crit)
         assert err is None
         raw = regions._trace_loops(cells)
-        area = sum(regions.loop_area(lp) for lp in raw)
+        area = sum(contours.loop_area(lp) for lp in raw)
         assert area == pytest.approx(float(cells.sum()))
 
 
@@ -268,7 +268,7 @@ def test_no_bridge_for_well_separated_far_root():
     split = poly.RootSplit(inside, [4.0 + 0j])
     bbox = regions.default_bbox(split, K, EPS)
     mask = regions.build_mask(split, 1e-4, bbox, 150.0)
-    res = regions.bridging_check(split, 1e-4, K, EPS, mask)
+    res = regions.bridging_check(mask, K, EPS)
     assert not res.bridged
     assert res.path is None
 
@@ -279,7 +279,7 @@ def test_bridge_detected_when_lobe_reaches_K():
     split = poly.RootSplit([-0.5, 0.5], [1.05])
     bbox = regions.default_bbox(split, K, EPS)
     mask = regions.build_mask(split, 1e-2, bbox, 100.0)
-    res = regions.bridging_check(split, 1e-2, K, EPS, mask)
+    res = regions.bridging_check(mask, K, EPS)
     assert res.bridged
     assert res.component is not None
     assert res.path is not None and res.path.size >= 2

@@ -105,6 +105,20 @@ def test_achieved_below_torus_ceiling(result_m1, result_m2):
         assert res.achieved <= w.value * (1.0 + search.CEILING_SLACK)
 
 
+def test_project_to_margin_hand_values():
+    # L-shaped curve 0 -> 1 -> 1+i, margin 0.1
+    curve = ch.Curve([0.0, 1.0, 1.0 + 1.0j])
+    reach = 0.1 * (1.0 + search._MARGIN_NUDGE)
+    z = np.array([0.5 + 0.0j,      # on the curve: along the segment normal
+                  1.05 + 0.5j,     # inside the margin: radially outward
+                  0.5 + 0.5j])     # 0.5 from both segments: unchanged
+    out = search._project_to_margin(curve, z, 0.1)
+    assert out[0] == pytest.approx(0.5 + reach * 1j, abs=1e-15)
+    assert out[1] == pytest.approx(1.0 + reach + 0.5j, abs=1e-15)
+    assert out[2] == z[2]
+    assert curve.clearance(out) >= 0.1
+
+
 def test_history_tracks_restarts(result_m1):
     assert len(result_m1.history) == CFG1.restarts
     assert max(result_m1.history) <= result_m1.achieved * 1.01
