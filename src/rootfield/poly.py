@@ -1,15 +1,13 @@
-"""Polynomials with optional root-list provenance.
+"""Polynomials with optional root-list provenance, and their roots.
 
 Coefficients are stored in ascending order (coeffs[k] multiplies z**k).
-A polynomial built by `from_roots` keeps its root list, which downstream
-code prefers for logarithmic derivatives: the summed form stays finite
-where the coefficient quotient would overflow.
-
-High-degree evaluation is the one numerically delicate spot.  A monic
-polynomial with a few hundred roots of unit scale has coefficients around
-1e150, so plain Horner overflows once |z| grows past ~2.  Internal helpers
-therefore switch to the reversed polynomial p(z) = z^n g(1/z) for large
-|z| and carry magnitudes in log2 form.
+A polynomial built by `from_roots` keeps its root list; its logarithmic
+derivative and its critical points then come from the root sum
+p'/p = sum_k 1/(z - a_k), which stays finite and accurate at degrees where
+the coefficients overflow or are rounding noise.  One Aberth driver,
+`_aberth`, solves both coefficients and root sums; each caller certifies
+its own answer.  Coefficient evaluation switches to the reversed
+polynomial z^n p(1/z) for large |z| and carries magnitudes in log2 form.
 """
 
 from __future__ import annotations
@@ -355,7 +353,7 @@ def _initial_points(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def find_roots(p: Polynomial, max_iters: int = _MAX_ITERS) -> np.ndarray:
+def find_roots(p: Polynomial) -> np.ndarray:
     """All complex roots, with multiplicity, sorted by (real, imag).
 
     Deterministic: the symmetry-breaking perturbation uses a fixed seed.
@@ -378,7 +376,18 @@ def find_roots(p: Polynomial, max_iters: int = _MAX_ITERS) -> np.ndarray:
     elif d == 2:
         roots = np.concatenate([zero_roots, _quadratic(c)])
     else:
-        roots = np.concatenate([zero_roots, _aberth(c, max_iters)])
+        dc = c[1:] * np.arange(1, d + 1)
+        rng = np.random.default_rng(_ABERTH_SEED)
+        x, iters = _aberth(lambda z: newton_ratio(c, dc, z),
+                           _initial_points(c, rng))
+        _, logmag = phase_logmag(c, x)
+        allowed = np.log2(ROOT_TOL) + np.maximum(majorant_logmag(c, x),
+                                                 np.log2(np.max(np.abs(c))))
+        worst_log = float(np.max(logmag - allowed))
+        if np.isnan(worst_log) or worst_log > 0.0:
+            raise NoConvergence(
+                float(ROOT_TOL * 2.0 ** min(worst_log, 1000.0)), iters)
+        roots = np.concatenate([zero_roots, x])
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 
@@ -394,20 +403,17 @@ def _quadratic(c: np.ndarray) -> np.ndarray:
     return np.array([q / a2, a0 / q])
 
 
-def _aberth(c: np.ndarray, max_iters: int) -> np.ndarray:
-    d = len(c) - 1
-    dc = c[1:] * np.arange(1, d + 1)
-    rng = np.random.default_rng(_ABERTH_SEED)
-    x = _initial_points(c, rng)
-    scale = float(np.max(np.abs(c)))
+def _aberth(ratio, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(zeros, iterations) of the Aberth-Ehrlich iteration from x, where
+    ratio(z) is the Newton ratio f/f' at the points z.  Uncertified."""
     tiny = 0
     best_step = np.inf
     since_improve = 0
     it = 0
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         # split exact collisions so the pairwise sum stays finite
         x = _separate_duplicates(x)
-        n_ratio = newton_ratio(c, dc, x)
+        n_ratio = ratio(x)
         bad = ~np.isfinite(n_ratio)
         diff = x[:, None] - x[None, :]
         np.fill_diagonal(diff, np.inf)
@@ -416,7 +422,7 @@ def _aberth(c: np.ndarray, max_iters: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = n_ratio / denom
         delta = np.where(np.isfinite(delta), delta, n_ratio)
-        # stalled points (p' = 0 away from a root): nudge deterministically
+        # stalled points (f' = 0 away from a zero): nudge deterministically
         delta = np.where(bad, 1e-6 * (1.0 + np.abs(x)) * np.exp(1j * 0.618 * it),
                          delta)
         x = x - delta
@@ -434,15 +440,7 @@ def _aberth(c: np.ndarray, max_iters: int) -> np.ndarray:
             since_improve += 1
         if since_improve >= 25 and step < 1e-6:
             break
-    _, logmag = phase_logmag(c, x)
-    allowed = np.log2(ROOT_TOL) + np.maximum(majorant_logmag(c, x),
-                                             np.log2(scale))
-    excess = logmag - allowed
-    worst_log = float(np.max(excess))
-    if np.isnan(worst_log) or worst_log > 0.0:
-        raise NoConvergence(float(ROOT_TOL * 2.0 ** min(worst_log, 1000.0)),
-                            it + 1)
-    return x
+    return x, it + 1
 
 
 def _separate_duplicates(x: np.ndarray) -> np.ndarray:
@@ -458,63 +456,63 @@ def _separate_duplicates(x: np.ndarray) -> np.ndarray:
 
 
 def critical_points(p: Polynomial) -> np.ndarray:
-    """Roots of p'; empty for degree-1 input.
+    """Roots of p', with multiplicity, sorted by (real, imag).
 
-    When the root list is available the coefficient solution is polished
-    against the summed form q'/q = sum 1/(z - r_i), whose zeros do not
-    inherit the (severe, at high degree) coefficient conditioning.
+    With all roots stored, a root of multiplicity k is returned k-1 times
+    and the other critical points are solved on the root sum p'/p
+    (`_field_zeros`); otherwise p' is solved from its coefficients, which
+    are rounding noise at high degree.  Raises NoConvergence.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     if p.degree == 1:
         return np.zeros(0, dtype=np.complex128)
-    w = find_roots(derivative(p))
-    if p.roots is not None and p.roots.size == p.degree:
-        w = _polish_critical(p.roots, w)
-        idx = np.lexsort((w.imag, w.real))
-        w = w[idx]
-    return w
+    if p.roots is None or p.roots.size != p.degree:
+        return find_roots(derivative(p))
+    a, m = np.unique(p.roots, return_counts=True)
+    w = np.repeat(a, m - 1)
+    if a.size > 1:
+        w = np.concatenate([w, _field_zeros(a, m.astype(float))])
+    return w[np.lexsort((w.imag, w.real))]
 
 
-def _log_deriv_rel(roots: np.ndarray, w: np.ndarray):
-    """(|sum 1/(w-r)|, sum |1/(w-r)|): residual and its cancellation scale."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / (w[:, None] - roots[None, :])
-    s = inv.sum(axis=1)
-    return np.abs(s), np.abs(inv).sum(axis=1)
+def _field_zeros(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Zeros of R(z) = sum_j m_j/(z - a_j), a_j distinct, by Aberth on
+    prod_j (z - a_j) R: Newton ratio R/(R S + R'), S = sum_j 1/(z - a_j).
 
-
-def _polish_critical(roots: np.ndarray, w0: np.ndarray,
-                     max_iters: int = 60) -> np.ndarray:
-    """Newton/Aberth on R(z) = sum 1/(z - r_i) starting from w0.
-
-    Uses q'/q'' = R / (R**2 + R') so nothing large is ever formed.  Each
-    point is kept only if its relative residual actually improves, which
-    makes repeated roots (poles of R coinciding with critical points)
-    fall back to the coefficient answer automatically.
+    Starts: a_k - 1/sum_{j!=k} m_j/(a_k - a_j), or a_k plus half its
+    nearest-root distance where that sum is 0, for all a_k but the one
+    farthest from the weighted centroid.  Certificate: |R(w)| <= ROOT_TOL
+    * sum_j m_j (|w| + |a_j|)/|w - a_j|^2, R's rounding majorant.
     """
-    w = np.array(w0, dtype=np.complex128)
-    for _ in range(max_iters):
-        w = _separate_duplicates(w)
+    diff = a[:, None] - a
+    np.fill_diagonal(diff, np.inf)
+    pull = (m / diff).sum(axis=1)
+    offset = 0.5 * np.abs(diff).min(axis=1) + 0j
+    offset[pull != 0] = -1.0 / pull[pull != 0]
+    del diff
+    # turn each offset a little, so that no two starts and no start and a
+    # root coincide, as they can for symmetric root sets
+    x = a + offset * (1.0 + 1e-6 * np.exp(1j * 0.618 * np.arange(a.size)))
+    x = np.delete(x, np.argmax(np.abs(a - np.dot(m, a) / m.sum())))
+
+    def ratio(z):
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / (w[:, None] - roots[None, :])
-            r_val = inv.sum(axis=1)
-            r_der = -(inv * inv).sum(axis=1)
-            n_ratio = r_val / (r_val * r_val + r_der)
-            diff = w[:, None] - w[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
-            delta = n_ratio / (1.0 - n_ratio * s)
-        delta = np.where(np.isfinite(delta), delta, 0.0)
-        w = w - delta
-        if float(np.max(np.abs(delta) / (1.0 + np.abs(w)))) < _STEP_TOL:
-            break
-    res0, scale0 = _log_deriv_rel(roots, np.asarray(w0))
-    res1, scale1 = _log_deriv_rel(roots, w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        better = res1 / scale1 <= res0 / scale0
-    better &= np.isfinite(w)
-    return np.where(better, w, w0)
+            inv = 1.0 / (z[:, None] - a)
+            weighted = inv * m
+            r = weighted.sum(axis=1)
+            weighted *= inv
+            return r / (r * inv.sum(axis=1) - weighted.sum(axis=1))
+
+    w, iters = _aberth(ratio, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / (w[:, None] - a)
+        r = np.abs(inv @ m)
+        majorant = ((np.abs(w)[:, None] + np.abs(a)) * np.abs(inv) ** 2) @ m
+        worst = float(np.max(r / majorant))
+    if not worst <= ROOT_TOL:
+        raise NoConvergence(worst, iters)
+    return w
 
 
 def construction_residual(p: Polynomial) -> float:

@@ -8,6 +8,7 @@ import pytest
 from rootfield import geometry as geo
 from rootfield import harness, poly, regions
 from rootfield.errors import ConfigError, GrowBBox
+from rootfield.kernels import field_sum, modulus_sum
 
 K = geo.ConvexDomain.disk(0.0, 1.0)
 SQUARE = geo.ConvexDomain.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
@@ -156,22 +157,58 @@ def test_run_is_deterministic():
 
 
 def test_run_solves_each_critical_point_set_once(monkeypatch):
-    # p' and q' are the only derivatives of degree > 20 a run solves; the
-    # delta stage and every census read the split's cached solutions
-    degrees = []
-    real = poly.find_roots
+    # p' and q' are the only Aberth runs on more than 20 points a run
+    # makes; the delta stage and every census read the split's solutions
+    sizes = []
+    real = poly._aberth
 
-    def counting(p, *args, **kwargs):
-        degrees.append(p.degree)
-        return real(p, *args, **kwargs)
+    def counting(ratio, x):
+        sizes.append(len(x))
+        return real(ratio, x)
 
-    monkeypatch.setattr(poly, "find_roots", counting)
+    monkeypatch.setattr(poly, "_aberth", counting)
     cfg = _cfg(n=30, delta_sweep=(1e-3, 1e-2), resolution=60.0)
     rep = harness.run_theorem_experiment(cfg)
     assert rep.errors == () and len(rep.deltas) == 2
     assert all(d.error is None for d in rep.deltas)
-    assert sorted(d for d in degrees if d > 20) == [cfg.n - 1,
-                                                    cfg.n + cfg.m - 1]
+    assert sorted(k for k in sizes if k > 20) == [cfg.n - 1,
+                                                  cfg.n + cfg.m - 1]
+
+
+def _check_critical_points(w, roots):
+    """Count, root-sum residual and certificate, and Vieta's sums for p'."""
+    big_n = roots.size
+    assert w.shape == (big_n - 1,)
+    residual = np.abs(field_sum(w, roots))
+    assert np.all(residual <= 1e-10 * modulus_sum(w, roots))
+    d = np.abs(w[:, None] - roots[None, :])
+    majorant = ((np.abs(w)[:, None] + np.abs(roots)) / d ** 2).sum(axis=1)
+    assert np.all(residual <= poly.ROOT_TOL * majorant)
+    # p' = N z^(N-1) - (N-1) e1 z^(N-2) + (N-2) e2 z^(N-3) - ...
+    e1 = roots.sum()
+    e2 = (e1 * e1 - (roots * roots).sum()) / 2.0
+    s1 = (big_n - 1) / big_n * e1
+    s2 = s1 * s1 - 2.0 * (big_n - 2) / big_n * e2
+    for k, want in ((1, s1), (2, s2)):
+        tol = 1e-8 * max(1.0, float((np.abs(w) ** k).sum()),
+                         float((np.abs(roots) ** k).sum()))
+        assert abs((w ** k).sum() - want) <= tol
+
+
+@pytest.mark.parametrize("n, seed", [(500, 4), (500, 6), (1000, 1),
+                                     (2000, 1)])
+def test_high_degree_critical_points_of_p_and_q(n, seed):
+    # harness seeds 4 (p) and 6 (q) at n = 500 defeat an Aberth solve on
+    # the coefficients of p'; the root-sum solve must hold up to n = 2000
+    cfg = harness.ExperimentConfig(domain=K, epsilon=0.25, n=n, m=2,
+                                   seed=seed)
+    rep = harness.run_theorem_experiment(cfg)
+    assert rep.errors == ()
+    roots = np.concatenate([rep.inside_roots, rep.outside_roots])
+    _check_critical_points(rep.critical, roots)
+    _check_critical_points(
+        poly.critical_points(poly.from_roots(rep.inside_roots)),
+        rep.inside_roots)
 
 
 def test_delta_stage_grows_bbox_on_demand():

@@ -13,6 +13,10 @@ from scipy.optimize import linear_sum_assignment
 
 from rootfield import poly
 from rootfield.errors import NoConvergence, SingularPoint
+from rootfield.kernels import field_sum, modulus_sum
+
+# the solvers must stay free of overflow, division and invalid warnings
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MATCH_TOL_LOW_DEG = 1e-8   # round-trip matching error, degree <= 12
 LOG2_EVAL_TOL = 1e-9       # agreement of log2 magnitudes across eval branches
@@ -196,10 +200,12 @@ def test_round_trip_random_configurations(seed):
 # ---------------------------------------------------------------------------
 
 def test_critical_points_cubic_closed_form():
-    # z^3 - z has critical points at +-1/sqrt(3)
-    p = poly.Polynomial([0.0, -1.0, 0.0, 1.0])
-    w = poly.critical_points(p)
-    assert matched_error(np.array([-1, 1]) / np.sqrt(3), w) < 1e-14
+    # z^3 - z has critical points at +-1/sqrt(3); from its roots, the
+    # root-sum start sum_{j!=k} 1/(a_k - a_j) is 0 at a_k = 0
+    for p in (poly.Polynomial([0.0, -1.0, 0.0, 1.0]),
+              poly.from_roots([-1.0, 0.0, 1.0])):
+        w = poly.critical_points(p)
+        assert matched_error(np.array([-1, 1]) / np.sqrt(3), w) < 1e-14
 
 
 def test_critical_points_degree_one_empty():
@@ -207,16 +213,51 @@ def test_critical_points_degree_one_empty():
 
 
 def test_critical_points_of_repeated_root():
-    # (z-2)^4 has a triple critical point at 2
-    p = poly.from_roots([2.0, 2.0, 2.0, 2.0])
-    w = poly.critical_points(p)
+    # (z-2)^4 has a triple critical point at 2: a root of multiplicity k
+    # is a critical point k-1 times, exactly
+    w = poly.critical_points(poly.from_roots([2.0, 2.0, 2.0, 2.0]))
     assert w.shape == (3,)
-    assert np.max(np.abs(w - 2.0)) < 1e-3   # multiplicity limits the rate
+    assert np.all(w == 2.0)
+    # p' = (z-1)^2 (z+1) (5z+1)
+    w = poly.critical_points(poly.from_roots([1.0, 1.0, 1.0, -1.0, -1.0]))
+    assert w.shape == (4,)
+    assert w[0] == -1.0 and np.all(w[2:] == 1.0)
+    assert abs(w[1] + 0.2) < 1e-15
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_root_sum_critical_points_match_coefficient_solve(seed):
+    # the coefficient solve of p' is the reference for the root-sum solve
+    rng = np.random.default_rng(seed)
+    deg = int(rng.integers(3, 14))
+    roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+    sep = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(sep, np.inf)
+    assume(sep.min() > 0.1)
+    p = poly.from_roots(roots)
+    w = poly.critical_points(p)
+    assert matched_error(poly.find_roots(poly.derivative(p)), w) \
+        < MATCH_TOL_LOW_DEG
+
+
+@pytest.mark.parametrize("roots", [
+    [1.0, 2.0],
+    [0.57 - 0.34j, -2.55 + 0.76j],
+    [-1.0, 1.0, -1j, 1.0],
+    [1 + 1j, 1.0, 0.0, -1j, 1j],
+])
+def test_critical_points_of_symmetric_root_sets(roots):
+    # unturned, the root-sum start offsets put a start point on a root
+    # (the first two inputs) or two start points together (the others)
+    p = poly.from_roots(roots)
+    w = poly.critical_points(p)
+    assert matched_error(poly.find_roots(poly.derivative(p)), w) < 1e-14
 
 
 def test_critical_points_count_and_hull_containment():
     # Gauss-Lucas: critical points lie in the hull of the roots; with the
-    # root list attached they are polished against the summed form
+    # root list attached they are solved on the summed form
     rng = np.random.default_rng(4)
     roots = rng.normal(size=40) * 0.5 + 1j * rng.normal(size=40) * 0.5
     p = poly.from_roots(roots)
@@ -224,8 +265,8 @@ def test_critical_points_count_and_hull_containment():
     assert len(w) == 39
     hull_r = np.max(np.abs(roots))
     assert np.all(np.abs(w) <= hull_r + 1e-9)
-    # every polished point satisfies the log-derivative residual bound
-    res, scale = poly._log_deriv_rel(roots, w)
+    # every point satisfies the log-derivative residual bound
+    res, scale = np.abs(field_sum(w, roots)), modulus_sum(w, roots)
     assert np.all(res <= poly.LOG_DERIV_TOL * scale)
 
 
@@ -236,7 +277,7 @@ def test_critical_points_polish_beats_coefficients_at_high_degree():
     p = poly.from_roots(roots)
     w = poly.critical_points(p)
     assert len(w) == 259
-    res, scale = poly._log_deriv_rel(roots, w)
+    res, scale = np.abs(field_sum(w, roots)), modulus_sum(w, roots)
     assert np.all(res <= poly.LOG_DERIV_TOL * scale)
 
 
