@@ -6,6 +6,17 @@ sampled at cell centers on a regular grid, labeled by 4-connected flood
 fill, and each component is certified by an argument-principle count of
 p' roots along a traced boundary together with a Rouché margin.
 
+The grid is filled by a quadtree, not cell by cell.  On a block of cells
+the field sums and 1/|r| are bounded from their values at the block's
+center (interval bounds in the style of Snyder, SIGGRAPH 1992), with a
+margin for the rounding of the values a cell-by-cell evaluation would
+compute.  A block whose bounds fix the sign of g for every delta is
+settled and holds its bound nearest zero; any other block splits in
+four, and the single cells left are evaluated exactly.  The labels are
+therefore those of the dense grid, cell for cell; `indicator` differs
+from the dense values only on settled cells, where it is a bound of the
+same sign and no larger modulus.
+
 Boundaries are not traced along the raw component staircase: critical
 points hug the zero level of the indicator, so the contour walks the
 "moat" instead — the component dilated by one or more rings of cells that
@@ -29,14 +40,15 @@ from . import contours as _contours
 from .errors import (GrowBBox, InvalidEpsilon, NonIntegerWinding,
                      RootOnContour, SingularCell, SingularPoint)
 from .geometry import ConvexDomain, bounding_box, contains, diameter, distance
-from .kernels import field_sum, min_distance
+from .kernels import field_sum, min_distance, modulus_sum
 from .poly import (Polynomial, RootSplit, SINGULAR_GUARD, derivative,
-                   phase_logmag)
+                   majorant_logmag, phase_logmag)
 
 EQUALITY_TOL = 1e-14   # |g| at or below this counts as inside (closed set)
 _RING_LIMIT = 6        # moat growth rings before a component count gives up
 _REFINE_FACTOR = 4.0   # contour samples per cell edge
-_CHUNK = 1 << 18       # grid cells per evaluation block
+_BLOCK = 32            # side, in cells, of the quadtree's top blocks
+_SAFETY = 16.0         # factor on the rounding estimate of a block margin
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 _EIGHT = np.ones((3, 3), dtype=int)
@@ -46,8 +58,14 @@ _EIGHT = np.ones((3, 3), dtype=int)
 class RegionMask:
     """Signed indicator and component labels on a regular cell grid.
 
-    indicator[i, j] is g at the center of cell (i, j); labels hold a dense
-    component id for cells with g <= EQUALITY_TOL and -1 elsewhere.
+    indicator[i, j] is g at the center of cell (i, j) where the cell was
+    evaluated; on a cell whose sign a quadtree block certified it is that
+    block's bound nearest zero, of the same sign as g and no larger in
+    modulus.  Either way indicator <= EQUALITY_TOL exactly where
+    g <= EQUALITY_TOL.  labels hold a dense component id for those cells
+    and -1 elsewhere.  evaluations counts the cells and block centers at
+    which the field terms were evaluated, shared by the masks of one
+    `build_masks` call.
     """
 
     bbox: tuple[float, float, float, float]   # xmin, xmax, ymin, ymax
@@ -56,6 +74,7 @@ class RegionMask:
     indicator: np.ndarray
     labels: np.ndarray
     n_components: int
+    evaluations: int = 0
 
     @property
     def cell_size(self) -> float:
@@ -65,11 +84,12 @@ class RegionMask:
     def shape(self) -> tuple[int, int]:
         return self.indicator.shape
 
-    def cell_centers(self) -> np.ndarray:
+    def cell_centers(self, window=(slice(None), slice(None))) -> np.ndarray:
+        """Centers of the cells in window, a (rows, columns) slice pair."""
         ny, nx = self.indicator.shape
         h = self.cell_size
-        xs = self.bbox[0] + (np.arange(nx) + 0.5) * h
-        ys = self.bbox[2] + (np.arange(ny) + 0.5) * h
+        xs = (self.bbox[0] + (np.arange(nx) + 0.5) * h)[window[1]]
+        ys = (self.bbox[2] + (np.arange(ny) + 0.5) * h)[window[0]]
         return xs[None, :] + 1j * ys[:, None]
 
 
@@ -162,7 +182,11 @@ def build_mask(split: RootSplit, delta: float, bbox, resolution: float,
 
 def build_masks(split: RootSplit, deltas, bbox, resolution: float,
                 ) -> list[RegionMask]:
-    """One mask per delta, sharing the field grids (g = A - B - delta*C)."""
+    """One mask per delta, sharing the field terms (g = A - B - delta*C).
+
+    The sign of g is settled by the quadtree of `_signed_fill`; cells
+    whose sign it cannot certify carry the exact cell-center value.
+    """
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
         raise ValueError("delta must be positive")
@@ -175,25 +199,16 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
     xs = xmin + (np.arange(nx) + 0.5) * h
     ys = ymin + (np.arange(ny) + 0.5) * h
 
-    a = np.empty((ny, nx))
-    b = np.empty((ny, nx))
-    c = np.empty((ny, nx))
-    near = np.zeros((ny, nx), dtype=bool)
-    row_block = max(1, _CHUNK // nx)
-    for lo in range(0, ny, row_block):
-        hi = min(ny, lo + row_block)
-        zs = xs[None, :] + 1j * ys[lo:hi, None]
-        a[lo:hi], b[lo:hi], c[lo:hi] = _indicator_terms(split, zs)
+    gs, evaluations = _signed_fill(split, deltas, xs, ys)
     # a center within SINGULAR_GUARD of a root lies in that root's cell
+    near = np.zeros((ny, nx), dtype=bool)
     roots = np.concatenate([split.inside, split.outside])
     cells = _cells_of_points((xmin, xmax, ymin, ymax), h, (ny, nx), roots)
     ii, jj = cells[cells[:, 0] >= 0].T
     near[ii, jj] = _near_root(split, xs[jj] + 1j * ys[ii])
 
     masks = []
-    for delta in deltas:
-        with np.errstate(invalid="ignore"):
-            g = a - b - delta * c
+    for delta, g in zip(deltas, gs):
         if np.any(near) or np.any(np.isnan(g)):
             g = _patch_singular_cells(split, delta, g,
                                       near | np.isnan(g), xs, ys, h)
@@ -202,8 +217,133 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
         labels, count = ndimage.label(inside, structure=_FOUR)
         masks.append(RegionMask((xmin, xmax, ymin, ymax), float(resolution),
                                 delta, g, labels.astype(np.int32) - 1,
-                                int(count)))
+                                int(count), evaluations))
     return masks
+
+
+def _signed_fill(split: RootSplit, deltas, xs, ys):
+    """(g grid per delta, evaluation count) on the cell centers xs x ys.
+
+    The grid is tiled with _BLOCK x _BLOCK blocks.  A block whose bounds
+    from `_block_bounds` fix the sign of g for every delta is settled and
+    painted with the bound nearest zero; any other block splits into
+    four, down to single cells, which are evaluated exactly as on a dense
+    grid (the same points and arithmetic, hence the same bits).
+    """
+    ny, nx = len(ys), len(xs)
+    gs = [np.empty((ny, nx)) for _ in deltas]
+    dl = np.array(deltas)[:, None]
+    i0, j0 = (a.ravel() for a in np.meshgrid(np.arange(0, ny, _BLOCK),
+                                             np.arange(0, nx, _BLOCK),
+                                             indexing="ij"))
+    blocks = np.stack([i0, np.minimum(i0 + _BLOCK, ny),
+                       j0, np.minimum(j0 + _BLOCK, nx)])
+    singles = []
+    evaluations = 0
+    while blocks.shape[1]:
+        one = (blocks[1] - blocks[0] == 1) & (blocks[3] - blocks[2] == 1)
+        singles.append(blocks[:, one])
+        blocks = blocks[:, ~one]
+        i0, i1, j0, j1 = blocks
+        x0, x1, y0, y1 = xs[j0], xs[j1 - 1], ys[i0], ys[i1 - 1]
+        zc = 0.5 * (x0 + x1) + 0.5j * (y0 + y1)
+        # the farthest cell center is a corner; the factor covers rounding
+        rho = np.hypot(np.maximum(x1 - zc.real, zc.real - x0),
+                       np.maximum(y1 - zc.imag, zc.imag - y0)) * (1 + 1e-12)
+        lo, hi = _block_bounds(split, dl, zc, rho)
+        positive = lo > EQUALITY_TOL
+        settled = np.all(positive | (hi < 0.0), axis=0)
+        _paint(gs, blocks[:, settled],
+               np.where(positive, lo, hi)[:, settled])
+        evaluations += zc.size
+        blocks = _quarters(blocks[:, ~settled])
+    ii = np.concatenate([b[0] for b in singles])
+    jj = np.concatenate([b[2] for b in singles])
+    a, b, c = _indicator_terms(split, xs[jj] + 1j * ys[ii])
+    for delta, g in zip(deltas, gs):
+        with np.errstate(invalid="ignore"):
+            g[ii, jj] = a - b - delta * c
+    return gs, evaluations + ii.size
+
+
+def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
+                  rho: np.ndarray):
+    """(lo, hi), one row per delta: lo <= g <= hi at every cell center
+    within rho of zc, for g as a dense grid computes it.
+
+    With t = rho/d for d the distance from zc to the nearest root of a
+    set, |1/(z-a) - 1/(zc-a)| <= |z-zc|/(|z-a||zc-a|) moves the field of
+    that set by at most t*S/(1-t), S = sum 1/|zc-a|, and 1/|r| lies within
+    the factors (1 -+ t)^-m of its value at zc.  The margin covers the
+    rounding of the dense value and of the bound itself: n*eps times the
+    modulus sum S/(1-t) for each field sum, and for 1/|r| the Horner
+    error m*eps*majorant(|r|) relative to |r| plus the log2 round trip.
+    Blocks with t >= 1 get (-inf, inf).
+    """
+    n, m = split.n, split.m
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b, c = _indicator_terms(split, zc)
+        t_in = rho / min_distance(zc, split.inside)
+        t_out = rho / min_distance(zc, split.outside)
+        s_in = modulus_sum(zc, split.inside) / (1.0 - t_in)
+        s_out = modulus_sum(zc, split.outside) / (1.0 - t_out)
+        e_ab = t_in * s_in + t_out * s_out
+        c_lo = c * (1.0 + t_out) ** -m
+        c_hi = c * (1.0 - t_out) ** -m
+        if m:
+            r_coeffs = split.outside_poly().coeffs
+            log_c = np.log2(c_hi)
+            rel_c = (m * 2.0 ** (majorant_logmag(r_coeffs, np.abs(zc) + rho)
+                                 + log_c)
+                     + np.abs(log_c) + m * np.abs(np.log2(np.abs(zc) + rho))
+                     + m + 2.0)
+        else:
+            rel_c = np.zeros(zc.shape)   # r is the constant 1
+        centre = a - b
+        margin = _SAFETY * eps * ((n + 2) * s_in + (m + 2) * s_out + e_ab
+                                  + deltas * c_hi * rel_c)
+        lo = centre - e_ab - deltas * c_hi - margin
+        hi = centre + e_ab - deltas * c_lo + margin
+    valid = (t_in < 1.0) & (t_out < 1.0)
+    return np.where(valid, lo, -np.inf), np.where(valid, hi, np.inf)
+
+
+def _quarters(blocks: np.ndarray) -> np.ndarray:
+    """The non-empty quarters of each (i0, i1, j0, j1) column."""
+    i0, i1, j0, j1 = blocks
+    im = i0 + (i1 - i0 + 1) // 2
+    jm = j0 + (j1 - j0 + 1) // 2
+    out = np.stack([np.concatenate([i0, i0, im, im]),
+                    np.concatenate([im, im, i1, i1]),
+                    np.concatenate([j0, jm, j0, jm]),
+                    np.concatenate([jm, j1, jm, j1])])
+    return out[:, (out[1] > out[0]) & (out[3] > out[2])]
+
+
+def _paint(gs, blocks: np.ndarray, values: np.ndarray) -> None:
+    """gs[k][i0:i1, j0:j1] = values[k, b] for every block column b.
+
+    Blocks of one shape whose corners sit on multiples of that shape (all
+    those of whole top blocks) are written through a block view of the
+    grid, a contiguous run per block row; the rest by one fancy
+    assignment per shape.
+    """
+    i0, i1, j0, j1 = blocks
+    ny, nx = gs[0].shape
+    shapes = np.stack([i1 - i0, j1 - j0], axis=1)
+    for hh, ww in np.unique(shapes, axis=0):
+        sel = (shapes[:, 0] == hh) & (shapes[:, 1] == ww)
+        tiled = sel & (i0 % hh == 0) & (j0 % ww == 0)
+        loose = sel & ~tiled
+        rows = i0[loose, None, None] + np.arange(hh)[:, None]
+        cols = j0[loose, None, None] + np.arange(ww)
+        for g, v in zip(gs, values):
+            view = g[:ny - ny % hh, :nx - nx % ww].reshape(
+                ny // hh, hh, nx // ww, ww)
+            view[i0[tiled] // hh, :, j0[tiled] // ww, :] = \
+                v[tiled, None, None]
+            g[rows, cols] = v[loose, None, None]
 
 
 def _patch_singular_cells(split, delta, g, bad, xs, ys, h):
@@ -445,7 +585,6 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     qp = derivative(q)
     rp = derivative(r)
 
-    in_k, out_keps = _grid_flags(mask, K, epsilon)
     grid = (mask.bbox, mask.cell_size, mask.shape)
     r_cells = _cells_of_points(*grid, split.outside)
     qp_cells = _cells_of_points(*grid, split.inside_critical)
@@ -453,10 +592,10 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
 
     reports = []
     for cid in range(mask.n_components):
-        win = windows[cid]
-        sel = mask.labels[win] == cid
-        touches = bool(np.any(in_k[win] & sel))
-        escapes = bool(np.any(out_keps[win] & sel))
+        _, in_k, out_keps = _component_flags(mask, cid, windows[cid], K,
+                                             epsilon)
+        touches = bool(np.any(in_k))
+        escapes = bool(np.any(out_keps))
         r_inside = int(sum(1 for i, j in r_cells
                            if i >= 0 and mask.labels[i, j] == cid))
         loops, moat, absorbed, err = component_boundaries(mask, cid,
@@ -504,16 +643,17 @@ def _rouche_margin(q, qp, r, rp, loops) -> float:
 # bridging detection
 # ---------------------------------------------------------------------------
 
-def _grid_flags(mask: RegionMask, K: ConvexDomain, epsilon: float):
-    """(in_K, beyond_K_eps) boolean grids over cell centers, chunked."""
-    centers = mask.cell_centers().ravel()
-    in_k = np.empty(centers.shape, dtype=bool)
-    out_keps = np.empty(centers.shape, dtype=bool)
-    for lo in range(0, len(centers), _CHUNK):
-        blk = centers[lo:lo + _CHUNK]
-        in_k[lo:lo + _CHUNK] = contains(K, blk)
-        out_keps[lo:lo + _CHUNK] = distance(K, blk) > epsilon
-    return in_k.reshape(mask.shape), out_keps.reshape(mask.shape)
+def _component_flags(mask: RegionMask, cid: int, win, K: ConvexDomain,
+                     epsilon: float):
+    """(cells, in_K, beyond_K_eps) boolean arrays on the window win of
+    component cid; the flags are evaluated on its cells only."""
+    cells = mask.labels[win] == cid
+    pts = mask.cell_centers(win)[cells]
+    in_k = np.zeros(cells.shape, dtype=bool)
+    out_keps = np.zeros(cells.shape, dtype=bool)
+    in_k[cells] = contains(K, pts)
+    out_keps[cells] = distance(K, pts) > epsilon
+    return cells, in_k, out_keps
 
 
 def bridging_check(mask: RegionMask, K: ConvexDomain,
@@ -522,17 +662,16 @@ def bridging_check(mask: RegionMask, K: ConvexDomain,
 
     The witness is a 4-connected cell-center path inside the component
     from a cell in K to a cell beyond K_eps — the discrete version of the
-    path whose endpoints the theorem's field estimates contradict.
+    path whose endpoints the theorem's field estimates contradict.  Each
+    component is searched inside its own window.
     """
-    centers = mask.cell_centers()
-    in_k, out_keps = _grid_flags(mask, K, epsilon)
-    for cid in range(mask.n_components):
-        sel = mask.labels == cid
-        if not (np.any(sel & in_k) and np.any(sel & out_keps)):
+    windows = _component_windows(mask)
+    for cid, win in enumerate(windows):
+        cells, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
+        if not (np.any(in_k) and np.any(out_keps)):
             continue
-        path = _cell_path(sel, sel & in_k, sel & out_keps)
-        ii, jj = path[:, 0], path[:, 1]
-        pts = centers[ii, jj]
+        path = _cell_path(cells, in_k, out_keps)
+        pts = mask.cell_centers(win)[path[:, 0], path[:, 1]]
         return BridgeResult(True, cid, pts)
     return BridgeResult(False)
 
@@ -569,7 +708,12 @@ def _cell_path(region: np.ndarray, sources: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def mask_to_csv(mask: RegionMask, path):
-    """Write cell rows: center x, center y, indicator g, component label."""
+    """Write cell rows: center x, center y, indicator g, component label.
+
+    On cells the quadtree settled, g is the certified bound of
+    `RegionMask.indicator` (same sign as g, no larger modulus), not the
+    value at the cell center.
+    """
     centers = mask.cell_centers()
     rows = np.column_stack([centers.real.ravel(), centers.imag.ravel(),
                             mask.indicator.ravel(),

@@ -87,28 +87,26 @@ def _domain_layers(frame, K, epsilon):
 
 
 def _component_rects(frame, mask: regions.RegionMask):
+    """One rect per run of equal labels in a row, rows bottom-up."""
     out = ['<g shape-rendering="crispEdges">']
     labels = mask.labels
     h = mask.cell_size
     ny, nx = labels.shape
     x0, _, y0, _ = mask.bbox
-    for i in range(ny):
-        row = labels[i]
-        j = 0
-        while j < nx:
-            lab = int(row[j])
-            if lab < 0:
-                j += 1
-                continue
-            k = j
-            while k < nx and row[k] == lab:
-                k += 1
-            out.append(
-                f'<rect x="{frame.x(x0 + j * h)}" '
-                f'y="{frame.y(y0 + (i + 1) * h)}" '
-                f'width="{frame.d((k - j) * h)}" height="{frame.d(h)}" '
-                f'fill="{_PALETTE[lab % len(_PALETTE)]}"/>')
-            j = k
+    padded = np.full((ny, nx + 2), -1, dtype=labels.dtype)
+    padded[:, 1:-1] = labels
+    # row-major change points; a labelled run ends at the next one, which
+    # lies in the same row because the -1 pad closes every row
+    ii, kk = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    start = np.flatnonzero(padded[ii, kk + 1] >= 0)
+    for i, j, k, lab in zip(ii[start].tolist(), kk[start].tolist(),
+                            kk[start + 1].tolist(),
+                            labels[ii[start], kk[start]].tolist()):
+        out.append(
+            f'<rect x="{frame.x(x0 + j * h)}" '
+            f'y="{frame.y(y0 + (i + 1) * h)}" '
+            f'width="{frame.d((k - j) * h)}" height="{frame.d(h)}" '
+            f'fill="{_PALETTE[lab % len(_PALETTE)]}"/>')
     out.append("</g>")
     return out
 

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
+from scipy import ndimage
 
 from rootfield import geometry as geo
-from rootfield import contours, poly, regions
+from rootfield import contours, harness, poly, regions
 from rootfield.errors import GrowBBox, SingularPoint
+
+# mask building must stay free of overflow, division and invalid warnings
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 RES = 200.0
 DELTAS = (1e-4, 1e-3, 1e-2)
@@ -156,6 +160,125 @@ def test_root_on_cell_center_is_patched():
         assert np.abs(mask.indicator).max() < 1e3
 
 
+# ---------------------------------------------------------------------------
+# the quadtree against the dense grid
+# ---------------------------------------------------------------------------
+
+def _dense_oracle(split, deltas, bbox, resolution, centers):
+    """Every cell center evaluated, then patched, checked and labelled
+    as build_masks does: (g, patched cells, labels, count) per delta, or
+    the GrowBBox."""
+    h = 1.0 / resolution
+    xs, ys = centers[0].real, centers[:, 0].imag
+    a, b, c = regions._indicator_terms(split, centers)
+    near = regions._near_root(split, centers)
+    out = []
+    for delta in deltas:
+        with np.errstate(invalid="ignore"):
+            g = a - b - delta * c
+        bad = near | np.isnan(g)
+        if bad.any():
+            g = regions._patch_singular_cells(split, delta, g, bad, xs, ys, h)
+        try:
+            regions._far_field_check(g, bbox)
+        except GrowBBox as exc:
+            return exc
+        labels, count = ndimage.label(g <= regions.EQUALITY_TOL,
+                                      structure=regions._FOUR)
+        out.append((g, bad, labels - 1, count))
+    return out
+
+
+@st.composite
+def _grids(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 3))
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    inside = [complex(draw(coord), draw(coord)) for _ in range(n)]
+    outside = [complex(3.0 * draw(coord), 3.0 * draw(coord))
+               for _ in range(m)]
+    deltas = draw(st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3))
+    res = draw(st.sampled_from([1.0, 7.0, 23.0, 40.0]))
+    x0, y0 = draw(st.floats(-4.0, -1.0)), draw(st.floats(-4.0, -1.0))
+    # sides from the 4-cell minimum past two 32-cell blocks
+    wx, wy = draw(st.integers(1, 90)), draw(st.integers(1, 90))
+    return (inside, outside, deltas,
+            (x0, x0 + wx / res, y0, y0 + wy / res), res)
+
+
+@seed(5)
+@settings(max_examples=60, deadline=None)
+@given(_grids())
+# a root on a cell center, as in test_root_on_cell_center_is_patched
+@example(([0.05 + 0.05j, -0.3], [5.0], [1e-2], (-1.0, 1.0, -1.0, 1.0),
+          10.0))
+@example(([0.05, -0.3], [1.25 + 0.05j], [1e-2, 1e-3],
+          (-3.0, 3.0, -3.0, 3.0), 10.0))
+# roots on the corners shared by four 32 x 32 blocks
+@example(([-0.2 - 0.2j, 0.3], [-0.2 + 0.6j], [1e-3, 1e-1],
+          (-1.0, 1.4, -1.0, 1.4), 40.0))
+# no outside roots: r is the constant 1
+@example(([-0.5, 0.5, 0.3j], [], [0.5, 0.1, 0.01], (-2.0, 2.0, -2.0, 2.0),
+          30.0))
+# a tight bbox that raises GrowBBox
+@example(([-0.5, 0.5], [3.0], [1e-3], (-4.0, 5.0, -4.0, 4.0), 10.0))
+def test_quadtree_matches_dense_grid(case):
+    inside, outside, deltas, bbox, res = case
+    split = poly.RootSplit(np.array(inside), outside)
+    painted = []
+    real_paint = regions._paint
+
+    def recording(gs, blocks, values):
+        painted.append(blocks)
+        real_paint(gs, blocks, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_paint", recording)
+        try:
+            masks = regions.build_masks(split, deltas, bbox, res)
+        except GrowBBox as exc:
+            masks = exc
+    ny = max(4, int(np.ceil((bbox[3] - bbox[2]) * res)))
+    nx = max(4, int(np.ceil((bbox[1] - bbox[0]) * res)))
+    probe = regions.RegionMask(bbox, res, deltas[0], np.zeros((ny, nx)),
+                               np.zeros((ny, nx), dtype=np.int32), 0)
+    oracle = _dense_oracle(split, deltas, bbox, res, probe.cell_centers())
+    if isinstance(oracle, GrowBBox):
+        assert isinstance(masks, GrowBBox)
+        assert masks.suggested == oracle.suggested
+        return
+    assert not isinstance(masks, GrowBBox)
+    settled = np.zeros((ny, nx), dtype=bool)
+    for i0, i1, j0, j1 in np.concatenate(painted, axis=1).T:
+        settled[i0:i1, j0:j1] = True
+    for mask, (g, patched, labels, count) in zip(masks, oracle):
+        assert mask.n_components == count
+        assert np.array_equal(mask.labels, labels)
+        assert np.array_equal(mask.indicator <= regions.EQUALITY_TOL,
+                              g <= regions.EQUALITY_TOL)
+        exact = ~settled | patched
+        assert np.array_equal(mask.indicator[exact], g[exact])
+        got, want = mask.indicator[~exact], g[~exact]
+        assert np.all(np.sign(got) == np.sign(want))
+        assert np.all(np.abs(got) <= np.abs(want))
+        assert mask.evaluations >= np.count_nonzero(~settled)
+
+
+def test_bench_theorem_grid_evaluates_few_cells():
+    # the theorem-grid benchmark instance: n=100, m=2 at abscissae +-3.7,
+    # resolution 120, seed 1, on a 1320 x 1968 grid
+    ys = np.random.default_rng(1).uniform(-1.0, 1.0, 2)
+    cfg = harness.ExperimentConfig(
+        domain=K, epsilon=0.25, n=100, m=2,
+        outside_sampler=[3.7 + 1j * ys[0], -3.7 + 1j * ys[1]],
+        delta_sweep=(1e-3,), resolution=120.0, seed=1)
+    report = harness.run_theorem_experiment(cfg)
+    mask = report.mask
+    assert mask.shape == (1320, 1968)
+    assert mask.n_components > 0
+    assert mask.evaluations < 0.02 * mask.labels.size
+
+
 def test_mask_csv_round_trip(tmp_path):
     mask = regions.build_mask(SPLIT, 1e-2, (-1.0, 1.0, -1.0, 1.0), 20.0)
     path = tmp_path / "mask.csv"
@@ -285,3 +408,19 @@ def test_bridge_detected_when_lobe_reaches_K():
     assert res.path is not None and res.path.size >= 2
     assert geo.contains(K, res.path[0])
     assert geo.distance(K, res.path[-1]) > EPS
+
+
+@pytest.mark.parametrize("domain", [
+    K, geo.ConvexDomain.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])])
+def test_component_flags_match_whole_grid_flags(domain):
+    split = poly.RootSplit([-0.5, 0.5], [1.05])
+    bbox = regions.default_bbox(split, domain, EPS)
+    mask = regions.build_mask(split, 1e-2, bbox, 60.0)
+    centers = mask.cell_centers()
+    in_k = geo.contains(domain, centers)
+    out_keps = geo.distance(domain, centers) > EPS
+    for cid, win in enumerate(regions._component_windows(mask)):
+        cells, a, b = regions._component_flags(mask, cid, win, domain, EPS)
+        assert np.array_equal(cells, mask.labels[win] == cid)
+        assert np.array_equal(a, in_k[win] & cells)
+        assert np.array_equal(b, out_keps[win] & cells)

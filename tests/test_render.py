@@ -2,10 +2,14 @@
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from rootfield import geometry as geo
 from rootfield import harness, poly, regions, render
+
+# emission must stay free of overflow, division and invalid warnings
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 K = geo.ConvexDomain.disk(0.0, 1.0)
 SPLIT = poly.RootSplit([-0.5, 0.5], [3.0])
@@ -118,6 +122,55 @@ def test_report_figure_draws_the_census_mask(tmp_path, monkeypatch):
     assert render._component_rects(frame, counted)[1:-1] \
         == [ln for ln in text.split("\n") if ln.startswith("<rect x=")]
     assert f'r="{frame.d(1.0)}"' in text           # K's outline, same frame
+
+
+def _component_rects_by_cell(frame, mask):
+    """The cell-by-cell run walk that _component_rects replaced."""
+    out = ['<g shape-rendering="crispEdges">']
+    labels = mask.labels
+    h = mask.cell_size
+    ny, nx = labels.shape
+    x0, _, y0, _ = mask.bbox
+    for i in range(ny):
+        row = labels[i]
+        j = 0
+        while j < nx:
+            lab = int(row[j])
+            if lab < 0:
+                j += 1
+                continue
+            k = j
+            while k < nx and row[k] == lab:
+                k += 1
+            out.append(
+                f'<rect x="{frame.x(x0 + j * h)}" '
+                f'y="{frame.y(y0 + (i + 1) * h)}" '
+                f'width="{frame.d((k - j) * h)}" height="{frame.d(h)}" '
+                f'fill="{render._PALETTE[lab % len(render._PALETTE)]}"/>')
+            j = k
+    out.append("</g>")
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_rects_match_the_cell_walk(seed):
+    rng = np.random.default_rng(seed)
+    ny, nx = (int(v) for v in rng.integers(1, 40, size=2))
+    # short runs of labels -1 .. 2*len(_PALETTE): adjacent runs of
+    # different labels, and labels past the palette
+    runs = rng.integers(-1, 2 * len(render._PALETTE), size=ny * nx)
+    lengths = rng.integers(1, 6, size=ny * nx)
+    labels = np.repeat(runs, lengths)[:ny * nx].reshape(ny, nx)
+    labels[rng.integers(ny), :] = int(rng.integers(0, 20))  # a whole row
+    labels[:, 0][rng.uniform(size=ny) < 0.5] = 7    # runs at both ends
+    labels[:, -1][rng.uniform(size=ny) < 0.5] = 7
+    bbox = (-1.5, -1.5 + nx / 10.0, 0.25, 0.25 + ny / 10.0)
+    mask = regions.RegionMask(bbox, 10.0, 1e-2, np.zeros((ny, nx)),
+                              labels.astype(np.int32),
+                              int(labels.max()) + 1)
+    frame = render._Frame(bbox)
+    assert render._component_rects(frame, mask) \
+        == _component_rects_by_cell(frame, mask)
 
 
 def test_polygon_domain_renders(tmp_path):
