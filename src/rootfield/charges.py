@@ -1,8 +1,12 @@
 """Coulomb potentials of point charges along curves.
 
-Complex field and modulus-sum potentials, dense-sampled curve minima with a
-re-sampling certificate, the truncated torus kernel, and the constructive
+Complex field and modulus-sum potentials, curve minima certified by a
+branch-and-bound bracket, the truncated torus kernel, and the constructive
 search for a certified low-potential point on the torus and on a curve.
+Both searches prune with one bound (Piyavskii 1972, Shubert 1972): within
+rho of a point at distance d from its nearest charge, every distance to a
+charge changes by at most rho, so the potentials cannot fall below values
+computed from that point alone.
 """
 
 from __future__ import annotations
@@ -10,21 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (CertificateError, ProjectionDegenerate, SearchExhausted,
                      SingularCurve, SingularPoint)
-from .kernels import field_sum, min_distance, modulus_sum
+from .kernels import (field_modulus_nearest, field_sum, min_distance,
+                      modulus_sum)
 from .poly import SINGULAR_GUARD
 
-MIN_SAMPLES = 10_000      # curve sampling floor
+MIN_SAMPLES = 10_000      # curve_min budget floor, in points per pass
 SAMPLES_PER_CHARGE = 100
-CERT_FACTOR = 4           # certificate re-samples at this density multiple
-CERT_REL_TOL = 1e-2
+CERT_FACTOR = 4           # curve_min budget: (1 + this) passes of samples
+CERT_REL_TOL = 1e-2       # widest bracket returned when the budget runs out
+BRACKET_REL_TOL = 1e-6    # curve_min closes its bracket to this
 GRID_PER_CHARGE = 100     # torus candidates per charge
 DIST_FLOOR = 10.0         # torus point keeps distance >= 1/(10m)
 KERNEL_CAP = 20.0         # f_m plateau height 20m inside |x| < 1/(20m)
-_CHUNK = 1 << 20          # torus grid-charge pairs per scan block
+_FIRST_INTERVALS = 64     # curve_min's first partition, at least 2m
+_TORUS_BLOCK = 64         # torus grid points bounded together
+_ROUNDING = 16.0          # factor on the (m + 2) eps rounding estimates
 _LIFT_ATTEMPTS = 5
 
 
@@ -76,10 +83,8 @@ class Curve:
         if v.size < 2:
             raise ValueError("curve has zero length")
         object.__setattr__(self, "vertices", v)
-
-    @property
-    def _cum(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(np.abs(np.diff(self.vertices)))])
+        object.__setattr__(self, "_cum", np.concatenate(
+            [[0.0], np.cumsum(np.abs(np.diff(v)))]))
 
     @property
     def length(self) -> float:
@@ -173,40 +178,29 @@ def modulus_potential(C: ChargeSet, z):
     return float(out) if zz.ndim == 0 else out
 
 
-def _along(C: ChargeSet, curve: Curve, ts: np.ndarray, mode: str) -> np.ndarray:
-    pts = curve.point(ts)
-    if mode == "modulus":
-        return modulus_sum(pts, C.charges)
-    return np.abs(field_sum(pts, C.charges))
-
-
 # ---------------------------------------------------------------------------
 # curve minima
 # ---------------------------------------------------------------------------
 
-def _sampled_min(C: ChargeSet, curve: Curve, mode: str, n: int):
-    ts = np.linspace(0.0, 1.0, int(n))
-    vals = _along(C, curve, ts, mode)
-    i = int(np.argmin(vals))              # first occurrence -> smaller t
-    t_best, v_best = float(ts[i]), float(vals[i])
-    if 0 < i < ts.size - 1 and vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-        res = optimize.minimize_scalar(
-            lambda t: float(_along(C, curve, np.atleast_1d(t), mode)[0]),
-            bracket=(ts[i - 1], ts[i], ts[i + 1]), method="golden",
-            options={"xtol": 1e-12})
-        if res.fun < v_best:
-            t_best, v_best = float(res.x), float(res.fun)
-    return t_best, v_best
-
-
 def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
               samples: int | None = None):
-    """Minimum of the potential along the curve with a 4x re-check.
+    """Certified minimum of the potential along the curve, by branch and
+    bound in t.
 
-    Dense arclength-uniform samples seed a golden-section refinement of
-    the best bracket; the run is repeated at CERT_FACTOR times the density
-    and the two minima must agree to CERT_REL_TOL, else CertificateError.
-    Returns (t*, value); exact ties go to the smaller t.
+    The nodes of max(64, 2m) equal parameter intervals, and the
+    vertices, are evaluated exactly; every interval whose lower bound is
+    below best * (1 - BRACKET_REL_TOL) is halved at a new node, until
+    none is left, so the true minimum lies in
+    [value * (1 - BRACKET_REL_TOL), value].  An interval of width h lies
+    within rho = length * h / 2 of one of its end nodes, and from a node
+    with modulus sum S, field F and nearest charge at d, with t = rho/d,
+    every point within rho has modulus sum >= S/(1+t) and field modulus
+    >= |F| - t*S/(1-t); both bounds give up an (m + 2) eps rounding
+    margin.  `samples` sets the budget, (1 + CERT_FACTOR) * samples * m
+    point-charge pairs; when it runs out, or no open interval can be
+    halved in floating point, the open bracket [lowest bound, value]
+    must lie within CERT_REL_TOL of value, else CertificateError.  Returns (t*, value) with value
+    attained at the node t*; exact ties go to the smaller t.
     """
     if mode not in ("field", "modulus"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -214,14 +208,64 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
         raise SingularCurve("a charge lies on the curve")
     if samples is None:
         samples = max(MIN_SAMPLES, SAMPLES_PER_CHARGE * C.m)
-    samples = max(int(samples), 2)
-    t1, v1 = _sampled_min(C, curve, mode, samples)
-    t4, v4 = _sampled_min(C, curve, mode, CERT_FACTOR * samples)
-    if abs(v1 - v4) > CERT_REL_TOL * max(abs(v1), abs(v4), 1e-300):
-        raise CertificateError(
-            "curve minimum failed the re-sampling certificate",
-            {"samples": samples, "value": v1, "recheck": v4})
-    return (t4, v4) if v4 < v1 else (t1, v1)
+    budget = (1 + CERT_FACTOR) * max(int(samples), 2) * C.m
+    eps = np.finfo(float).eps
+    margin = _ROUNDING * (C.m + 2) * eps
+    # rounding of the curve points themselves, added to every radius
+    reach = 8.0 * eps * (np.abs(curve.vertices).max()
+                         + curve.vertices.size * curve.length)
+
+    def evaluate(ts):
+        f, s, d = field_modulus_nearest(curve.point(ts), C.charges)
+        return [ts, s if mode == "modulus" else np.abs(f), s, d]
+
+    def lower(node, h):
+        _, v, s, d = node
+        t = (0.5 * (1.0 + 4.0 * eps) * curve.length * h + reach) / d
+        if mode == "modulus":
+            return s / (1.0 + t) * (1.0 - margin)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t < 1.0, v - (t + margin) * s / (1.0 - t),
+                            -np.inf)
+
+    # the vertices are nodes too: a minimum at a corner is evaluated there
+    nodes = evaluate(np.union1d(
+        np.linspace(0.0, 1.0, max(_FIRST_INTERVALS, 2 * C.m) + 1),
+        curve._cum[1:-1] / curve.length))
+    used = nodes[0].size * C.m
+    i = int(np.argmin(nodes[1]))          # first occurrence -> smaller t
+    best_t, best = float(nodes[0][i]), float(nodes[1][i])
+    left = [x[:-1] for x in nodes]        # interval k runs from left[.][k]
+    right = [x[1:] for x in nodes]        # to right[.][k]
+    while True:
+        h = right[0] - left[0]
+        lo = np.minimum(lower(left, h), lower(right, h))
+        keep = lo < best * (1.0 - BRACKET_REL_TOL)
+        if not keep.any():
+            return best_t, best
+        lo = lo[keep]
+        left = [x[keep] for x in left]
+        right = [x[keep] for x in right]
+        mid = 0.5 * (left[0] + right[0])
+        split = (left[0] < mid) & (mid < right[0])
+        n_new = int(split.sum())
+        if not n_new or used + n_new * C.m > budget:
+            if best - lo.min() <= CERT_REL_TOL * best:
+                return best_t, best
+            raise CertificateError(
+                "curve minimum bracket did not close within the budget",
+                {"samples": samples, "value": best, "lower": float(lo.min())})
+        new = evaluate(mid[split])
+        used += n_new * C.m
+        v = new[1].min()
+        t = float(new[0][new[1] == v].min())
+        if v < best or (v == best and t < best_t):
+            best_t, best = t, float(v)
+        whole = ~split
+        left = [np.concatenate([a[whole], a[split], b])
+                for a, b in zip(left, new)]
+        right = [np.concatenate([a[whole], b, a[split]])
+                 for a, b in zip(right, new)]
 
 
 @dataclass(frozen=True)
@@ -273,30 +317,52 @@ def torus_low_potential_point(T: TorusConfig, exclude=()):
 
     The uniform grid has GRID_PER_CHARGE * m candidates; the measure
     argument behind the bound leaves at least 7/10 of the torus feasible,
-    so the scan cannot come up empty on correct input.
+    so the scan cannot come up empty on correct input.  The grid is cut
+    into blocks of _TORUS_BLOCK points.  Every point of a block lies
+    within rho of its centre c, so its potential is at least
+    sum 1/(d(c, x) + rho) over the charges x, less a rounding margin of
+    order m eps.  Blocks are evaluated exactly, in increasing order of
+    that bound and only while it is at most the best value so far; the
+    points, arithmetic and tie rule are a full scan's, so is the result.
     """
     m = T.m
     n = GRID_PER_CHARGE * m
     grid = np.arange(n, dtype=float) / n
     floor = 1.0 / (DIST_FLOOR * m)
-    vals = np.full(n, np.inf)
-    block = max(1, _CHUNK // m)
-    for k in range(0, n, block):
-        d = torus_distance(grid[k:k + block, None], T.points[None, :])
-        ok = d.min(axis=1) >= floor
-        rows = np.where(ok)[0]
-        vals[k + rows] = np.sum(1.0 / d[rows], axis=1)
+    excluded = np.zeros(n, dtype=bool)
     for y in exclude:
-        vals[np.abs(grid - y) < SINGULAR_GUARD] = np.inf
-    i = int(np.argmin(vals))
-    if not np.isfinite(vals[i]):
+        excluded |= np.abs(grid - y) < SINGULAR_GUARD
+    first = np.arange(0, n, _TORUS_BLOCK)
+    last = np.minimum(first + _TORUS_BLOCK, n) - 1
+    eps = np.finfo(float).eps
+    # computed distances are within 1.5 eps of exact ones; 8 eps covers
+    # those at the centre and at a grid point and the rounding of both ends
+    rho = (last - first) / (2.0 * n) + 8.0 * eps
+    d = torus_distance((first + last)[:, None] / (2.0 * n), T.points[None, :])
+    bounds = np.sum(1.0 / (d + rho[:, None]), axis=1) \
+        * (1.0 - _ROUNDING * (m + 2) * eps)
+    best_i, best = -1, np.inf
+    for b in np.argsort(bounds, kind="stable"):
+        if bounds[b] > best:
+            break
+        d = torus_distance(grid[first[b]:last[b] + 1, None],
+                           T.points[None, :])
+        rows = np.where((d.min(axis=1) >= floor)
+                        & ~excluded[first[b]:last[b] + 1])[0]
+        if rows.size:
+            vals = np.sum(1.0 / d[rows], axis=1)
+            k = int(np.argmin(vals))      # first occurrence -> smaller y
+            i = int(first[b] + rows[k])
+            if vals[k] < best or (vals[k] == best and i < best_i):
+                best_i, best = i, float(vals[k])
+    if not np.isfinite(best):
         raise SearchExhausted("no torus grid point clears the distance floor")
     bound = KERNEL_CAP * m * np.log(KERNEL_CAP * m)
-    if vals[i] > bound:
+    if best > bound:
         raise SearchExhausted(
-            f"best torus potential {vals[i]:.6g} exceeds the certified "
+            f"best torus potential {best:.6g} exceeds the certified "
             f"bound {bound:.6g}")
-    return float(grid[i]), float(vals[i])
+    return float(grid[best_i]), best
 
 
 # ---------------------------------------------------------------------------

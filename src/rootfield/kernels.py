@@ -3,7 +3,9 @@
 Each function takes points of any shape and a 1-D array of sources and
 returns one value per point, reduced over the sources.  The table is built
 in blocks of at most _PAIRS pairs; each point is reduced over its own row,
-so the block size changes no bit.  A point on a source gives inf or nan.
+so the block size changes no bit, and `field_modulus_nearest` returns the
+same bits as the three single reductions.  A point on a source gives inf
+or nan.
 """
 
 from __future__ import annotations
@@ -11,13 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 _PAIRS = 1 << 20          # point-source pairs per evaluation block
+_FIELD = (np.complex128, 0.0)     # (dtype, value without sources)
+_MODULUS = (np.float64, 0.0)
+_NEAREST = (np.float64, np.inf)
 
 
-def _reduce(points, sources, row, dtype, empty) -> np.ndarray:
+def _reduce(points, sources, row, kinds) -> list[np.ndarray]:
+    """One output per kind; row maps a block of differences z - a to one
+    reduced row per kind and may overwrite the block."""
     z = np.asarray(points, dtype=np.complex128)
     src = np.asarray(sources, dtype=np.complex128)
     flat = z.ravel()
-    out = np.full(flat.shape, empty, dtype=dtype)
+    outs = [np.full(flat.shape, empty, dtype=dtype) for dtype, empty in kinds]
     if src.size:
         # one table serves every block: a fresh table per block can
         # page-fault its whole size again on each block
@@ -26,25 +33,39 @@ def _reduce(points, sources, row, dtype, empty) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             for lo in range(0, flat.size, rows):
                 blk = flat[lo:lo + rows]
-                out[lo:lo + rows] = row(np.subtract(blk[:, None], src,
-                                                    out=table[:blk.size]))
-    return out.reshape(z.shape)
+                diff = np.subtract(blk[:, None], src, out=table[:blk.size])
+                for out, value in zip(outs, row(diff)):
+                    out[lo:lo + rows] = value
+    return [out.reshape(z.shape) for out in outs]
+
+
+def _field(d):
+    return np.divide(1.0, d, out=d).sum(axis=-1)
 
 
 def field_sum(points, sources) -> np.ndarray:
     """sum_k 1/(z - a_k) at every point z; 0 without sources."""
-    return _reduce(points, sources,
-                   lambda d: np.divide(1.0, d, out=d).sum(axis=-1),
-                   np.complex128, 0.0)
+    return _reduce(points, sources, lambda d: (_field(d),), (_FIELD,))[0]
 
 
 def modulus_sum(points, sources) -> np.ndarray:
     """sum_k 1/|z - a_k| at every point z; 0 without sources."""
-    return _reduce(points, sources, lambda d: (1.0 / np.abs(d)).sum(axis=-1),
-                   np.float64, 0.0)
+    return _reduce(points, sources,
+                   lambda d: ((1.0 / np.abs(d)).sum(axis=-1),), (_MODULUS,))[0]
 
 
 def min_distance(points, sources) -> np.ndarray:
     """min_k |z - a_k| at every point z; inf without sources."""
-    return _reduce(points, sources, lambda d: np.abs(d).min(axis=-1),
-                   np.float64, np.inf)
+    return _reduce(points, sources, lambda d: (np.abs(d).min(axis=-1),),
+                   (_NEAREST,))[0]
+
+
+def field_modulus_nearest(points, sources):
+    """(field_sum, modulus_sum, min_distance) at every point, in one pass."""
+    def row(d):
+        dist = np.abs(d)
+        nearest = dist.min(axis=-1)
+        return (_field(d), np.divide(1.0, dist, out=dist).sum(axis=-1),
+                nearest)
+
+    return tuple(_reduce(points, sources, row, (_FIELD, _MODULUS, _NEAREST)))

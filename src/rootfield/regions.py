@@ -40,7 +40,7 @@ from . import contours as _contours
 from .errors import (GrowBBox, InvalidEpsilon, NonIntegerWinding,
                      RootOnContour, SingularCell, SingularPoint)
 from .geometry import ConvexDomain, bounding_box, contains, diameter, distance
-from .kernels import field_sum, min_distance, modulus_sum
+from .kernels import field_modulus_nearest, field_sum, min_distance
 from .poly import (Polynomial, RootSplit, SINGULAR_GUARD, derivative,
                    majorant_logmag, phase_logmag)
 
@@ -133,13 +133,16 @@ def _indicator_terms(split: RootSplit, zs: np.ndarray):
     """(A, B, C) with g = A - B - delta*C; A, B are inf or nan on a root."""
     a = np.abs(field_sum(zs, split.inside))
     b = np.abs(field_sum(zs, split.outside))
-    if split.m:
-        _, logmag = phase_logmag(split.outside_poly().coeffs, zs.ravel())
-        with np.errstate(over="ignore"):
-            c = (2.0 ** (-logmag)).reshape(zs.shape)
-    else:
-        c = np.ones(zs.shape)  # r is the constant 1
-    return a, b, c
+    return a, b, _inverse_r(split, zs)
+
+
+def _inverse_r(split: RootSplit, zs: np.ndarray) -> np.ndarray:
+    """1/|r| at every point, from r's coefficients."""
+    if not split.m:
+        return np.ones(zs.shape)  # r is the constant 1
+    _, logmag = phase_logmag(split.outside_poly().coeffs, zs.ravel())
+    with np.errstate(over="ignore"):
+        return (2.0 ** (-logmag)).reshape(zs.shape)
 
 
 def _near_root(split: RootSplit, zs: np.ndarray) -> np.ndarray:
@@ -283,11 +286,12 @@ def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
     n, m = split.n, split.m
     eps = np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, b, c = _indicator_terms(split, zc)
-        t_in = rho / min_distance(zc, split.inside)
-        t_out = rho / min_distance(zc, split.outside)
-        s_in = modulus_sum(zc, split.inside) / (1.0 - t_in)
-        s_out = modulus_sum(zc, split.outside) / (1.0 - t_out)
+        f_in, s_in, d_in = field_modulus_nearest(zc, split.inside)
+        f_out, s_out, d_out = field_modulus_nearest(zc, split.outside)
+        c = _inverse_r(split, zc)
+        t_in, t_out = rho / d_in, rho / d_out
+        s_in = s_in / (1.0 - t_in)
+        s_out = s_out / (1.0 - t_out)
         e_ab = t_in * s_in + t_out * s_out
         c_lo = c * (1.0 + t_out) ** -m
         c_hi = c * (1.0 - t_out) ** -m
@@ -300,7 +304,7 @@ def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
                      + m + 2.0)
         else:
             rel_c = np.zeros(zc.shape)   # r is the constant 1
-        centre = a - b
+        centre = np.abs(f_in) - np.abs(f_out)
         margin = _SAFETY * eps * ((n + 2) * s_in + (m + 2) * s_out + e_ab
                                   + deltas * c_hi * rel_c)
         lo = centre - e_ab - deltas * c_hi - margin

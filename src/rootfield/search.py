@@ -1,9 +1,11 @@
 """Supercharging probe: maximize the minimum field modulus along a curve.
 
 Multi-restart Nelder-Mead over the 2m real charge coordinates with a
-penalty for entering the exclusion shell around the curve.  Reported
-values are re-certified at full sampling density, and the modulus
-potential at the certified low point can never beat the torus ceiling.
+penalty for entering the exclusion shell around the curve.  The search
+scores a configuration by the field modulus at fixed curve points; the
+reported value is the winner's certified curve minimum, a bracket closed
+by branch and bound, and the modulus potential at the certified low
+point can never beat the torus ceiling.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .charges import (ChargeSet, Curve, SINGULAR_GUARD, _along, curve_min,
+from .charges import (ChargeSet, Curve, SINGULAR_GUARD, curve_min,
                       lemma1_curve_bound)
 from .errors import BudgetExhausted, ConfigError
+from .kernels import field_sum
 
 SEARCH_SAMPLES = 1_000    # coarse density used inside the optimizer
 PENALTY_BASE = 1_000.0    # penalty scale multiplier on the running best
@@ -60,28 +63,24 @@ class SearchResult:
 # objective
 # ---------------------------------------------------------------------------
 
-def _search_value(C: ChargeSet, curve: Curve, m: int) -> float:
-    # raw grid minimum; the bracket refinement is saved for certification
-    samples = max(SEARCH_SAMPLES, 50 * m)
-    ts = np.linspace(0.0, 1.0, samples)
-    return float(_along(C, curve, ts, "field").min())
+def _search_points(cfg: SearchConfig) -> np.ndarray:
+    """The curve points the search scores on, evenly spaced in t."""
+    return cfg.curve.point(np.linspace(0.0, 1.0,
+                                       max(SEARCH_SAMPLES, 50 * cfg.m)))
 
 
-def _penalized(C: ChargeSet, cfg: SearchConfig, scale_ref: float) -> float:
+def _penalized(C: ChargeSet, cfg: SearchConfig, scale_ref: float,
+               points: np.ndarray) -> float:
+    """Least field modulus over points, penalized inside the margin."""
     clearance = cfg.curve.clearance(C.charges)
     viol = max(0.0, cfg.exclusion_margin - clearance)
     if clearance < SINGULAR_GUARD:
         # a charge sits on the curve; keep the penalty finite
         return -PENALTY_BASE * max(1.0, scale_ref) * (1.0 + viol)
-    value = _search_value(C, cfg.curve, cfg.m)
+    value = float(np.abs(field_sum(points, C.charges)).min())
     if viol > 0.0:
         value -= PENALTY_BASE * max(1.0, scale_ref, abs(value)) * viol
     return value
-
-
-def objective(C: ChargeSet, cfg: SearchConfig) -> float:
-    """Search-grade minimum field modulus, penalized inside the margin."""
-    return _penalized(C, cfg, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +125,12 @@ def optimize_charges(cfg: SearchConfig) -> SearchResult:
     """Multi-restart ascent of the curve-minimum field modulus.
 
     Every restart runs Nelder-Mead from a fresh margin-shell start; the
-    winner is projected back to the feasible set and re-certified by
-    curve_min at full density.  Raises BudgetExhausted (result attached)
+    winner is projected back to the feasible set and certified by
+    curve_min.  Raises BudgetExhausted (result attached)
     when the evaluation budget dies before the last restart.
     """
     rng = np.random.default_rng(cfg.seed)
+    points = _search_points(cfg)
     per_restart = max(300, 150 * cfg.m)   # guard; convergence usually wins
     min_viable = 2 * cfg.m + 2            # one full starting simplex
     evals = 0
@@ -150,7 +150,7 @@ def optimize_charges(cfg: SearchConfig) -> SearchResult:
         def neg(x):
             counter[0] += 1
             C = ChargeSet(x[:cfg.m] + 1j * x[cfg.m:])
-            return -_penalized(C, cfg, scale_ref)
+            return -_penalized(C, cfg, scale_ref, points)
 
         res = optimize.minimize(
             neg, x0, method="Nelder-Mead",

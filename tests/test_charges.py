@@ -164,9 +164,9 @@ def test_curve_min_matches_dense_oracle():
 def test_field_mode_below_modulus_mode():
     rng = np.random.default_rng(3)
     C = ch.ChargeSet(rng.normal(size=5) + 1j * (rng.uniform(0.3, 1.0, 5)))
-    ts = np.linspace(0, 1, 500)
-    f = ch._along(C, SEGMENT, ts, "field")
-    g = ch._along(C, SEGMENT, ts, "modulus")
+    pts = SEGMENT.point(np.linspace(0, 1, 500))
+    f = np.abs(ch.complex_field(C, pts))
+    g = ch.modulus_potential(C, pts)
     assert np.all(f <= g + 1e-12)
     _, vf = ch.curve_min(C, SEGMENT, mode="field")
     _, vg = ch.curve_min(C, SEGMENT, mode="modulus")
@@ -180,10 +180,82 @@ def test_charge_on_curve_rejected():
 
 def test_certificate_fires_on_exact_cancellation():
     # the complex field of a conjugate pair vanishes at t = 0.3; near a
-    # true zero the 1% relative re-sampling agreement is unattainable
+    # true zero no lower bound comes within 1% of a positive value, so
+    # the bracket cannot close
     C = ch.ChargeSet([0.3 + 0.5j, 0.3 - 0.5j])
     with pytest.raises(CertificateError):
         ch.curve_min(C, SEGMENT, mode="field")
+
+
+def _refined_oracle(C, curve, mode, n=200_001):
+    """Dense samples, then dense samples again around every local minimum
+    of them that comes within 1e-4 of the smallest."""
+    def values(ts):
+        pts = curve.point(ts)
+        if mode == "modulus":
+            return np.sum(1.0 / np.abs(pts[:, None] - C.charges), axis=1)
+        return np.abs(np.sum(1.0 / (pts[:, None] - C.charges), axis=1))
+
+    ts = np.linspace(0.0, 1.0, n)
+    vals = values(ts)
+    padded = np.concatenate([[np.inf], vals, [np.inf]])
+    local = (vals <= padded[:-2]) & (vals <= padded[2:]) \
+        & (vals <= vals.min() * (1.0 + 1e-4))
+    best = vals.min()
+    for i in np.flatnonzero(local):
+        fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, n - 1)], 2001)
+        best = min(best, values(fine).min())
+    return float(best)
+
+
+@given(st.integers(1, 12), st.sampled_from(["field", "modulus"]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_curve_min_brackets_dense_oracle(m, mode, seed):
+    rng = np.random.default_rng(seed)
+    C = ch.ChargeSet(rng.normal(size=m) + 1j * rng.normal(size=m))
+    curve = ch.Curve(np.concatenate([[0.0], rng.normal(size=2)
+                                     + 1j * rng.normal(size=2), [1.0]]))
+    if curve.clearance(C.charges) < 1e-3:
+        return
+    t, v = ch.curve_min(C, curve, mode=mode)
+    oracle = _refined_oracle(C, curve, mode)
+    # value is attained at t, no sample beats it, and the sampled minimum
+    # can only lie above the true one, which the bracket keeps within rtol
+    pt = curve.point(t)
+    at_t = (ch.modulus_potential(C, pt) if mode == "modulus"
+            else abs(ch.complex_field(C, pt)))
+    assert v == pytest.approx(at_t, rel=1e-14)
+    assert v <= oracle + 1e-12
+    assert v >= oracle * (1.0 - ch.BRACKET_REL_TOL) - 1e-12
+
+
+def test_curve_min_corner_is_a_node():
+    # the corner 1 + 2i of 0 -> 1 + 2i -> 3 is the curve point farthest
+    # from the charge, at t = 0.4415..., which no even sampling hits; the
+    # potential has a kink there, so a sampled minimum misses it linearly
+    c = 1.2 - 1.0j
+    curve = ch.Curve([0.0, 1.0 + 2.0j, 3.0])
+    for mode in ("field", "modulus"):
+        t, v = ch.curve_min(ch.ChargeSet([c]), curve, mode=mode)
+        assert t == pytest.approx(curve._cum[1] / curve.length, abs=1e-15)
+        assert v == pytest.approx(1.0 / abs(1.0 + 2.0j - c), rel=1e-14)
+
+
+def test_curve_min_budget_exhaustion_and_tolerance(monkeypatch):
+    # samples = 40 buys (1 + 4) * 40 = 200 points, 65 of them the first
+    # partition, and leaves the bracket open: the value still comes back
+    # while the open bracket is within CERT_REL_TOL...
+    C = ch.ChargeSet([0.5 + 0.5j, 1.0 + 0.3j, 0.2 - 0.4j])
+    samples = 40
+    full = ch.curve_min(C, SEGMENT, mode="field")
+    got = ch.curve_min(C, SEGMENT, mode="field", samples=samples)
+    assert got[1] >= full[1]
+    assert got[1] <= full[1] * (1.0 + ch.CERT_REL_TOL)
+    # ...and raises once that tolerance is tighter than the bracket
+    monkeypatch.setattr(ch, "CERT_REL_TOL", 1e-12)
+    with pytest.raises(CertificateError):
+        ch.curve_min(C, SEGMENT, mode="field", samples=samples)
 
 
 def test_curve_min_rejects_unknown_mode():
@@ -215,6 +287,14 @@ def test_sharp_example_m10_matches_dense_oracle():
     ts = np.linspace(0.0, 1.0, 400_001)
     vals = np.sum(1.0 / np.abs(ts[:, None] - s.charges.charges), axis=1)
     assert s.value == pytest.approx(float(vals.min()), rel=1e-6)
+
+
+def test_sharp_example_m1000_frozen():
+    # the minimum sits at the node t = 0; these are the bits a dense
+    # re-sampled scan gave before the branch and bound replaced it
+    s = ch.sharp_example(1000)
+    assert s.t == 0.0
+    assert s.value == 7103.238240833362
 
 
 def test_sharp_example_rejects_small_m():
@@ -283,6 +363,47 @@ def test_torus_duplicates_allowed():
     y, v = ch.torus_low_potential_point(cfg)
     assert v == pytest.approx(50.0 / ch.torus_distance(y, 0.0), rel=1e-12)
     assert v <= 20.0 * 50 * np.log(20.0 * 50)
+
+
+def _dense_torus_scan(T, exclude=()):
+    """Every grid point evaluated; the first smallest value wins."""
+    m = T.m
+    n = ch.GRID_PER_CHARGE * m
+    grid = np.arange(n, dtype=float) / n
+    d = ch.torus_distance(grid[:, None], T.points[None, :])
+    ok = d.min(axis=1) >= 1.0 / (ch.DIST_FLOOR * m)
+    vals = np.full(n, np.inf)
+    vals[ok] = np.sum(1.0 / d[ok], axis=1)
+    for y in exclude:
+        vals[np.abs(grid - y) < ch.SINGULAR_GUARD] = np.inf
+    i = int(np.argmin(vals))
+    return float(grid[i]), float(vals[i])
+
+
+@given(st.integers(1, 80), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_torus_pruned_scan_matches_dense_scan(m, dups, n_excl, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=m)
+    # duplicated charges and a lattice make exact ties between blocks
+    if dups:
+        pts = np.concatenate([pts, np.repeat(pts[:1], dups)])
+    if seed % 4 == 0:
+        pts = np.arange(pts.size) / pts.size
+    T = ch.TorusConfig(pts)
+    want = _dense_torus_scan(T)
+    # excluding the dense winner, and then the next ones, moves the answer
+    exclude = []
+    for _ in range(n_excl):
+        exclude.append(want[0])
+        want = _dense_torus_scan(T, exclude)
+    try:
+        got = ch.torus_low_potential_point(T, exclude=tuple(exclude))
+    except SearchExhausted:
+        assert want[1] > 20.0 * T.m * np.log(20.0 * T.m)
+        return
+    assert got == want
 
 
 def test_torus_search_exhausted_via_exclusion():

@@ -29,7 +29,8 @@ def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
     field, modulus, nearest = _unblocked(z, a)
     got = (kernels.field_sum(z, a), kernels.modulus_sum(z, a),
            kernels.min_distance(z, a))
-    for g, want in zip(got, (field, modulus, nearest)):
+    for g, want in zip(got + kernels.field_modulus_nearest(z, a),
+                       (field, modulus, nearest) * 2):
         assert g.shape == shape
         assert g.dtype == want.dtype
         assert np.array_equal(g, want)
@@ -42,8 +43,14 @@ def test_kernels_without_sources_or_points():
     assert np.array_equal(kernels.modulus_sum(z, none), np.zeros((2, 2)))
     assert np.array_equal(kernels.min_distance(z, none),
                           np.full((2, 2), np.inf))
+    f, s, d = kernels.field_modulus_nearest(z, none)
+    assert np.array_equal(f, np.zeros((2, 2)))
+    assert np.array_equal(s, np.zeros((2, 2)))
+    assert np.array_equal(d, np.full((2, 2), np.inf))
     for f in (kernels.field_sum, kernels.modulus_sum, kernels.min_distance):
         assert f(none, z.ravel()).shape == (0,)
+    assert [v.shape for v in kernels.field_modulus_nearest(none, z.ravel())] \
+        == [(0,)] * 3
 
 
 def test_kernel_hand_values():
