@@ -84,13 +84,15 @@ def _sample_circle(center: complex, radius: float, refinement: float):
 
 
 def _sample_polyline(vertices: np.ndarray, refinement: float) -> np.ndarray:
-    closed = np.concatenate([vertices, vertices[:1]])
-    chunks = [closed[:1]]
-    for a, b in zip(closed[:-1], closed[1:]):
-        n = max(1, int(np.ceil(abs(b - a) * refinement)))
-        t = np.arange(1, n + 1) / n
-        chunks.append(a + t * (b - a))
-    return np.concatenate(chunks)
+    """The closed polyline through vertices, each edge a -> b sampled at
+    a + (k/n)*(b - a), k = 1..n, n = max(1, ceil(|b - a|*refinement))."""
+    d = np.roll(vertices, -1) - vertices
+    n = np.maximum(1, np.ceil(np.abs(d) * refinement).astype(int))
+    ends = np.cumsum(n)
+    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - n, n)
+    t = k / np.repeat(n, n)
+    return np.concatenate([vertices[:1],
+                           np.repeat(vertices, n) + t * np.repeat(d, n)])
 
 
 def loop_area(loop: np.ndarray) -> float:
@@ -115,7 +117,7 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
     """Number of roots of p strictly inside the contour (with multiplicity).
 
     The winding of p along the contour is accumulated from principal-branch
-    argument increments.  Whenever a single increment exceeds pi/2 or the
+    argument increments, first over the contour's own samples.  Whenever a single increment exceeds pi/2 or the
     total misses an integer by more than WINDING_TOL, the sampling density
     doubles, up to MAX_REFINE times.  Clearance (no root within
     2/refinement of a sample) is enforced against the density actually
@@ -127,7 +129,7 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
     if p.degree < 1:
         return 0
     for level in range(MAX_REFINE + 1):
-        pts = _resample(c, level)
+        pts = c.samples if level == 0 else _resample(c, level)
         clearance = 2.0 / (c.refinement * 2.0 ** level)
         phase, logmag = phase_logmag(p.coeffs, pts)
         floor = majorant_logmag(p.coeffs, pts) + _NOISE_LOG2

@@ -17,6 +17,13 @@ therefore those of the dense grid, cell for cell; `indicator` differs
 from the dense values only on settled cells, where it is a bound of the
 same sign and no larger modulus.
 
+Everything after the fill costs the size of the labeled region, not of
+the grid.  Labeling runs on the window of the cells with g <= EQUALITY_TOL
+(the top blocks the quadtree could not certify positive bound it), with
+the ids a whole-grid labeling would give; every cell outside that window
+is -1 by construction.  The mask stores each component's window, and
+moats, flags and witness paths work inside those windows.
+
 Boundaries are not traced along the raw component staircase: critical
 points hug the zero level of the indicator, so the contour walks the
 "moat" instead — the component dilated by one or more rings of cells that
@@ -62,10 +69,13 @@ class RegionMask:
     evaluated; on a cell whose sign a quadtree block certified it is that
     block's bound nearest zero, of the same sign as g and no larger in
     modulus.  Either way indicator <= EQUALITY_TOL exactly where
-    g <= EQUALITY_TOL.  labels hold a dense component id for those cells
-    and -1 elsewhere.  evaluations counts the cells and block centers at
-    which the field terms were evaluated, shared by the masks of one
-    `build_masks` call.
+    g <= EQUALITY_TOL.  labels hold a dense component id for those cells,
+    numbered in raster order of each component's first cell, and -1
+    elsewhere; labeling runs only on the window of those cells, so every
+    cell outside it is -1 by construction.  windows[c] is the (rows,
+    columns) slice pair of component c's bounding box on the grid.
+    evaluations counts the cells and block centers at which the field
+    terms were evaluated, shared by the masks of one `build_masks` call.
     """
 
     bbox: tuple[float, float, float, float]   # xmin, xmax, ymin, ymax
@@ -74,6 +84,7 @@ class RegionMask:
     indicator: np.ndarray
     labels: np.ndarray
     n_components: int
+    windows: tuple[tuple[slice, slice], ...]
     evaluations: int = 0
 
     @property
@@ -83,6 +94,18 @@ class RegionMask:
     @property
     def shape(self) -> tuple[int, int]:
         return self.indicator.shape
+
+    def window_of(self, ids, margin: int = 0) -> tuple[slice, slice]:
+        """The (rows, columns) window holding the components ids, widened
+        by margin cells and clipped to the grid; empty when ids is."""
+        boxes = [self.windows[c] for c in ids]
+        if not boxes:
+            return slice(0, 0), slice(0, 0)
+        ny, nx = self.shape
+        return (slice(max(0, min(b[0].start for b in boxes) - margin),
+                      min(ny, max(b[0].stop for b in boxes) + margin)),
+                slice(max(0, min(b[1].start for b in boxes) - margin),
+                      min(nx, max(b[1].stop for b in boxes) + margin)))
 
     def cell_centers(self, window=(slice(None), slice(None))) -> np.ndarray:
         """Centers of the cells in window, a (rows, columns) slice pair."""
@@ -202,36 +225,69 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
     xs = xmin + (np.arange(nx) + 0.5) * h
     ys = ymin + (np.arange(ny) + 0.5) * h
 
-    gs, evaluations = _signed_fill(split, deltas, xs, ys)
+    gs, reach, evaluations = _signed_fill(split, deltas, xs, ys)
     # a center within SINGULAR_GUARD of a root lies in that root's cell
-    near = np.zeros((ny, nx), dtype=bool)
     roots = np.concatenate([split.inside, split.outside])
     cells = _cells_of_points((xmin, xmax, ymin, ymax), h, (ny, nx), roots)
-    ii, jj = cells[cells[:, 0] >= 0].T
-    near[ii, jj] = _near_root(split, xs[jj] + 1j * ys[ii])
+    cells = cells[cells[:, 0] >= 0]
+    near = cells[_near_root(split, xs[cells[:, 1]] + 1j * ys[cells[:, 0]])]
 
     masks = []
-    for delta, g in zip(deltas, gs):
-        if np.any(near) or np.any(np.isnan(g)):
-            g = _patch_singular_cells(split, delta, g,
-                                      near | np.isnan(g), xs, ys, h)
+    for delta, g, win in zip(deltas, gs, reach):
+        # nan (inf - inf) needs a cell center on a root, and a top block
+        # holding a root is never certified positive, so it is in reach
+        nan = np.argwhere(np.isnan(g[win])) + (win[0].start, win[1].start)
+        _patch_singular_cells(split, delta, g,
+                              np.unique(np.concatenate([near, nan]), axis=0),
+                              xs, ys, h)
         _far_field_check(g, (xmin, xmax, ymin, ymax))
-        inside = g <= EQUALITY_TOL
-        labels, count = ndimage.label(inside, structure=_FOUR)
+        labels, windows = _label(g, win)
         masks.append(RegionMask((xmin, xmax, ymin, ymax), float(resolution),
-                                delta, g, labels.astype(np.int32) - 1,
-                                int(count), evaluations))
+                                delta, g, labels, len(windows), windows,
+                                evaluations))
     return masks
 
 
+def _label(g: np.ndarray, reach):
+    """(labels, windows) of the 4-connected components of g <= EQUALITY_TOL.
+
+    Every such cell lies in the window reach.  Labeling runs on the
+    smallest window holding them; ndimage.label numbers components in
+    raster order of their first cell, so the ids are those of a labeling
+    of the whole grid.  Cells outside the window are -1 by construction.
+    """
+    labels = np.full(g.shape, -1, dtype=np.int32)
+    inside = g[reach] <= EQUALITY_TOL
+    rows = np.flatnonzero(inside.any(axis=1))
+    if not rows.size:
+        return labels, ()
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(inside[r0:r1].any(axis=0))
+    c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    sub, _ = ndimage.label(inside[r0:r1, c0:c1], structure=_FOUR)
+    i0, j0 = reach[0].start + r0, reach[1].start + c0
+    win = (slice(i0, i0 + r1 - r0), slice(j0, j0 + c1 - c0))
+    windows = tuple((slice(a.start + i0, a.stop + i0),
+                     slice(b.start + j0, b.stop + j0))
+                    for a, b in ndimage.find_objects(sub))
+    sub -= 1
+    labels[win] = sub
+    return labels, windows
+
+
 def _signed_fill(split: RootSplit, deltas, xs, ys):
-    """(g grid per delta, evaluation count) on the cell centers xs x ys.
+    """(g grid per delta, reach window per delta, evaluation count) on the
+    cell centers xs x ys.
 
     The grid is tiled with _BLOCK x _BLOCK blocks.  A block whose bounds
     from `_block_bounds` fix the sign of g for every delta is settled and
     painted with the bound nearest zero; any other block splits into
     four, down to single cells, which are evaluated exactly as on a dense
-    grid (the same points and arithmetic, hence the same bits).
+    grid (the same points and arithmetic, hence the same bits).  The top
+    level is painted all at once, nan on its unsettled blocks, which the
+    finer levels overwrite.  A delta's reach is the window of the top
+    blocks not certified positive for it; every cell with g <= EQUALITY_TOL
+    lies inside it.
     """
     ny, nx = len(ys), len(xs)
     gs = [np.empty((ny, nx)) for _ in deltas]
@@ -241,6 +297,8 @@ def _signed_fill(split: RootSplit, deltas, xs, ys):
                                              indexing="ij"))
     blocks = np.stack([i0, np.minimum(i0 + _BLOCK, ny),
                        j0, np.minimum(j0 + _BLOCK, nx)])
+    top = blocks
+    reach = None
     singles = []
     evaluations = 0
     while blocks.shape[1]:
@@ -256,8 +314,17 @@ def _signed_fill(split: RootSplit, deltas, xs, ys):
         lo, hi = _block_bounds(split, dl, zc, rho)
         positive = lo > EQUALITY_TOL
         settled = np.all(positive | (hi < 0.0), axis=0)
-        _paint(gs, blocks[:, settled],
-               np.where(positive, lo, hi)[:, settled])
+        value = np.where(positive, lo, hi)
+        if reach is None:
+            # the top level; its single cells are evaluated exactly below
+            maybe = np.ones((len(deltas), one.size), dtype=bool)
+            maybe[:, ~one] = ~positive
+            reach = [_hull(top[:, k]) for k in maybe]
+            coarse = np.full((len(deltas), one.size), np.nan)
+            coarse[:, ~one] = np.where(settled, value, np.nan)
+            _paint_top(gs, coarse.reshape(len(deltas), -1, -(-nx // _BLOCK)))
+        else:
+            _paint(gs, blocks[:, settled], value[:, settled])
         evaluations += zc.size
         blocks = _quarters(blocks[:, ~settled])
     ii = np.concatenate([b[0] for b in singles])
@@ -266,7 +333,15 @@ def _signed_fill(split: RootSplit, deltas, xs, ys):
     for delta, g in zip(deltas, gs):
         with np.errstate(invalid="ignore"):
             g[ii, jj] = a - b - delta * c
-    return gs, evaluations + ii.size
+    return gs, reach, evaluations + ii.size
+
+
+def _hull(blocks: np.ndarray):
+    """The (rows, columns) window of a set of (i0, i1, j0, j1) columns."""
+    if not blocks.shape[1]:
+        return slice(0, 0), slice(0, 0)
+    return (slice(int(blocks[0].min()), int(blocks[1].max())),
+            slice(int(blocks[2].min()), int(blocks[3].max())))
 
 
 def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
@@ -325,13 +400,24 @@ def _quarters(blocks: np.ndarray) -> np.ndarray:
     return out[:, (out[1] > out[0]) & (out[3] > out[2])]
 
 
+def _paint_top(gs, coarse: np.ndarray) -> None:
+    """gs[k][block (a, b)] = coarse[k, a, b] for every top block, edge
+    blocks cut short, in one broadcast write per grid; coarse is nan on
+    the blocks left to the finer levels."""
+    ny, nx = gs[0].shape
+    full = ny - ny % _BLOCK
+    for g, c in zip(gs, coarse):
+        rows = np.repeat(c, _BLOCK, axis=1)[:, :nx]
+        g[:full].reshape(-1, _BLOCK, nx)[...] = rows[:full // _BLOCK, None]
+        g[full:] = rows[full // _BLOCK:]
+
+
 def _paint(gs, blocks: np.ndarray, values: np.ndarray) -> None:
     """gs[k][i0:i1, j0:j1] = values[k, b] for every block column b.
 
-    Blocks of one shape whose corners sit on multiples of that shape (all
-    those of whole top blocks) are written through a block view of the
-    grid, a contiguous run per block row; the rest by one fancy
-    assignment per shape.
+    Blocks of one shape whose corners sit on multiples of that shape are
+    written through a block view of the grid, a contiguous run per block
+    row; the rest by one fancy assignment per shape.
     """
     i0, i1, j0, j1 = blocks
     ny, nx = gs[0].shape
@@ -350,17 +436,16 @@ def _paint(gs, blocks: np.ndarray, values: np.ndarray) -> None:
             g[rows, cols] = v[loose, None, None]
 
 
-def _patch_singular_cells(split, delta, g, bad, xs, ys, h):
-    """Re-evaluate cells whose center sits on a root.
+def _patch_singular_cells(split, delta, g, cells, xs, ys, h) -> None:
+    """Re-evaluate, in place, the cells (i, j) whose center sits on a root.
 
     Each such cell is subdivided once; the cell takes the value of the
     nearest non-singular quarter point.  If all four quarter points are
     singular too the configuration is degenerate beyond repair.
     """
-    g = g.copy()
     offsets = np.array([-0.25 - 0.25j, 0.25 - 0.25j,
                         -0.25 + 0.25j, 0.25 + 0.25j]) * h
-    for i, j in np.argwhere(bad):
+    for i, j in cells:
         center = xs[j] + 1j * ys[i]
         pts = center + offsets
         aa, bb, cc = _indicator_terms(split, pts)
@@ -371,7 +456,6 @@ def _patch_singular_cells(split, delta, g, bad, xs, ys, h):
         order = np.argsort(np.abs(pts - center), kind="stable")
         pick = order[good[order]][0]
         g[i, j] = vals[pick]
-    return g
 
 
 def _far_field_check(g: np.ndarray, bbox):
@@ -479,55 +563,31 @@ def _cells_of_points(bbox, h: float, shape, pts: np.ndarray) -> np.ndarray:
     return np.stack([ii, jj], axis=1)
 
 
-def _component_windows(mask: RegionMask) -> list:
-    """Bounding slices per component id (one labeled-array pass)."""
-    return ndimage.find_objects(mask.labels + 1,
-                                max_label=mask.n_components)
-
-
-def _moat(mask: RegionMask, component: int, protect: np.ndarray,
-          windows=None):
+def _moat(mask: RegionMask, component: int, protect: np.ndarray):
     """Dilated component footprint whose boundary clears the protect points.
 
     Grows one ring at a time into unlabeled cells; when a protect point
     sits on the current boundary and the blocking cells belong to another
-    component, that component is absorbed whole.  Dilation runs on a
+    component, that component is absorbed whole.  The moat lives on a
     window around the involved components — ring growth is bounded by
-    _RING_LIMIT, so the window contains every cell the moat can reach.
-    Returns (cells, window, absorbed ids, error message or None).
+    _RING_LIMIT, so the window contains every cell the moat can reach —
+    and the window widens when a component is absorbed.
+    Returns (cells on the window, window, absorbed ids, error or None).
     """
     labels = mask.labels
     ny, nx = mask.shape
-    if windows is None:
-        windows = _component_windows(mask)
     margin = _RING_LIMIT + 2
-
-    def window_around(ids):
-        boxes = [windows[c] for c in ids]
-        return (slice(max(0, min(b[0].start for b in boxes) - margin),
-                      min(ny, max(b[0].stop for b in boxes) + margin)),
-                slice(max(0, min(b[1].start for b in boxes) - margin),
-                      min(nx, max(b[1].stop for b in boxes) + margin)))
-
-    win = window_around([component])
-    current = labels == component
+    win = mask.window_of([component], margin)
+    current = labels[win] == component
     absorbed: set[int] = set()
     pcells = _cells_of_points(mask.bbox, mask.cell_size, mask.shape, protect)
     for _ in range(_RING_LIMIT):
-        view = current[win]
-        grown = ndimage.binary_dilation(view, structure=_EIGHT)
-        current[win] = view | (grown & (labels[win] < 0))
+        grown = ndimage.binary_dilation(current, structure=_EIGHT)
+        current |= grown & (labels[win] < 0)
         # a protect point is safe when its cell and the 8 surrounding
         # cells are uniformly inside or uniformly outside the moat
-        trouble = []
-        for i, j in pcells:
-            if i < 0:
-                continue
-            i0, i1 = max(0, i - 1), min(ny, i + 2)
-            j0, j1 = max(0, j - 1), min(nx, j + 2)
-            block = current[i0:i1, j0:j1]
-            if block.any() != block.all():
-                trouble.append((i, j))
+        trouble = [(i, j) for i, j in pcells
+                   if i >= 0 and _straddles(current, win, i, j)]
         if not trouble:
             return current, win, tuple(sorted(absorbed)), None
         # absorb whole neighbouring components that block clean growth
@@ -535,26 +595,53 @@ def _moat(mask: RegionMask, component: int, protect: np.ndarray,
             i0, i1 = max(0, i - 1), min(ny, i + 2)
             j0, j1 = max(0, j - 1), min(nx, j + 2)
             for cid in np.unique(labels[i0:i1, j0:j1]):
-                if cid >= 0 and cid != component and cid not in absorbed:
+                if cid >= 0 and cid != component:
                     absorbed.add(int(cid))
-                    current = current | (labels == cid)
-        win = window_around([component, *absorbed])
+        # the wider window holds the old one: move the moat onto it
+        wider = mask.window_of([component, *absorbed], margin)
+        moved = np.zeros(labels[wider].shape, dtype=bool)
+        moved[win[0].start - wider[0].start:win[0].stop - wider[0].start,
+              win[1].start - wider[1].start:win[1].stop - wider[1].start] \
+            = current
+        current, win = moved, wider
+        for cid in absorbed:
+            current |= labels[win] == cid
     err = "moat growth exhausted with p' roots on the boundary"
     return current, win, tuple(sorted(absorbed)), err
 
 
-def component_boundaries(mask: RegionMask, component: int,
-                         protect: np.ndarray | None = None, windows=None):
-    """Moat tracing: (contours, moat cells, absorbed ids, error or None).
+def _straddles(cells: np.ndarray, win, i: int, j: int) -> bool:
+    """Whether grid cell (i, j) and its 8 neighbours are partly inside and
+    partly outside the cell set held on window win.  The set stays two
+    cells clear of the window's edges inside the grid, so the neighbours
+    off the window are outside it."""
+    a, b = i - win[0].start, j - win[1].start
+    block = cells[max(0, a - 1):max(0, a + 2), max(0, b - 1):max(0, b + 2)]
+    return bool(block.any()) and not block.all()
 
-    Outer loops are counterclockwise and holes clockwise; summing
-    argument-principle counts over all of them yields the number of roots
-    inside the traced region.
+
+def _count_on(cells: np.ndarray, win, ij: np.ndarray) -> int:
+    """How many of the (i, j) rows (-1 rows off-grid, so off the window)
+    fall on the cell set held on window win."""
+    i, j = ij[:, 0] - win[0].start, ij[:, 1] - win[1].start
+    on = (i >= 0) & (i < cells.shape[0]) & (j >= 0) & (j < cells.shape[1])
+    return int(np.count_nonzero(cells[i[on], j[on]]))
+
+
+def component_boundaries(mask: RegionMask, component: int,
+                         protect: np.ndarray | None = None):
+    """Moat tracing: (contours, moat cells, window, absorbed ids, error or
+    None).
+
+    The moat cells are held on their window, a (rows, columns) slice pair
+    of the grid.  Outer loops are counterclockwise and holes clockwise;
+    summing argument-principle counts over all of them yields the number
+    of roots inside the traced region.
     """
     if protect is None:
         protect = np.zeros(0, dtype=np.complex128)
-    cells, win, absorbed, err = _moat(mask, component, protect, windows)
-    loops = _trace_loops(cells[win])
+    cells, win, absorbed, err = _moat(mask, component, protect)
+    loops = _trace_loops(cells)
     h = mask.cell_size
     shift = win[1].start + 1j * win[0].start
     origin = mask.bbox[0] + 1j * mask.bbox[2]
@@ -563,7 +650,7 @@ def component_boundaries(mask: RegionMask, component: int,
         verts = origin + (_compress_collinear(loop) + shift) * h
         cs.append(_contours.grid_boundary(
             verts[:-1], refinement=_REFINE_FACTOR * mask.resolution))
-    return cs, cells, absorbed, err
+    return cs, cells, win, absorbed, err
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +679,16 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     grid = (mask.bbox, mask.cell_size, mask.shape)
     r_cells = _cells_of_points(*grid, split.outside)
     qp_cells = _cells_of_points(*grid, split.inside_critical)
-    windows = _component_windows(mask)
 
     reports = []
-    for cid in range(mask.n_components):
-        _, in_k, out_keps = _component_flags(mask, cid, windows[cid], K,
-                                             epsilon)
+    for cid, win in enumerate(mask.windows):
+        _, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
         touches = bool(np.any(in_k))
         escapes = bool(np.any(out_keps))
         r_inside = int(sum(1 for i, j in r_cells
                            if i >= 0 and mask.labels[i, j] == cid))
-        loops, moat, absorbed, err = component_boundaries(mask, cid,
-                                                          protect=crit,
-                                                          windows=windows)
+        loops, moat, moat_win, absorbed, err = component_boundaries(
+            mask, cid, protect=crit)
         count = 0
         if err is None:
             try:
@@ -618,8 +702,8 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
         elif strict:
             raise RootOnContour(0.0, mask.cell_size)
         margin = _rouche_margin(q, qp, r, rp, loops)
-        r_enc = int(sum(1 for i, j in r_cells if i >= 0 and moat[i, j]))
-        qp_enc = int(sum(1 for i, j in qp_cells if i >= 0 and moat[i, j]))
+        r_enc = _count_on(moat, moat_win, r_cells)
+        qp_enc = _count_on(moat, moat_win, qp_cells)
         reports.append(ComponentReport(
             component=cid, touches_K=touches, escapes_Keps=escapes,
             r_roots_inside=r_inside, crit_points_inside=count,
@@ -669,8 +753,7 @@ def bridging_check(mask: RegionMask, K: ConvexDomain,
     path whose endpoints the theorem's field estimates contradict.  Each
     component is searched inside its own window.
     """
-    windows = _component_windows(mask)
-    for cid, win in enumerate(windows):
+    for cid, win in enumerate(mask.windows):
         cells, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
         if not (np.any(in_k) and np.any(out_keps)):
             continue
@@ -705,23 +788,3 @@ def _cell_path(region: np.ndarray, sources: np.ndarray,
                 prev[a, b] = (i, j)
                 queue.append((a, b))
     raise AssertionError("bridge component lost its endpoints")
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def mask_to_csv(mask: RegionMask, path):
-    """Write cell rows: center x, center y, indicator g, component label.
-
-    On cells the quadtree settled, g is the certified bound of
-    `RegionMask.indicator` (same sign as g, no larger modulus), not the
-    value at the cell center.
-    """
-    centers = mask.cell_centers()
-    rows = np.column_stack([centers.real.ravel(), centers.imag.ravel(),
-                            mask.indicator.ravel(),
-                            mask.labels.ravel().astype(float)])
-    header = "x,y,g,label"
-    np.savetxt(path, rows, delimiter=",", header=header, comments="",
-               fmt=("%.9g", "%.9g", "%.12g", "%d"))

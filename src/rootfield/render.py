@@ -87,9 +87,11 @@ def _domain_layers(frame, K, epsilon):
 
 
 def _component_rects(frame, mask: regions.RegionMask):
-    """One rect per run of equal labels in a row, rows bottom-up."""
+    """One rect per run of equal labels in a row, rows bottom-up; only the
+    window of the labeled cells is scanned."""
     out = ['<g shape-rendering="crispEdges">']
-    labels = mask.labels
+    rows, cols = mask.window_of(range(mask.n_components))
+    labels = mask.labels[rows, cols]
     h = mask.cell_size
     ny, nx = labels.shape
     x0, _, y0, _ = mask.bbox
@@ -99,8 +101,9 @@ def _component_rects(frame, mask: regions.RegionMask):
     # lies in the same row because the -1 pad closes every row
     ii, kk = np.nonzero(padded[:, 1:] != padded[:, :-1])
     start = np.flatnonzero(padded[ii, kk + 1] >= 0)
-    for i, j, k, lab in zip(ii[start].tolist(), kk[start].tolist(),
-                            kk[start + 1].tolist(),
+    for i, j, k, lab in zip((ii[start] + rows.start).tolist(),
+                            (kk[start] + cols.start).tolist(),
+                            (kk[start + 1] + cols.start).tolist(),
                             labels[ii[start], kk[start]].tolist()):
         out.append(
             f'<rect x="{frame.x(x0 + j * h)}" '

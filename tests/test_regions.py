@@ -1,5 +1,7 @@
 """Region masks: indicator values, labeling, moats, and the Rouché census."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -177,8 +179,8 @@ def _dense_oracle(split, deltas, bbox, resolution, centers):
         with np.errstate(invalid="ignore"):
             g = a - b - delta * c
         bad = near | np.isnan(g)
-        if bad.any():
-            g = regions._patch_singular_cells(split, delta, g, bad, xs, ys, h)
+        regions._patch_singular_cells(split, delta, g, np.argwhere(bad),
+                                      xs, ys, h)
         try:
             regions._far_field_check(g, bbox)
         except GrowBBox as exc:
@@ -225,15 +227,20 @@ def _grids(draw):
 def test_quadtree_matches_dense_grid(case):
     inside, outside, deltas, bbox, res = case
     split = poly.RootSplit(np.array(inside), outside)
-    painted = []
-    real_paint = regions._paint
+    painted, painted_top = [], []
+    real_paint, real_paint_top = regions._paint, regions._paint_top
 
     def recording(gs, blocks, values):
         painted.append(blocks)
         real_paint(gs, blocks, values)
 
+    def recording_top(gs, coarse):
+        painted_top.append(~np.isnan(coarse[0]))
+        real_paint_top(gs, coarse)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regions, "_paint", recording)
+        mp.setattr(regions, "_paint_top", recording_top)
         try:
             masks = regions.build_masks(split, deltas, bbox, res)
         except GrowBBox as exc:
@@ -241,16 +248,19 @@ def test_quadtree_matches_dense_grid(case):
     ny = max(4, int(np.ceil((bbox[3] - bbox[2]) * res)))
     nx = max(4, int(np.ceil((bbox[1] - bbox[0]) * res)))
     probe = regions.RegionMask(bbox, res, deltas[0], np.zeros((ny, nx)),
-                               np.zeros((ny, nx), dtype=np.int32), 0)
+                               np.zeros((ny, nx), dtype=np.int32), 0, ())
     oracle = _dense_oracle(split, deltas, bbox, res, probe.cell_centers())
     if isinstance(oracle, GrowBBox):
         assert isinstance(masks, GrowBBox)
         assert masks.suggested == oracle.suggested
         return
     assert not isinstance(masks, GrowBBox)
-    settled = np.zeros((ny, nx), dtype=bool)
-    for i0, i1, j0, j1 in np.concatenate(painted, axis=1).T:
-        settled[i0:i1, j0:j1] = True
+    block = regions._BLOCK
+    settled = np.repeat(np.repeat(painted_top[0], block, axis=0), block,
+                        axis=1)[:ny, :nx]
+    for blocks in painted:
+        for i0, i1, j0, j1 in blocks.T:
+            settled[i0:i1, j0:j1] = True
     for mask, (g, patched, labels, count) in zip(masks, oracle):
         assert mask.n_components == count
         assert np.array_equal(mask.labels, labels)
@@ -279,16 +289,124 @@ def test_bench_theorem_grid_evaluates_few_cells():
     assert mask.evaluations < 0.02 * mask.labels.size
 
 
-def test_mask_csv_round_trip(tmp_path):
-    mask = regions.build_mask(SPLIT, 1e-2, (-1.0, 1.0, -1.0, 1.0), 20.0)
-    path = tmp_path / "mask.csv"
-    regions.mask_to_csv(mask, path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (mask.indicator.size, 4)
-    k = 17
-    i, j = divmod(k, mask.shape[1])
-    assert rows[k, 2] == pytest.approx(mask.indicator[i, j], rel=1e-11)
-    assert int(rows[k, 3]) == mask.labels[i, j]
+# ---------------------------------------------------------------------------
+# windows against the whole grid
+# ---------------------------------------------------------------------------
+
+CENSUS_BOX = (-3.1, 3.1, -3.1, 3.1)
+
+
+def _census_instance(seed):
+    """(split, resolution) drawn like the census benchmark's instances:
+    n <= 10 inside roots in the disk of radius 0.9, m <= 3 outside roots
+    in the annulus 1.15-1.6, on a coarse grid."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(3, 11)), int(rng.integers(1, 4))
+    inside = 0.9 * np.sqrt(rng.uniform(size=n)) \
+        * np.exp(2j * np.pi * rng.uniform(size=n))
+    outside = (1.15 + 0.45 * rng.uniform(size=m)) \
+        * np.exp(2j * np.pi * rng.uniform(size=m))
+    return poly.RootSplit(inside, outside), float(rng.choice([20., 30., 40.]))
+
+
+def _dense_moat(mask, component, protect):
+    """The moat grown on the whole grid: (cells, absorbed ids, error)."""
+    labels = mask.labels
+    current = labels == component
+    absorbed = set()
+    pcells = regions._cells_of_points(mask.bbox, mask.cell_size, mask.shape,
+                                      protect)
+    for _ in range(regions._RING_LIMIT):
+        grown = ndimage.binary_dilation(current, structure=regions._EIGHT)
+        current |= grown & (labels < 0)
+        trouble = []
+        for i, j in pcells:
+            block = current[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
+            if i >= 0 and block.any() != block.all():
+                trouble.append((i, j))
+        if not trouble:
+            return current, tuple(sorted(absorbed)), None
+        for i, j in trouble:
+            for cid in np.unique(labels[max(0, i - 1):i + 2,
+                                        max(0, j - 1):j + 2]):
+                if cid >= 0 and cid != component:
+                    absorbed.add(int(cid))
+                    current |= labels == cid
+    return current, tuple(sorted(absorbed)), "exhausted"
+
+
+def test_windowed_labels_and_moats_match_the_whole_grid():
+    # at 20 cells per unit, seed 76 has two components whose moats each
+    # absorb the other; in seed 1976 the absorbed component reaches past
+    # the window of the absorbing one
+    absorbing = 0
+    for seed in (0, 4, 10, 76, 1976):
+        split, res = _census_instance(seed)
+        masks = regions.build_masks(split, (1e-2, 1e-3, 1e-4), CENSUS_BOX,
+                                    res)
+        for mask in masks:
+            dense, count = ndimage.label(
+                mask.indicator <= regions.EQUALITY_TOL,
+                structure=regions._FOUR)
+            assert mask.n_components == count
+            assert np.array_equal(mask.labels, dense - 1)
+            assert mask.windows == tuple(ndimage.find_objects(dense))
+            for cid in range(count):
+                cells, win, absorbed, err = regions._moat(mask, cid,
+                                                          split.critical)
+                want, want_absorbed, want_err = _dense_moat(mask, cid,
+                                                            split.critical)
+                whole = np.zeros(mask.shape, dtype=bool)
+                whole[win] = cells
+                assert np.array_equal(whole, want)
+                assert absorbed == want_absorbed
+                assert (err is None) == (want_err is None)
+                absorbing += bool(absorbed)
+    assert absorbing >= 5
+
+
+def _segment_loop(vertices, refinement):
+    """The per-segment sampling that _sample_polyline replaced."""
+    closed = np.concatenate([vertices, vertices[:1]])
+    chunks = [closed[:1]]
+    for a, b in zip(closed[:-1], closed[1:]):
+        n = max(1, int(np.ceil(abs(b - a) * refinement)))
+        chunks.append(a + np.arange(1, n + 1) / n * (b - a))
+    return np.concatenate(chunks)
+
+
+def test_sample_polyline_is_the_segment_loop_bit_for_bit():
+    split, res = _census_instance(4)
+    mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
+    polylines = [(c.vertices, c.refinement)
+                 for cid in range(mask.n_components)
+                 for c in regions.component_boundaries(
+                     mask, cid, split.critical)[0]]
+    rng = np.random.default_rng(3)
+    for k in range(20):
+        v = rng.normal(size=k + 3) + 1j * rng.normal(size=k + 3)
+        v[rng.uniform(size=v.size) < 0.2] = 0.0     # zeros and repeats
+        polylines.append((v, float(rng.uniform(1.0, 100.0))))
+    for v, refinement in polylines:
+        got = contours._sample_polyline(v, refinement)
+        want = _segment_loop(v, refinement)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_counts_reuse_the_build_time_sampling():
+    split, res = _census_instance(0)
+    mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
+    dp = poly.Polynomial(poly.derivative(split.product()).coeffs,
+                         roots=split.critical)
+    loops = [c for cid in range(mask.n_components)
+             for c in regions.component_boundaries(
+                 mask, cid, split.critical)[0]]
+    loops += [contours.circle(0.0, r) for r in (0.5, 1.25, 2.0)]
+    for c in loops:
+        rebuilt = contours._resample(c, 0)
+        assert rebuilt.tobytes() == c.samples.tobytes()
+        assert contours.count_roots_in(dp, c) == contours.count_roots_in(
+            dp, dataclasses.replace(c, samples=rebuilt))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +417,7 @@ def test_loop_area_matches_cell_count():
     mask = _masks()[1]
     crit = poly.critical_points(SPLIT.product())
     for cid in range(mask.n_components):
-        loops, cells, absorbed, err = regions.component_boundaries(
+        loops, cells, _, absorbed, err = regions.component_boundaries(
             mask, cid, protect=crit)
         assert err is None
         raw = regions._trace_loops(cells)
@@ -311,7 +429,7 @@ def test_moat_keeps_protected_points_off_the_boundary():
     mask = _masks()[0]
     crit = poly.critical_points(SPLIT.product())
     for cid in range(mask.n_components):
-        loops, cells, absorbed, err = regions.component_boundaries(
+        loops, cells, _, absorbed, err = regions.component_boundaries(
             mask, cid, protect=crit)
         assert err is None
         for c in loops:
@@ -419,7 +537,7 @@ def test_component_flags_match_whole_grid_flags(domain):
     centers = mask.cell_centers()
     in_k = geo.contains(domain, centers)
     out_keps = geo.distance(domain, centers) > EPS
-    for cid, win in enumerate(regions._component_windows(mask)):
+    for cid, win in enumerate(mask.windows):
         cells, a, b = regions._component_flags(mask, cid, win, domain, EPS)
         assert np.array_equal(cells, mask.labels[win] == cid)
         assert np.array_equal(a, in_k[win] & cells)

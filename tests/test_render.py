@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from rootfield import geometry as geo
 from rootfield import harness, poly, regions, render
@@ -164,10 +165,17 @@ def test_component_rects_match_the_cell_walk(seed):
     labels[rng.integers(ny), :] = int(rng.integers(0, 20))  # a whole row
     labels[:, 0][rng.uniform(size=ny) < 0.5] = 7    # runs at both ends
     labels[:, -1][rng.uniform(size=ny) < 0.5] = 7
+    # an unlabeled margin, so the scanned window sits inside the grid
+    labels = np.pad(labels, rng.integers(0, 5, size=(2, 2)),
+                    constant_values=-1)
+    ny, nx = labels.shape
     bbox = (-1.5, -1.5 + nx / 10.0, 0.25, 0.25 + ny / 10.0)
+    # dense ids, as build_masks numbers components
+    present = np.unique(labels[labels >= 0])
+    labels = np.where(labels >= 0, np.searchsorted(present, labels), -1)
     mask = regions.RegionMask(bbox, 10.0, 1e-2, np.zeros((ny, nx)),
-                              labels.astype(np.int32),
-                              int(labels.max()) + 1)
+                              labels.astype(np.int32), present.size,
+                              tuple(ndimage.find_objects(labels + 1)))
     frame = render._Frame(bbox)
     assert render._component_rects(frame, mask) \
         == _component_rects_by_cell(frame, mask)
