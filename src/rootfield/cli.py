@@ -1,9 +1,10 @@
 """Command-line front end: experiments, certificate suites, figures.
 
-Every subcommand reads an optional JSON config, writes its artifacts
-under --out, and reports through exit codes: 0 on success, 1 when a
-checked assertion fails (theorem verdict, certificate violation,
-ceiling breach), 2 on configuration problems.
+Every subcommand writes its artifacts under --out and accepts only the
+flags it reads; all but render read an optional JSON config (--config).
+Each reports through exit codes: 0 on success, 1 when a checked
+assertion fails (theorem verdict, certificate violation, ceiling
+breach), 2 on configuration problems.
 """
 
 from __future__ import annotations
@@ -183,45 +184,45 @@ def _cmd_render(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON config file")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--out", metavar="DIR",
-                        help="output directory (default: current)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes for row sweeps")
-    common.add_argument("--resolution", type=int,
-                        help="override grid cells per unit length")
+_FLAGS = {
+    "config": dict(metavar="PATH", help="JSON config file"),
+    "seed": dict(type=int, help="override the config seed"),
+    "out": dict(metavar="DIR", help="output directory (default: current)"),
+    "jobs": dict(type=int, default=1,
+                 help="parallel worker processes for row sweeps"),
+    "resolution": dict(type=int, help="override grid cells per unit length"),
+}
 
+# (name, handler, flags it reads, help)
+_COMMANDS = (
+    ("theorem", _cmd_theorem, ("config", "seed", "out", "resolution"),
+     "run one experiment; write report.json + figure.svg"),
+    ("sweep-m", _cmd_sweep_m, ("config", "seed", "out", "jobs", "resolution"),
+     "run the experiment across m values; write sweep.csv"),
+    ("lemma", _cmd_lemma, ("config", "seed", "out"),
+     "random certificate suite; write lemma.json"),
+    ("sharp", _cmd_sharp, ("config", "out"),
+     "lattice-charge growth table; write sharp.csv"),
+    ("supercharge", _cmd_supercharge, ("config", "seed", "out"),
+     "maximize the min field modulus; write supercharge.json"),
+    ("render", _cmd_render, ("out",), "redraw a saved report.json as SVG"),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand accepts only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="rootfield",
         description="critical points, dominance regions, and curve "
                     "potential certificates")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("theorem", parents=[common],
-                   help="run one experiment; write report.json + figure.svg"
-                   ).set_defaults(func=_cmd_theorem)
-    sub.add_parser("sweep-m", parents=[common],
-                   help="run the experiment across m values; write sweep.csv"
-                   ).set_defaults(func=_cmd_sweep_m)
-    sub.add_parser("lemma", parents=[common],
-                   help="random certificate suite; write lemma.json"
-                   ).set_defaults(func=_cmd_lemma)
-    sub.add_parser("sharp", parents=[common],
-                   help="lattice-charge growth table; write sharp.csv"
-                   ).set_defaults(func=_cmd_sharp)
-    sub.add_parser("supercharge", parents=[common],
-                   help="maximize the min field modulus; write "
-                        "supercharge.json").set_defaults(
-                            func=_cmd_supercharge)
-    p_render = sub.add_parser("render", parents=[common],
-                              help="redraw a saved report.json as SVG")
-    p_render.add_argument("report", metavar="REPORT_JSON")
-    p_render.set_defaults(func=_cmd_render)
+    for name, func, flags, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+    sub.choices["render"].add_argument("report", metavar="REPORT_JSON")
     return parser
 
 

@@ -1,13 +1,13 @@
 """Polynomials with optional root-list provenance, and their roots.
 
 Coefficients are stored in ascending order (coeffs[k] multiplies z**k).
-A polynomial built by `from_roots` keeps its root list; its logarithmic
-derivative and its critical points then come from the root sum
-p'/p = sum_k 1/(z - a_k), which stays finite and accurate at degrees where
-the coefficients overflow or are rounding noise.  One Aberth driver,
-`_aberth`, solves both coefficients and root sums; each caller certifies
-its own answer.  Coefficient evaluation switches to the reversed
-polynomial z^n p(1/z) for large |z| and carries magnitudes in log2 form.
+A polynomial built by `from_roots` keeps its root list; its critical
+points then come from the root sum p'/p = sum_k 1/(z - a_k), which stays
+finite and accurate at degrees where the coefficients overflow or are
+rounding noise.  One Aberth driver, `_aberth`, solves both coefficients
+and root sums; each caller certifies its own answer.  Coefficient
+evaluation switches to the reversed polynomial z^n p(1/z) for large |z|
+and carries magnitudes in log2 form.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoConvergence, SingularPoint
-from .kernels import field_sum, min_distance
+from .errors import NoConvergence
 
 ROOT_TOL = 1e-10          # |p(root)| <= ROOT_TOL * scale(p)
-LOG_DERIV_TOL = 1e-9      # relative agreement of the two log-derivative paths
 SINGULAR_GUARD = 1e-12    # minimum distance from a pole for evaluation
-_EVAL_TOL_PER_DEG = 1e-12  # construction residual allowance per unit degree
 _ABERTH_SEED = 0x5EEDF00D  # fixed: find_roots must be a pure function
 _STEP_TOL = 1e-14
 _MAX_ITERS = 500
@@ -148,18 +145,6 @@ def from_roots(roots) -> Polynomial:
     return Polynomial(c, roots=r)
 
 
-def evaluate(p: Polynomial, z):
-    """Horner evaluation at scalar or array argument.
-
-    Plain double precision: may overflow for extreme degree * |z|; the
-    package-internal paths that must survive that regime use
-    `phase_logmag` instead.
-    """
-    zz = np.asarray(z, dtype=np.complex128)
-    acc = _horner(p.coeffs, zz)
-    return complex(acc) if zz.ndim == 0 else acc
-
-
 def derivative(p: Polynomial) -> Polynomial:
     """Coefficient-wise derivative; the derivative of a constant is the
     zero polynomial (degree 0, single zero coefficient)."""
@@ -167,28 +152,6 @@ def derivative(p: Polynomial) -> Polynomial:
         return Polynomial(np.array([0.0 + 0j]))
     k = np.arange(1, p.degree + 1)
     return Polynomial(p.coeffs[1:] * k)
-
-
-def log_derivative(p: Polynomial, z):
-    """p'(z)/p(z), as a root sum when roots are stored.
-
-    Raises SingularPoint when z is within SINGULAR_GUARD of a stored root
-    (or exactly at a root in the coefficient path).
-    """
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if p.roots is not None:
-        if np.min(min_distance(zz, p.roots)) <= SINGULAR_GUARD:
-            raise SingularPoint("evaluation point within guard of a root")
-        out = field_sum(zz, p.roots)
-    else:
-        if p.is_zero:
-            raise SingularPoint("zero polynomial has no log-derivative")
-        pv = evaluate(p, zz)
-        if np.any(pv == 0):
-            raise SingularPoint("evaluation point is a root")
-        out = evaluate(derivative(p), zz) / pv
-    return complex(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -513,24 +476,3 @@ def _field_zeros(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     if not worst <= ROOT_TOL:
         raise NoConvergence(worst, iters)
     return w
-
-
-def construction_residual(p: Polynomial) -> float:
-    """Largest |p(root)| relative to the evaluation majorant at that root.
-
-    Returns max_i |p(r_i)| / max(M(r_i), scale(p)) over stored roots,
-    where M(x) = sum_k |c_k| |x|^k.  Horner evaluation carries error of
-    order eps * degree * M(x), so this ratio — not |p(r)| / scale alone —
-    is the quantity a construction can actually keep small once roots
-    leave the unit disk.  0 when no roots are stored.
-    """
-    if p.roots is None or p.roots.size == 0:
-        return 0.0
-    _, logmag = phase_logmag(p.coeffs, p.roots)
-    floor = np.maximum(majorant_logmag(p.coeffs, p.roots), np.log2(p.scale))
-    return float(2.0 ** np.max(logmag - floor))
-
-
-def eval_tolerance(degree: int) -> float:
-    """Allowed construction residual for a degree-d from_roots polynomial."""
-    return _EVAL_TOL_PER_DEG * (degree + 1)

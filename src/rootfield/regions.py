@@ -4,7 +4,8 @@ A_delta = {z : |q'/q| <= |r'/r| + delta/|r|} contains every critical point
 of p = q*r, because q'/q = -r'/r exactly at roots of p'.  The set is
 sampled at cell centers on a regular grid, labeled by 4-connected flood
 fill, and each component is certified by an argument-principle count of
-p' roots along a traced boundary together with a Rouché margin.
+p' roots over the boundary of a union of cells together with a Rouché
+margin.
 
 The grid is filled by a quadtree, not cell by cell.  On a block of cells
 the field sums and 1/|r| are bounded from their values at the block's
@@ -24,15 +25,18 @@ the ids a whole-grid labeling would give; every cell outside that window
 is -1 by construction.  The mask stores each component's window, and
 moats, flags and witness paths work inside those windows.
 
-Boundaries are not traced along the raw component staircase: critical
-points hug the zero level of the indicator, so the contour walks the
+Counts do not run along the raw component staircase: critical points hug
+the zero level of the indicator, so the contour is the boundary of the
 "moat" instead — the component dilated by one or more rings of cells that
 belong to no component.  On the moat the indicator is strictly positive,
 which is what makes the recorded Rouché margins positive and keeps the
 roots of p' clear of the samples.  Rings grow (and nearby components are
 absorbed) until every root of p' is either deep inside or well outside
-the traced region; the Rouché count equality holds for any such union of
-cells, so absorption never invalidates a certificate.
+the moat; the Rouché count equality holds for any such union of cells, so
+absorption never invalidates a certificate.  The boundary is the moat's
+boundary edges merged into straight segments, with the moat on their
+left.  The winding over a union of cells is the sum of the argument
+increments over those segments in any order, so no loop is traced.
 """
 
 from __future__ import annotations
@@ -470,86 +474,41 @@ def _far_field_check(g: np.ndarray, bbox):
 
 
 # ---------------------------------------------------------------------------
-# boundary tracing
+# moat boundaries
 # ---------------------------------------------------------------------------
 
-def _trace_loops(cells: np.ndarray) -> list[np.ndarray]:
-    """Directed-edge boundary loops of a boolean cell set.
+def _runs(edges: np.ndarray):
+    """(row, start, stop) of each maximal run of True cells in the rows of
+    a boolean array, rows in order."""
+    ny, nx = edges.shape
+    padded = np.zeros((ny, nx + 2), dtype=np.int8)
+    padded[:, 1:-1] = edges
+    ii, kk = np.nonzero(np.diff(padded, axis=1))
+    return ii[0::2], kk[0::2], kk[1::2]
 
-    Returns vertex loops in grid units (vertex (vj, vi) as vj + 1j*vi);
-    outer loops come out counterclockwise, holes clockwise, so winding
-    sums over all loops count geometric membership.  Ties at checkerboard
-    corners prefer the left turn, keeping loops simple.
+
+def _boundary_segments(cells: np.ndarray) -> np.ndarray:
+    """Directed boundary segments (a, b) of a boolean cell set, the cells
+    on their left, as (k, 2) rows.
+
+    Vertex (vj, vi) is vj + 1j*vi in grid units.  Each maximal straight
+    run of boundary edges with the set on the same side is one segment, so
+    outer boundaries run counterclockwise and holes clockwise, and winding
+    sums over all segments count geometric membership.
     """
     ny, nx = cells.shape
     pad = np.zeros((ny + 2, nx + 2), dtype=bool)
     pad[1:-1, 1:-1] = cells
-    west = cells & ~pad[1:-1, :-2]
-    east = cells & ~pad[1:-1, 2:]
-    south = cells & ~pad[:-2, 1:-1]
-    north = cells & ~pad[2:, 1:-1]
-
-    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def add(v0, v1):
-        edges.setdefault(v0, []).append(v1)
-
-    for i, j in np.argwhere(west):
-        add((j, i + 1), (j, i))
-    for i, j in np.argwhere(east):
-        add((j + 1, i), (j + 1, i + 1))
-    for i, j in np.argwhere(south):
-        add((j, i), (j + 1, i))
-    for i, j in np.argwhere(north):
-        add((j + 1, i + 1), (j, i + 1))
-    for v in edges.values():
-        v.sort()
-
-    loops = []
-    starts = sorted(edges.keys())
-    for start in starts:
-        while edges.get(start):
-            v0 = start
-            v1 = edges[v0].pop()
-            loop = [v0, v1]
-            while v1 != start:
-                options = edges.get(v1, [])
-                if not options:
-                    raise AssertionError("open boundary chain")
-                if len(options) == 1:
-                    v2 = options.pop()
-                else:
-                    # checkerboard corner: prefer the left turn
-                    d = (v1[0] - v0[0], v1[1] - v0[1])
-                    left = (v1[0] - d[1], v1[1] + d[0])
-                    straight = (v1[0] + d[0], v1[1] + d[1])
-                    right = (v1[0] + d[1], v1[1] - d[0])
-                    for cand in (left, straight, right):
-                        if cand in options:
-                            options.remove(cand)
-                            v2 = cand
-                            break
-                    else:
-                        v2 = options.pop()
-                loop.append(v2)
-                v0, v1 = v1, v2
-            loops.append(np.array([complex(a, b) for a, b in loop]))
-    return loops
-
-
-def _compress_collinear(loop: np.ndarray) -> np.ndarray:
-    """Drop interior vertices of straight runs; keep the loop closed."""
-    if len(loop) < 4:
-        return loop
-    open_loop = loop[:-1]
-    prev = np.roll(open_loop, 1)
-    nxt = np.roll(open_loop, -1)
-    keep = (nxt - open_loop) * np.conj(open_loop - prev)
-    corner = np.abs(keep.imag) > 1e-12
-    if not np.any(corner):
-        return loop
-    kept = open_loop[corner]
-    return np.concatenate([kept, kept[:1]])
+    i, j0, j1 = _runs(cells & ~pad[:-2, 1:-1])             # south edges
+    south = (j0 + 1j * i, j1 + 1j * i)
+    i, j0, j1 = _runs(cells & ~pad[2:, 1:-1])              # north edges
+    north = (j1 + 1j * (i + 1), j0 + 1j * (i + 1))
+    j, i0, i1 = _runs((cells & ~pad[1:-1, :-2]).T)         # west edges
+    west = (j + 1j * i1, j + 1j * i0)
+    j, i0, i1 = _runs((cells & ~pad[1:-1, 2:]).T)          # east edges
+    east = (j + 1 + 1j * i0, j + 1 + 1j * i1)
+    return np.stack([np.concatenate(ends)
+                     for ends in zip(south, north, west, east)], axis=1)
 
 
 def _cells_of_points(bbox, h: float, shape, pts: np.ndarray) -> np.ndarray:
@@ -630,27 +589,23 @@ def _count_on(cells: np.ndarray, win, ij: np.ndarray) -> int:
 
 def component_boundaries(mask: RegionMask, component: int,
                          protect: np.ndarray | None = None):
-    """Moat tracing: (contours, moat cells, window, absorbed ids, error or
+    """Moat boundary: (contour, moat cells, window, absorbed ids, error or
     None).
 
     The moat cells are held on their window, a (rows, columns) slice pair
-    of the grid.  Outer loops are counterclockwise and holes clockwise;
-    summing argument-principle counts over all of them yields the number
-    of roots inside the traced region.
+    of the grid.  The contour is the set of the moat's boundary segments,
+    outer loops counterclockwise and holes clockwise, so its
+    argument-principle count is the number of roots inside the moat.
     """
     if protect is None:
         protect = np.zeros(0, dtype=np.complex128)
     cells, win, absorbed, err = _moat(mask, component, protect)
-    loops = _trace_loops(cells)
-    h = mask.cell_size
     shift = win[1].start + 1j * win[0].start
     origin = mask.bbox[0] + 1j * mask.bbox[2]
-    cs = []
-    for loop in loops:
-        verts = origin + (_compress_collinear(loop) + shift) * h
-        cs.append(_contours.grid_boundary(
-            verts[:-1], refinement=_REFINE_FACTOR * mask.resolution))
-    return cs, cells, win, absorbed, err
+    segments = origin + (_boundary_segments(cells) + shift) * mask.cell_size
+    contour = _contours.segment_set(
+        segments, refinement=_REFINE_FACTOR * mask.resolution)
+    return contour, cells, win, absorbed, err
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +642,12 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
         escapes = bool(np.any(out_keps))
         r_inside = int(sum(1 for i, j in r_cells
                            if i >= 0 and mask.labels[i, j] == cid))
-        loops, moat, moat_win, absorbed, err = component_boundaries(
+        contour, moat, moat_win, absorbed, err = component_boundaries(
             mask, cid, protect=crit)
         count = 0
         if err is None:
             try:
-                count = sum(_contours.count_roots_in(dpoly, c)
-                            for c in loops)
+                count = _contours.count_roots_in(dpoly, contour)
             except (RootOnContour, NonIntegerWinding) as exc:
                 if strict:
                     raise
@@ -701,7 +655,7 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
                 count = 0
         elif strict:
             raise RootOnContour(0.0, mask.cell_size)
-        margin = _rouche_margin(q, qp, r, rp, loops)
+        margin = _rouche_margin(q, qp, r, rp, contour)
         r_enc = _count_on(moat, moat_win, r_cells)
         qp_enc = _count_on(moat, moat_win, qp_cells)
         reports.append(ComponentReport(
@@ -712,11 +666,9 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     return reports
 
 
-def _rouche_margin(q, qp, r, rp, loops) -> float:
-    """min over all loop samples of |q'r| - |qr'| via log2 magnitudes."""
-    if not loops:
-        return 0.0
-    pts = np.concatenate([c.samples for c in loops])
+def _rouche_margin(q, qp, r, rp, contour) -> float:
+    """min over the contour samples of |q'r| - |qr'| via log2 magnitudes."""
+    pts = contour.samples
     _, m_qp = phase_logmag(qp.coeffs, pts)
     _, m_r = phase_logmag(r.coeffs, pts)
     _, m_q = phase_logmag(q.coeffs, pts)
@@ -724,7 +676,34 @@ def _rouche_margin(q, qp, r, rp, loops) -> float:
         m_rp = np.full(pts.shape, -np.inf)
     else:
         _, m_rp = phase_logmag(rp.coeffs, pts)
-    return _contours._min_signed_difference(m_qp + m_r, m_q + m_rp)
+    return _min_signed_difference(m_qp + m_r, m_q + m_rp)
+
+
+def _min_signed_difference(mf: np.ndarray, mg: np.ndarray) -> float:
+    """min_i (2^mf[i] - 2^mg[i]) without forming the powers directly.
+
+    Linear units: inf when the true value exceeds double range; the sign
+    is decided in log space and never overflows.
+    """
+    sign = np.sign(mf - mg)                  # 0 where equal (difference 0)
+    both_ninf = np.isneginf(mf) & np.isneginf(mg)
+    sign[both_ninf] = 0.0
+    if np.all(sign == 0):
+        return 0.0
+    lo = np.minimum(mf, mg)
+    gap = np.abs(mf - mg)
+    with np.errstate(over="ignore"):
+        logdiff = np.where(
+            gap < 52.0,
+            lo + np.log2(np.maximum(np.expm1(gap * np.log(2.0)), 5e-324)),
+            np.maximum(mf, mg),
+        )
+    neg = sign < 0
+    if np.any(neg):
+        return float(-(2.0 ** np.max(logdiff[neg])))
+    pos = sign > 0
+    vals = logdiff[pos]
+    return float(2.0 ** np.min(vals)) if vals.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -151,3 +151,25 @@ def test_config_error_exit_codes(tmp_path):
     assert cli.main(["render", str(notjson), "--out", str(tmp_path)]) == 2
     garbage = _write(tmp_path, {"verdict": True}, "garbage.json")
     assert cli.main(["render", garbage, "--out", str(tmp_path)]) == 2
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads(capsys):
+    reads = {"theorem": {"config", "seed", "out", "resolution"},
+             "sweep-m": {"config", "seed", "out", "jobs", "resolution"},
+             "lemma": {"config", "seed", "out"},
+             "sharp": {"config", "out"},
+             "supercharge": {"config", "seed", "out"},
+             "render": {"out"}}
+    parser = cli.build_parser()
+    for command, flags in reads.items():
+        extra = ["report.json"] if command == "render" else []
+        for flag in ("config", "seed", "out", "jobs", "resolution"):
+            argv = [command, f"--{flag}", "3", *extra]
+            if flag in flags:
+                assert getattr(parser.parse_args(argv), flag) is not None
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: --{flag}" \
+                    in capsys.readouterr().err

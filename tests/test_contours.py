@@ -1,16 +1,24 @@
 """Argument-principle counting and Rouché dominance.
 
 The membership oracle is the known root list of from_roots polynomials;
-Rouché checks are cross-validated by actually counting roots of f+g.
+Rouché margins (`regions._min_signed_difference` on log2 magnitudes) are
+cross-validated by actually counting roots of f+g.
 """
 
 import numpy as np
 import pytest
 
-from rootfield import contours, geometry, harness, poly
+from rootfield import contours, geometry, harness, poly, regions
 from rootfield.errors import ImpossibleCount, NonIntegerWinding, RootOnContour
 
 CUBE_ROOTS_OF_UNITY = poly.Polynomial([-1.0, 0.0, 0.0, 1.0])
+
+
+def _polygon(vertices, refinement=64.0):
+    """The closed polygon through vertices as a set of its edges."""
+    v = np.asarray(vertices, dtype=complex)
+    return contours.segment_set(np.stack([v, np.roll(v, -1)], axis=1),
+                                refinement)
 
 
 # ---------------------------------------------------------------------------
@@ -25,16 +33,24 @@ def test_circle_samples_are_closed_and_dense():
 
 
 def test_polygon_loop_spacing():
-    c = contours.polygon_loop([0, 4.0, 4 + 4j, 4j], refinement=10.0)
-    assert c.samples[0] == c.samples[-1]
-    assert np.abs(np.diff(c.samples)).max() <= 0.1 + 1e-12
+    c = _polygon([0, 4.0, 4 + 4j, 4j], refinement=10.0)
+    seams = contours._seams(c, 0)
+    # each segment's run starts on its first vertex and ends on its second
+    assert np.array_equal(c.samples[np.r_[0, seams + 1]], c.segments[:, 0])
+    assert np.array_equal(c.samples[np.r_[seams, -1]], c.segments[:, 1])
+    steps = np.delete(np.abs(np.diff(c.samples)), seams)
+    assert steps.max() <= 0.1 + 1e-12
 
 
 def test_degenerate_contours_rejected():
     with pytest.raises(ValueError):
         contours.circle(0, 0.0)
     with pytest.raises(ValueError):
-        contours.polygon_loop([0, 1.0])
+        contours.segment_set([(0, 1.0)])
+    with pytest.raises(ValueError):
+        contours.segment_set([(0, 1.0), (1.0, 1j), (1j, 0.5)])
+    with pytest.raises(ValueError):
+        contours.segment_set(np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +77,7 @@ def test_count_matches_membership_for_disk_samples():
 
 
 def test_count_in_square_loop():
-    sq = contours.polygon_loop([-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j])
+    sq = _polygon([-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j])
     assert contours.count_roots_in(CUBE_ROOTS_OF_UNITY, sq) == 3
 
 
@@ -128,10 +144,10 @@ def test_finer_contour_resolves_near_root():
 
 
 def test_clockwise_loop_counts_negative():
-    # a hole is traced clockwise; its negative count is a valid one
+    # a hole runs clockwise; its negative count is a valid one
     p = poly.from_roots([0.0 + 0j, 3.0])
-    cw = contours.polygon_loop([1 + 1j, 1 - 1j, -1 - 1j, -1 + 1j])
-    assert contours.loop_area(cw.samples) < 0
+    cw = _polygon([1 + 1j, 1 - 1j, -1 - 1j, -1 + 1j])
+    assert contours.loop_area(cw.segments) < 0
     assert contours.count_roots_in(p, cw) == -1
 
 
@@ -164,10 +180,18 @@ def test_clearance_check_without_root_list():
 # Rouché dominance
 # ---------------------------------------------------------------------------
 
+def _dominates(f, g, c):
+    """(|f| > |g| on every sample of c, min of |f| - |g| there)."""
+    _, mf = poly.phase_logmag(f.coeffs, c.samples)
+    _, mg = poly.phase_logmag(g.coeffs, c.samples)
+    margin = regions._min_signed_difference(mf, mg)
+    return bool(margin > 0), margin
+
+
 def test_z_squared_dominates_one_on_radius_two():
     f = poly.Polynomial([0.0, 0.0, 1.0])
     g = poly.Polynomial([1.0])
-    ok, margin = contours.rouche_dominates(f, g, contours.circle(0, 2.0))
+    ok, margin = _dominates(f, g, contours.circle(0, 2.0))
     assert ok
     assert margin == pytest.approx(3.0, rel=1e-9)
 
@@ -175,14 +199,14 @@ def test_z_squared_dominates_one_on_radius_two():
 def test_one_does_not_dominate_z_squared():
     f = poly.Polynomial([1.0])
     g = poly.Polynomial([0.0, 0.0, 1.0])
-    ok, margin = contours.rouche_dominates(f, g, contours.circle(0, 2.0))
+    ok, margin = _dominates(f, g, contours.circle(0, 2.0))
     assert not ok
     assert margin == pytest.approx(-3.0, rel=1e-9)
 
 
 def test_equal_magnitudes_yield_zero_margin():
     f = poly.Polynomial([0.0, 1.0])
-    ok, margin = contours.rouche_dominates(f, f, contours.circle(0, 1.0))
+    ok, margin = _dominates(f, f, contours.circle(0, 1.0))
     assert not ok
     assert margin == 0.0
 
@@ -198,7 +222,7 @@ def test_dominance_implies_equal_counts():
         g = poly.Polynomial(0.01 * (rng.normal(size=3)
                                     + 1j * rng.normal(size=3)))
         c = contours.circle(0, 2.5)
-        ok, _ = contours.rouche_dominates(f, g, c)
+        ok, _ = _dominates(f, g, c)
         if not ok:
             continue
         used += 1
@@ -215,6 +239,6 @@ def test_margin_survives_high_degree_scales():
     roots = rng.normal(size=300) * 0.3 + 1j * rng.normal(size=300) * 0.3
     f = poly.from_roots(roots)
     g = poly.Polynomial(f.coeffs * 1e-6)   # strictly smaller everywhere
-    ok, margin = contours.rouche_dominates(f, g, contours.circle(0, 8.0))
+    ok, margin = _dominates(f, g, contours.circle(0, 8.0))
     assert ok
     assert margin > 0

