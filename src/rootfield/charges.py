@@ -116,10 +116,10 @@ class Curve:
         """Smallest distance from any charge to the polyline."""
         return float(self.nearest_points(charges)[1].min())
 
-    def is_conjecture_normalized(self, tol: float = 1e-12) -> bool:
-        """True when gamma(0) = 0 and gamma(1) = 1."""
-        return (abs(self.vertices[0]) <= tol
-                and abs(self.vertices[-1] - 1.0) <= tol)
+    def is_conjecture_normalized(self) -> bool:
+        """True when gamma(0) = 0 and gamma(1) = 1, to within 1e-12."""
+        return (abs(self.vertices[0]) <= 1e-12
+                and abs(self.vertices[-1] - 1.0) <= 1e-12)
 
     def to_json(self) -> dict:
         return {"curve": [[float(v.real), float(v.imag)]
@@ -199,8 +199,9 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
     margin.  `samples` sets the budget, (1 + CERT_FACTOR) * samples * m
     point-charge pairs; when it runs out, or no open interval can be
     halved in floating point, the open bracket [lowest bound, value]
-    must lie within CERT_REL_TOL of value, else CertificateError.  Returns (t*, value) with value
-    attained at the node t*; exact ties go to the smaller t.
+    must lie within CERT_REL_TOL of value, else CertificateError.
+    Returns (t*, value) with value attained at the node t*; exact ties go
+    to the smaller t.
     """
     if mode not in ("field", "modulus"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -2,22 +2,25 @@
 
 Winding numbers are accumulated from principal-branch argument increments
 between consecutive samples of a circle or of one segment of a segment
-set.  Any single increment above pi/2 triggers a doubling of the sample
-density (up to MAX_REFINE doublings), which prevents branch-jump
-undercounting without needing derivative quadrature.
+set.  Any single increment above pi/2, or fewer than four samples per
+possible root, triggers a doubling of the sample density (up to
+MAX_REFINE doublings), which prevents branch-jump undercounting without
+needing derivative quadrature.
 
-Magnitudes are compared in log2 space so that degree-500 products never
-overflow.
+Two phase sources share that loop: the coefficients of p, with magnitudes
+compared in log2 space so that degree-500 products never overflow, and
+for the zeros of p' the roots of p alone (`count_critical_points_in`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ImpossibleCount, NonIntegerWinding, RootOnContour
-from .kernels import min_distance
+from .kernels import derivative_phase, min_distance
 from .poly import Polynomial, majorant_logmag, newton_ratio, phase_logmag
 
 WINDING_TOL = 0.2      # |winding - nearest integer| allowed after refinement
@@ -117,55 +120,74 @@ def _resample(c: Contour, level: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def count_roots_in(p: Polynomial, c: Contour) -> int:
-    """Number of roots of p strictly inside the contour (with multiplicity).
-
-    The winding of p along the contour is accumulated from principal-branch
-    argument increments, first over the contour's own samples.  Whenever a
-    single increment exceeds pi/2 or the total misses an integer by more
-    than WINDING_TOL, the sampling density doubles, up to MAX_REFINE times.
-    Clearance (no root within 2/refinement of a sample) is enforced against
-    the density actually used: exactly when the root list is stored,
-    otherwise via the safe direction of the Newton-step bound (a small
-    |p/p'| places a root provably nearby).  A count whose sign disagrees
-    with the orientation of the contour, or which exceeds the degree,
-    raises ImpossibleCount.
+    """Number of roots of p strictly inside the contour (with multiplicity),
+    from the phase of p on its coefficients.  Clearance is checked exactly
+    when the root list is stored, otherwise via the safe direction of the
+    Newton-step bound (a small |p/p'| places a root provably nearby).
     """
     if p.degree < 1:
         return 0
+
+    def phase(pts):
+        unit, logmag = phase_logmag(p.coeffs, pts)
+        # |p| below the rounding floor: no phase, so "on a root"
+        unit[logmag <= majorant_logmag(p.coeffs, pts) + _NOISE_LOG2] = np.nan
+        return unit
+
+    return _winding_count(c, p.degree, phase, partial(_check_clearance, p))
+
+
+def count_critical_points_in(roots, critical, c: Contour) -> int:
+    """Number of zeros of p' strictly inside the contour, p = prod (z - a_k)
+    over roots, from the phase of p' on the roots alone.  Clearance is
+    checked exactly against critical, the solved zeros of p'."""
+    return _winding_count(c, np.size(roots) - 1,
+                          partial(derivative_phase, roots=roots),
+                          partial(_check_distance, critical))
+
+
+def _winding_count(c: Contour, degree: int, phase, clear) -> int:
+    """Winding along c of a polynomial of that degree and unit phase
+    phase(pts), first over c's own samples.  The density doubles, up to
+    MAX_REFINE times, while there are fewer than 2*pi*degree/_MAX_ARG_STEP
+    samples (sparser, a phase winding once per root can advance by nearly
+    2*pi per step, which reads as a small backward step), while an
+    increment exceeds _MAX_ARG_STEP, or while the total misses an integer
+    by more than WINDING_TOL.  A phase that is not finite raises
+    RootOnContour, as clear(pts, clearance) does for a root too close; a
+    count of the wrong sign for c's orientation, or above the degree,
+    raises ImpossibleCount."""
     area = np.pi * c.radius ** 2 if c.kind == "circle" else \
         loop_area(c.segments)
     for level in range(MAX_REFINE + 1):
         pts = c.samples if level == 0 else _resample(c, level)
+        if pts.size < 2 * np.pi * degree / _MAX_ARG_STEP \
+                and level < MAX_REFINE:
+            continue
         clearance = 2.0 / (c.refinement * 2.0 ** level)
-        phase, logmag = phase_logmag(p.coeffs, pts)
-        floor = majorant_logmag(p.coeffs, pts) + _NOISE_LOG2
-        if np.any(logmag <= floor):
+        unit = phase(pts)
+        if not np.all(np.isfinite(unit)):
             raise RootOnContour(0.0, clearance)
-        inc = np.angle(phase[1:] * np.conj(phase[:-1]))
+        inc = np.angle(unit[1:] * np.conj(unit[:-1]))
         inc[_seams(c, level)] = 0.0
         if np.max(np.abs(inc)) > _MAX_ARG_STEP and level < MAX_REFINE:
             continue
-        _check_clearance(p, pts, clearance)
+        clear(pts, clearance)
         winding = float(inc.sum() / (2 * np.pi))
         if abs(winding - round(winding)) > WINDING_TOL:
             if level < MAX_REFINE:
                 continue
             raise NonIntegerWinding(winding)
         count = int(round(winding))
-        if abs(count) > p.degree or count * area < 0:
-            raise ImpossibleCount(count, p.degree)
+        if abs(count) > degree or count * area < 0:
+            raise ImpossibleCount(count, degree)
         return count
     raise AssertionError("unreachable")  # pragma: no cover
 
 
 def _check_clearance(p: Polynomial, pts: np.ndarray, clearance: float):
     if p.roots is not None and p.roots.size:
-        # exact: the nearest stored root of every sample
-        dmin = float(min_distance(pts, p.roots).min())
-        if dmin < clearance:
-            raise RootOnContour(dmin, clearance)
-        return
-    if p.degree == 0:
+        _check_distance(p.roots, pts, clearance)
         return
     dc = p.coeffs[1:] * np.arange(1, p.degree + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -176,3 +198,10 @@ def _check_clearance(p: Polynomial, pts: np.ndarray, clearance: float):
     bound = p.degree * step
     if np.any(bound < clearance):
         raise RootOnContour(float(np.nanmin(bound)), clearance)
+
+
+def _check_distance(zeros, pts: np.ndarray, clearance: float):
+    """RootOnContour if a zero lies closer than clearance to a sample."""
+    dmin = float(min_distance(pts, zeros).min())
+    if dmin < clearance:
+        raise RootOnContour(dmin, clearance)

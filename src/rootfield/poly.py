@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoConvergence
 
-ROOT_TOL = 1e-10          # |p(root)| <= ROOT_TOL * scale(p)
+ROOT_TOL = 1e-10          # |p(root)| <= ROOT_TOL * max(majorant, max|c_k|)
 SINGULAR_GUARD = 1e-12    # minimum distance from a pole for evaluation
 _ABERTH_SEED = 0x5EEDF00D  # fixed: find_roots must be a pure function
 _STEP_TOL = 1e-14
@@ -54,14 +54,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0
-
-    @property
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ A_delta = {z : |q'/q| <= |r'/r| + delta/|r|} contains every critical point
 of p = q*r, because q'/q = -r'/r exactly at roots of p'.  The set is
 sampled at cell centers on a regular grid, labeled by 4-connected flood
 fill, and each component is certified by an argument-principle count of
-p' roots over the boundary of a union of cells together with a Rouché
-margin.
+p' roots over the boundary of a union of cells, with the phase of p'
+taken from the roots of p, together with a Rouché margin: the minimum of
+|q'/q| - |r'/r| on that boundary, positive exactly where |q'r| > |qr'|.
 
 The grid is filled by a quadtree, not cell by cell.  On a block of cells
 the field sums and 1/|r| are bounded from their values at the block's
@@ -52,8 +53,7 @@ from .errors import (GrowBBox, InvalidEpsilon, NonIntegerWinding,
                      RootOnContour, SingularCell, SingularPoint)
 from .geometry import ConvexDomain, bounding_box, contains, diameter, distance
 from .kernels import field_modulus_nearest, field_sum, min_distance
-from .poly import (Polynomial, RootSplit, SINGULAR_GUARD, derivative,
-                   majorant_logmag, phase_logmag)
+from .poly import RootSplit, SINGULAR_GUARD, majorant_logmag, phase_logmag
 
 EQUALITY_TOL = 1e-14   # |g| at or below this counts as inside (closed set)
 _RING_LIMIT = 6        # moat growth rings before a component count gives up
@@ -127,7 +127,7 @@ class ComponentReport:
     escapes_Keps: bool
     r_roots_inside: int          # r roots whose cell carries this label
     crit_points_inside: int      # argument-principle count over the moat
-    rouche_margin: float         # min |q'r| - |qr'| on the moat samples
+    rouche_margin: float         # min |q'/q| - |r'/r| on the moat samples
     qprime_roots_enclosed: int = 0   # q' roots with cells in the moat
     r_roots_enclosed: int = 0        # r roots with cells in the moat
     absorbed: tuple[int, ...] = ()   # other component ids merged into the moat
@@ -624,12 +624,7 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     if not epsilon > 0:
         raise InvalidEpsilon("epsilon must be strictly positive")
     crit = split.critical
-    dp = derivative(split.product())
-    dpoly = Polynomial(dp.coeffs, roots=crit) if dp.degree >= 1 else dp
-    q = split.inside_poly()
-    r = split.outside_poly()
-    qp = derivative(q)
-    rp = derivative(r)
+    roots = np.concatenate([split.inside, split.outside])
 
     grid = (mask.bbox, mask.cell_size, mask.shape)
     r_cells = _cells_of_points(*grid, split.outside)
@@ -647,7 +642,8 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
         count = 0
         if err is None:
             try:
-                count = _contours.count_roots_in(dpoly, contour)
+                count = _contours.count_critical_points_in(roots, crit,
+                                                           contour)
             except (RootOnContour, NonIntegerWinding) as exc:
                 if strict:
                     raise
@@ -655,7 +651,7 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
                 count = 0
         elif strict:
             raise RootOnContour(0.0, mask.cell_size)
-        margin = _rouche_margin(q, qp, r, rp, contour)
+        margin = _rouche_margin(split, contour.samples)
         r_enc = _count_on(moat, moat_win, r_cells)
         qp_enc = _count_on(moat, moat_win, qp_cells)
         reports.append(ComponentReport(
@@ -666,44 +662,11 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     return reports
 
 
-def _rouche_margin(q, qp, r, rp, contour) -> float:
-    """min over the contour samples of |q'r| - |qr'| via log2 magnitudes."""
-    pts = contour.samples
-    _, m_qp = phase_logmag(qp.coeffs, pts)
-    _, m_r = phase_logmag(r.coeffs, pts)
-    _, m_q = phase_logmag(q.coeffs, pts)
-    if rp.is_zero:
-        m_rp = np.full(pts.shape, -np.inf)
-    else:
-        _, m_rp = phase_logmag(rp.coeffs, pts)
-    return _min_signed_difference(m_qp + m_r, m_q + m_rp)
-
-
-def _min_signed_difference(mf: np.ndarray, mg: np.ndarray) -> float:
-    """min_i (2^mf[i] - 2^mg[i]) without forming the powers directly.
-
-    Linear units: inf when the true value exceeds double range; the sign
-    is decided in log space and never overflows.
-    """
-    sign = np.sign(mf - mg)                  # 0 where equal (difference 0)
-    both_ninf = np.isneginf(mf) & np.isneginf(mg)
-    sign[both_ninf] = 0.0
-    if np.all(sign == 0):
-        return 0.0
-    lo = np.minimum(mf, mg)
-    gap = np.abs(mf - mg)
-    with np.errstate(over="ignore"):
-        logdiff = np.where(
-            gap < 52.0,
-            lo + np.log2(np.maximum(np.expm1(gap * np.log(2.0)), 5e-324)),
-            np.maximum(mf, mg),
-        )
-    neg = sign < 0
-    if np.any(neg):
-        return float(-(2.0 ** np.max(logdiff[neg])))
-    pos = sign > 0
-    vals = logdiff[pos]
-    return float(2.0 ** np.min(vals)) if vals.size else 0.0
+def _rouche_margin(split: RootSplit, pts: np.ndarray) -> float:
+    """min over pts of |q'/q| - |r'/r|, positive exactly where |q'r| > |qr'|
+    holds at every point: Rouché's condition for p' = q'r + qr'."""
+    return float(np.min(np.abs(field_sum(pts, split.inside))
+                        - np.abs(field_sum(pts, split.outside))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Argument-principle counting and Rouché dominance.
 
-The membership oracle is the known root list of from_roots polynomials;
-Rouché margins (`regions._min_signed_difference` on log2 magnitudes) are
-cross-validated by actually counting roots of f+g.
+The membership oracle is the known root list of from_roots polynomials,
+and for counts of p' zeros the solved critical points; Rouché margins
+(`regions._rouche_margin`, min |q'/q| - |r'/r|) are cross-validated by
+counting the zeros of p' = q'r + qr' against those of q' and r.
 """
 
 import numpy as np
@@ -151,20 +152,37 @@ def test_clockwise_loop_counts_negative():
     assert contours.count_roots_in(p, cw) == -1
 
 
-def test_impossible_counts_raise_on_n500_instance():
-    # p' of the harness-seed-1 instance (n=500 in the unit disk, m=2): the
-    # coefficient phase inside |z| ~ 1 is rounding noise at degree 501, and
-    # the counterclockwise circles of radius 1.25 and 1.5 used to return
-    # -4 and -105 where 499 critical points lie inside
-    rng = np.random.default_rng(1)
+def _harness_roots(seed):
+    """Roots of the harness instance of this seed: n=500 in the unit disk,
+    m=2 in the annulus [1, 2]."""
+    rng = np.random.default_rng(seed)
     K = geometry.ConvexDomain.disk(0.0, 1.0)
     inside = harness._sample_inside(K, 500, "uniform", rng)
     outside = harness._sample_outside(K, 2, ("annulus", 1.0, 2.0), rng)
-    roots = harness.multiplicity_jitter(np.concatenate([inside, outside]))
-    dp = poly.derivative(poly.from_roots(roots))
+    return harness.multiplicity_jitter(np.concatenate([inside, outside]))
+
+
+def test_n500_coefficient_counts_are_not_aliased():
+    # p' of the harness-seed-1 instance (n=500 in the unit disk, m=2): at
+    # level 0 the circle of radius 1.25 has 503 steps, and a phase winding
+    # 499 times read -4 (499 - 503) there and -105 (499 - 604) at radius
+    # 1.5; four samples per possible root remove the aliasing
+    dp = poly.derivative(poly.from_roots(_harness_roots(1)))
     for radius in (1.25, 1.5):
-        with pytest.raises(ImpossibleCount):
-            contours.count_roots_in(dp, contours.circle(0.0, radius))
+        assert contours.count_roots_in(dp, contours.circle(0.0, radius)) \
+            == 499
+
+
+def test_count_against_the_contour_orientation_raises():
+    # the samples run counterclockwise, the segments clockwise: the count
+    # is +3 while the orientation says it must be <= 0
+    ccw = _polygon([-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j])
+    cw = _polygon([-2 + 2j, 2 + 2j, 2 - 2j, -2 - 2j])
+    assert contours.loop_area(cw.segments) < 0
+    c = contours.Contour("segments", ccw.samples, ccw.refinement,
+                         segments=cw.segments)
+    with pytest.raises(ImpossibleCount):
+        contours.count_roots_in(CUBE_ROOTS_OF_UNITY, c)
     assert issubclass(ImpossibleCount, NonIntegerWinding)
 
 
@@ -177,68 +195,117 @@ def test_clearance_check_without_root_list():
 
 
 # ---------------------------------------------------------------------------
+# counting p' zeros from the roots of p
+# ---------------------------------------------------------------------------
+
+def test_critical_counts_match_solved_critical_points():
+    tried = 0
+    for seed in range(600):
+        rng = np.random.default_rng(seed + 2000)
+        deg = int(rng.integers(3, 26))
+        roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+        crit = poly.critical_points(poly.from_roots(roots))
+        if seed % 2:
+            c = contours.circle(0.0, 1.2)
+            inside = np.abs(crit) < 1.2
+            gap = np.abs(np.abs(crit) - 1.2)
+        else:
+            c = _polygon([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+            inside = np.maximum(np.abs(crit.real), np.abs(crit.imag)) < 1.0
+            gap = np.abs(np.maximum(np.abs(crit.real), np.abs(crit.imag))
+                         - 1.0)
+        if gap.min() <= 0.05:
+            continue
+        assert contours.count_critical_points_in(roots, crit, c) \
+            == int(inside.sum())
+        tried += 1
+        if tried >= 200:
+            break
+    assert tried == 200
+
+
+@pytest.mark.parametrize("seed", [1, 17])
+def test_n500_critical_counts_from_the_roots(seed):
+    # seed 17 at radius 1.25 reads 492 from the coefficients of p'
+    roots = _harness_roots(seed)
+    crit = poly.critical_points(poly.from_roots(roots))
+    for radius in (1.25, 1.5):
+        c = contours.circle(0.0, radius)
+        assert int(np.sum(np.abs(crit) < radius)) == 499
+        assert contours.count_critical_points_in(roots, crit, c) == 499
+
+
+def test_critical_count_edge_cases():
+    c = contours.circle(0.0, 1.0)
+    # p of degree one has p' = 1
+    assert contours.count_critical_points_in([0.5], np.zeros(0), c) == 0
+    # a double root of p is a zero of p'
+    assert contours.count_critical_points_in([0.2, 0.2, 3.0],
+                                             [0.2, 6.2 / 3], c) == 1
+    with pytest.raises(RootOnContour):
+        contours.count_critical_points_in([0.0, 2.0], [1.0],
+                                          contours.circle(0.0, 1.0))
+    # a sample on a root of p: the phase is not finite
+    square = _polygon([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+    with pytest.raises(RootOnContour):
+        contours.count_critical_points_in([1.0, 3.0 + 3j], [2.0 + 1.5j],
+                                          square)
+
+
+# ---------------------------------------------------------------------------
 # Rouché dominance
 # ---------------------------------------------------------------------------
 
-def _dominates(f, g, c):
-    """(|f| > |g| on every sample of c, min of |f| - |g| there)."""
-    _, mf = poly.phase_logmag(f.coeffs, c.samples)
-    _, mg = poly.phase_logmag(g.coeffs, c.samples)
-    margin = regions._min_signed_difference(mf, mg)
-    return bool(margin > 0), margin
+def _margin(inside, outside, c):
+    return regions._rouche_margin(poly.RootSplit(inside, outside), c.samples)
 
 
 def test_z_squared_dominates_one_on_radius_two():
-    f = poly.Polynomial([0.0, 0.0, 1.0])
-    g = poly.Polynomial([1.0])
-    ok, margin = _dominates(f, g, contours.circle(0, 2.0))
-    assert ok
-    assert margin == pytest.approx(3.0, rel=1e-9)
+    # q = z^2, r = 1: |q'/q| = 2/|z| = 1 on |z| = 2
+    margin = _margin([0.0, 0.0], [], contours.circle(0, 2.0))
+    assert margin == pytest.approx(1.0, rel=1e-12)
 
 
-def test_one_does_not_dominate_z_squared():
-    f = poly.Polynomial([1.0])
-    g = poly.Polynomial([0.0, 0.0, 1.0])
-    ok, margin = _dominates(f, g, contours.circle(0, 2.0))
-    assert not ok
-    assert margin == pytest.approx(-3.0, rel=1e-9)
+def test_z_does_not_dominate_z_squared():
+    # q = z, r = z^2: |q'/q| - |r'/r| = 1/2 - 1 on |z| = 2
+    margin = _margin([0.0], [0.0, 0.0], contours.circle(0, 2.0))
+    assert margin == pytest.approx(-0.5, rel=1e-12)
 
 
 def test_equal_magnitudes_yield_zero_margin():
-    f = poly.Polynomial([0.0, 1.0])
-    ok, margin = _dominates(f, f, contours.circle(0, 1.0))
-    assert not ok
-    assert margin == 0.0
+    assert _margin([0.0], [0.0], contours.circle(0, 1.0)) == 0.0
 
 
 def test_dominance_implies_equal_counts():
+    # Rouché for p' = q'r + qr': where |q'r| > |qr'| on the contour, p'
+    # has as many zeros inside as q'r
     used = 0
     for seed in range(80):
         rng = np.random.default_rng(seed + 1000)
         fr = rng.normal(size=8) + 1j * rng.normal(size=8)
-        if np.min(np.abs(np.abs(fr) - 2.5)) < 0.08:
-            continue
-        f = poly.from_roots(fr)
-        g = poly.Polynomial(0.01 * (rng.normal(size=3)
-                                    + 1j * rng.normal(size=3)))
+        gr = 3.0 * np.exp(2j * np.pi * rng.uniform(size=2)) \
+            * rng.uniform(0.8, 1.6, size=2)
+        split = poly.RootSplit(fr, gr)
+        roots = np.concatenate([fr, gr])
+        crit = poly.critical_points(poly.from_roots(roots))
         c = contours.circle(0, 2.5)
-        ok, _ = _dominates(f, g, c)
-        if not ok:
+        if np.min(np.abs(np.abs(np.concatenate([roots, crit])) - 2.5)) \
+                < 0.08:
+            continue
+        if not regions._rouche_margin(split, c.samples) > 0:
             continue
         used += 1
-        csum = f.coeffs.copy()
-        csum[:3] += g.coeffs
-        assert contours.count_roots_in(poly.Polynomial(csum), c) \
-            == contours.count_roots_in(f, c)
+        q = poly.from_roots(fr)
+        want = contours.count_roots_in(poly.derivative(q), c) \
+            + contours.count_roots_in(poly.from_roots(gr), c)
+        assert contours.count_critical_points_in(roots, crit, c) == want
     assert used >= 30
 
 
 def test_margin_survives_high_degree_scales():
-    # |f| ~ 2^900 on this contour; the verdict must come out of log space
+    # |q| ~ 2^900 on this contour; the margin never forms it
     rng = np.random.default_rng(9)
     roots = rng.normal(size=300) * 0.3 + 1j * rng.normal(size=300) * 0.3
-    f = poly.from_roots(roots)
-    g = poly.Polynomial(f.coeffs * 1e-6)   # strictly smaller everywhere
-    ok, margin = _dominates(f, g, contours.circle(0, 8.0))
-    assert ok
+    margin = _margin(roots, [20.0, -20.0j], contours.circle(0, 8.0))
+    assert np.isfinite(margin)
     assert margin > 0

@@ -16,6 +16,12 @@ def _unblocked(z, a):
         np.abs(d).min(axis=-1)
 
 
+def _unblocked_phase(z, a):
+    d = z[..., None] - a
+    f = (1.0 / d).sum(axis=-1)
+    return np.prod(d / np.abs(d), axis=-1) * (f / np.abs(f))
+
+
 @pytest.mark.parametrize("shape", [(23,), (5, 9)])
 @pytest.mark.parametrize("n_sources", [3, 40])
 def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
@@ -34,6 +40,9 @@ def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
         assert g.shape == shape
         assert g.dtype == want.dtype
         assert np.array_equal(g, want)
+    phase = kernels.derivative_phase(z, a)
+    assert phase.shape == shape
+    assert np.array_equal(phase, _unblocked_phase(z, a))
 
 
 def test_kernels_without_sources_or_points():
@@ -51,6 +60,7 @@ def test_kernels_without_sources_or_points():
         assert f(none, z.ravel()).shape == (0,)
     assert [v.shape for v in kernels.field_modulus_nearest(none, z.ravel())] \
         == [(0,)] * 3
+    assert np.isnan(kernels.derivative_phase(z, none)).all()
 
 
 def test_kernel_hand_values():
@@ -58,3 +68,9 @@ def test_kernel_hand_values():
     assert kernels.field_sum(0.0, a) == pytest.approx(-1.0 + 1.0 + 0.5j)
     assert kernels.modulus_sum(0.0, a) == pytest.approx(2.5)
     assert kernels.min_distance(0.5, a) == pytest.approx(0.5)
+    # p = (z - 1)(z + 1)(z - 2i) has p' = 3z^2 - 4iz - 1
+    assert kernels.derivative_phase(0.0, a) == pytest.approx(-1.0)
+    assert kernels.derivative_phase(2.0, a) \
+        == pytest.approx((11 - 8j) / abs(11 - 8j))
+    # p'(i) = 0 and p(1) = 0: no phase
+    assert np.isnan(kernels.derivative_phase([1j, 1.0], a)).all()

@@ -52,13 +52,14 @@ def test_normalization_drops_high_order_zeros():
 
 
 def test_zero_polynomial_and_constant_degree():
-    assert poly.Polynomial([0.0]).is_zero
+    z = poly.Polynomial([0.0])
+    assert z.degree == 0 and z.coeffs[0] == 0
     assert poly.Polynomial([5.0]).degree == 0
 
 
 def test_derivative_of_constant_is_zero():
     d = poly.derivative(poly.Polynomial([4.0]))
-    assert d.is_zero
+    assert d.degree == 0 and d.coeffs[0] == 0
 
 
 def test_derivative_coefficients():

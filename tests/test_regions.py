@@ -392,16 +392,16 @@ def test_sample_polyline_is_the_segment_loop_bit_for_bit():
 def test_counts_reuse_the_build_time_sampling():
     split, res = _census_instance(0)
     mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
-    dp = poly.Polynomial(poly.derivative(split.product()).coeffs,
-                         roots=split.critical)
+    roots = np.concatenate([split.inside, split.outside])
     loops = [regions.component_boundaries(mask, cid, split.critical)[0]
              for cid in range(mask.n_components)]
     loops += [contours.circle(0.0, r) for r in (0.5, 1.25, 2.0)]
     for c in loops:
         rebuilt = contours._resample(c, 0)
         assert rebuilt.tobytes() == c.samples.tobytes()
-        assert contours.count_roots_in(dp, c) == contours.count_roots_in(
-            dp, dataclasses.replace(c, samples=rebuilt))
+        assert contours.count_critical_points_in(roots, split.critical, c) \
+            == contours.count_critical_points_in(
+                roots, split.critical, dataclasses.replace(c, samples=rebuilt))
 
 
 # ---------------------------------------------------------------------------
