@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (CertificateError, ProjectionDegenerate, SearchExhausted,
                      SingularCurve, SingularPoint)
-from .kernels import (field_modulus_nearest, field_sum, min_distance,
-                      modulus_sum)
+from .kernels import (ROUNDING, field_modulus_nearest, field_sum,
+                      min_distance, modulus_sum)
 from .poly import SINGULAR_GUARD
 
 MIN_SAMPLES = 10_000      # curve_min budget floor, in points per pass
@@ -31,8 +31,6 @@ DIST_FLOOR = 10.0         # torus point keeps distance >= 1/(10m)
 KERNEL_CAP = 20.0         # f_m plateau height 20m inside |x| < 1/(20m)
 _FIRST_INTERVALS = 64     # curve_min's first partition, at least 2m
 _TORUS_BLOCK = 64         # torus grid points bounded together
-_ROUNDING = 16.0          # factor on the (m + 2) eps rounding estimates
-_LIFT_ATTEMPTS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
         samples = max(MIN_SAMPLES, SAMPLES_PER_CHARGE * C.m)
     budget = (1 + CERT_FACTOR) * max(int(samples), 2) * C.m
     eps = np.finfo(float).eps
-    margin = _ROUNDING * (C.m + 2) * eps
+    margin = ROUNDING * (C.m + 2) * eps
     # rounding of the curve points themselves, added to every radius
     reach = 8.0 * eps * (np.abs(curve.vertices).max()
                          + curve.vertices.size * curve.length)
@@ -312,7 +310,7 @@ def truncated_kernel(m: int, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def torus_low_potential_point(T: TorusConfig, exclude=()):
+def torus_low_potential_point(T: TorusConfig):
     """Grid point at toroidal distance >= 1/(10m) from every charge whose
     potential sum is smallest; certified against 20 m log(20m).
 
@@ -330,9 +328,6 @@ def torus_low_potential_point(T: TorusConfig, exclude=()):
     n = GRID_PER_CHARGE * m
     grid = np.arange(n, dtype=float) / n
     floor = 1.0 / (DIST_FLOOR * m)
-    excluded = np.zeros(n, dtype=bool)
-    for y in exclude:
-        excluded |= np.abs(grid - y) < SINGULAR_GUARD
     first = np.arange(0, n, _TORUS_BLOCK)
     last = np.minimum(first + _TORUS_BLOCK, n) - 1
     eps = np.finfo(float).eps
@@ -341,15 +336,14 @@ def torus_low_potential_point(T: TorusConfig, exclude=()):
     rho = (last - first) / (2.0 * n) + 8.0 * eps
     d = torus_distance((first + last)[:, None] / (2.0 * n), T.points[None, :])
     bounds = np.sum(1.0 / (d + rho[:, None]), axis=1) \
-        * (1.0 - _ROUNDING * (m + 2) * eps)
+        * (1.0 - ROUNDING * (m + 2) * eps)
     best_i, best = -1, np.inf
     for b in np.argsort(bounds, kind="stable"):
         if bounds[b] > best:
             break
         d = torus_distance(grid[first[b]:last[b] + 1, None],
                            T.points[None, :])
-        rows = np.where((d.min(axis=1) >= floor)
-                        & ~excluded[first[b]:last[b] + 1])[0]
+        rows = np.where(d.min(axis=1) >= floor)[0]
         if rows.size:
             vals = np.sum(1.0 / d[rows], axis=1)
             k = int(np.argmin(vals))      # first occurrence -> smaller y
@@ -411,18 +405,10 @@ def lemma1_curve_bound(C: ChargeSet, curve: Curve) -> LemmaWitness:
     if abs(s) < SINGULAR_GUARD:
         raise ValueError("curve endpoints must be distinct")
     zn = (C.charges - v0) / s
-    cfg = TorusConfig(zn.real)
-    exclude: list[float] = []
-    for _ in range(_LIFT_ATTEMPTS):
-        y, torus_value = torus_low_potential_point(cfg, exclude=tuple(exclude))
-        if min_distance(y, zn.real) < SINGULAR_GUARD:
-            exclude.append(y)      # cannot happen while the floor holds
-            continue
-        break
-    else:
-        raise ProjectionDegenerate(
-            "every candidate point collides with a projected charge")
-
+    # the torus point keeps torus distance >= 1/(10m) from every wrapped
+    # abscissa, and |y - x| >= torus_distance(y, x mod 1), so no charge
+    # projects onto it
+    y, torus_value = torus_low_potential_point(TorusConfig(zn.real))
     rn = ((curve.vertices - v0) / s).real
     cum = curve._cum
     cands = np.array(_lift_candidates(rn, cum / cum[-1], y))

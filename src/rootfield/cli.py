@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__, harness, render, search
@@ -52,9 +52,8 @@ def _out_dir(args) -> Path:
 
 def _experiment_config(args, raw: dict) -> harness.ExperimentConfig:
     merged = dict(_DEFAULT_EXPERIMENT)
-    merged.update({k: v for k, v in raw.items() if k in (
-        "domain", "epsilon", "n", "m", "root_sampler", "outside_sampler",
-        "delta_sweep", "resolution", "seed")})
+    names = {f.name for f in fields(harness.ExperimentConfig)}
+    merged.update({k: v for k, v in raw.items() if k in names})
     cfg = harness.ExperimentConfig.from_json(merged)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -109,13 +108,7 @@ def _cmd_lemma(args) -> int:
         curve_trials=raw.get("curve_trials"),
         sharp_ms=tuple(raw.get("sharp_ms", (10, 100, 1000))))
     out = _out_dir(args)
-    _write_json(out / "lemma.json", {
-        "trials": suite.trials, "curve_trials": suite.curve_trials,
-        "violations": list(suite.violations),
-        "sharp_ratios": [list(p) for p in suite.sharp_ratios],
-        "worst_bound_fraction": suite.worst_bound_fraction,
-        "m_one_value": suite.m_one_value,
-    })
+    _write_json(out / "lemma.json", asdict(suite))
     print(f"{suite.trials} torus + {suite.curve_trials} curve instances, "
           f"{len(suite.violations)} violations -> {out / 'lemma.json'}")
     return EXIT_OK if suite.ok else EXIT_ASSERT

@@ -12,7 +12,7 @@ escape distance come from `geometry`, one call per point array.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -232,19 +232,11 @@ class TheoremReport:
 
         deltas = []
         for d in self.deltas:
-            comps = [{
-                "component": c.component, "touches_K": c.touches_K,
-                "escapes_Keps": c.escapes_Keps,
-                "r_roots_inside": c.r_roots_inside,
-                "crit_points_inside": c.crit_points_inside,
-                "rouche_margin": c.rouche_margin,
-                "qprime_roots_enclosed": c.qprime_roots_enclosed,
-                "r_roots_enclosed": c.r_roots_enclosed,
-                "absorbed": list(c.absorbed),
-                "count_error": c.count_error,
-            } for c in d.components]
             deltas.append({
-                "delta": d.delta, "components": comps, "bridged": d.bridged,
+                "delta": d.delta,
+                "components": [{**asdict(c), "absorbed": list(c.absorbed)}
+                               for c in d.components],
+                "bridged": d.bridged,
                 "witness": None if d.witness is None else pts(d.witness),
                 "error": d.error,
             })
@@ -275,16 +267,7 @@ class TheoremReport:
         try:
             deltas = []
             for d in obj.get("deltas", []):
-                comps = tuple(regions.ComponentReport(
-                    component=c["component"], touches_K=c["touches_K"],
-                    escapes_Keps=c["escapes_Keps"],
-                    r_roots_inside=c["r_roots_inside"],
-                    crit_points_inside=c["crit_points_inside"],
-                    rouche_margin=c["rouche_margin"],
-                    qprime_roots_enclosed=c["qprime_roots_enclosed"],
-                    r_roots_enclosed=c["r_roots_enclosed"],
-                    absorbed=tuple(c["absorbed"]),
-                    count_error=c["count_error"]) for c in d["components"])
+                comps = tuple(_component(c) for c in d["components"])
                 w = d.get("witness")
                 deltas.append(DeltaReport(
                     delta=float(d["delta"]), components=comps,
@@ -306,6 +289,15 @@ class TheoremReport:
                 version=str(obj.get("version", "")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad theorem report: {exc}") from exc
+
+
+def _component(obj: dict) -> regions.ComponentReport:
+    """A ComponentReport from its JSON object, which holds each field."""
+    names = {f.name for f in fields(regions.ComponentReport)}
+    if set(obj) != names:
+        raise KeyError(f"component keys {sorted(set(obj) ^ names)}")
+    return regions.ComponentReport(**{**obj,
+                                      "absorbed": tuple(obj["absorbed"])})
 
 
 # ---------------------------------------------------------------------------

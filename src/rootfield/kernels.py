@@ -1,12 +1,14 @@
 """Points x sources reductions: field sums, modulus sums, nearest distances,
-and the phase of p' from the roots of p.
+distance products, and the phase of p' from the roots of p.
 
 Each function takes points of any shape and a 1-D array of sources and
 returns one value per point, reduced over the sources.  The table is built
 in blocks of at most _PAIRS pairs; each point is reduced over its own row,
 so the block size changes no bit, and `field_modulus_nearest` returns the
 same bits as the three single reductions.  A point on a source gives inf
-or nan.
+or nan, and a distance product of 0.  A reduction over k sources rounds
+at order (k + 2) eps; ROUNDING is the one factor every bound built on
+these values puts on that estimate.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ _PAIRS = 1 << 20          # point-source pairs per evaluation block
 _FIELD = (np.complex128, 0.0)     # (dtype, value without sources)
 _MODULUS = (np.float64, 0.0)
 _NEAREST = (np.float64, np.inf)
+_PRODUCT = (np.float64, 1.0)
+ROUNDING = 16.0           # factor on the (k + 2) eps rounding estimates
 
 
 def _reduce(points, sources, row, kinds) -> list[np.ndarray]:
@@ -59,6 +63,16 @@ def min_distance(points, sources) -> np.ndarray:
     """min_k |z - a_k| at every point z; inf without sources."""
     return _reduce(points, sources, lambda d: (np.abs(d).min(axis=-1),),
                    (_NEAREST,))[0]
+
+
+def _product(d):
+    with np.errstate(over="ignore"):      # inf: the product exceeds doubles
+        return (np.abs(d).prod(axis=-1),)
+
+
+def distance_product(points, sources) -> np.ndarray:
+    """prod_k |z - a_k| at every point z; 1 without sources, 0 on a source."""
+    return _reduce(points, sources, _product, (_PRODUCT,))[0]
 
 
 def field_modulus_nearest(points, sources):

@@ -92,12 +92,6 @@ class RootSplit:
     def inside_poly(self) -> Polynomial:
         return from_roots(self.inside)
 
-    def outside_poly(self) -> Polynomial:
-        """Outside factor; the empty product is the constant 1."""
-        if self.m == 0:
-            return Polynomial(np.array([1.0 + 0j]))
-        return from_roots(self.outside)
-
     def product(self) -> Polynomial:
         return from_roots(np.concatenate([self.inside, self.outside]))
 
@@ -203,30 +197,14 @@ def phase_logmag(coeffs, z):
 
 
 def majorant_logmag(coeffs, z):
-    """log2 of sum_k |c_k| |z|^k, the evaluation-noise majorant.
+    """log2 of sum_k |c_k| |z|^k, the evaluation-noise majorant: the log2
+    magnitude of the polynomial with coefficients |c_k| at |z|.
 
     |p(z)| computed in doubles carries absolute error of order
     eps * degree * majorant, so residual certificates must be read
     against this quantity rather than against max|c_k| alone.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    a = np.abs(coeffs)
-    az = np.abs(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
-    deg = len(coeffs) - 1
-    tau = _split_radius(coeffs)
-    out = np.empty(az.shape)
-    small = az <= tau
-    if np.any(small):
-        with np.errstate(divide="ignore"):
-            out[small] = np.log2(_horner(a.astype(np.complex128),
-                                         az[small].astype(np.complex128)).real)
-    big = ~small
-    if np.any(big):
-        u = 1.0 / az[big]
-        g = _horner(a[::-1].astype(np.complex128), u.astype(np.complex128)).real
-        with np.errstate(divide="ignore"):
-            out[big] = deg * np.log2(az[big]) + np.log2(g)
-    return out
+    return phase_logmag(np.abs(coeffs), np.abs(z))[1]
 
 
 def newton_ratio(coeffs, dcoeffs, z):

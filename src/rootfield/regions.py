@@ -8,6 +8,10 @@ p' roots over the boundary of a union of cells, with the phase of p'
 taken from the roots of p, together with a Rouché margin: the minimum of
 |q'/q| - |r'/r| on that boundary, positive exactly where |q'r| > |qr'|.
 
+All three terms come from the roots alone: the two field sums and
+1/|r| = 1/prod |z - b_k| over the outside roots b_k, each one `kernels`
+reduction, so each rounds at order (k + 2) eps for k sources.
+
 The grid is filled by a quadtree, not cell by cell.  On a block of cells
 the field sums and 1/|r| are bounded from their values at the block's
 center (interval bounds in the style of Snyder, SIGGRAPH 1992), with a
@@ -52,14 +56,14 @@ from . import contours as _contours
 from .errors import (GrowBBox, InvalidEpsilon, NonIntegerWinding,
                      RootOnContour, SingularCell, SingularPoint)
 from .geometry import ConvexDomain, bounding_box, contains, diameter, distance
-from .kernels import field_modulus_nearest, field_sum, min_distance
-from .poly import RootSplit, SINGULAR_GUARD, majorant_logmag, phase_logmag
+from .kernels import (ROUNDING, distance_product, field_modulus_nearest,
+                      field_sum, min_distance)
+from .poly import RootSplit, SINGULAR_GUARD
 
 EQUALITY_TOL = 1e-14   # |g| at or below this counts as inside (closed set)
 _RING_LIMIT = 6        # moat growth rings before a component count gives up
 _REFINE_FACTOR = 4.0   # contour samples per cell edge
 _BLOCK = 32            # side, in cells, of the quadtree's top blocks
-_SAFETY = 16.0         # factor on the rounding estimate of a block margin
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 _EIGHT = np.ones((3, 3), dtype=int)
@@ -164,12 +168,10 @@ def _indicator_terms(split: RootSplit, zs: np.ndarray):
 
 
 def _inverse_r(split: RootSplit, zs: np.ndarray) -> np.ndarray:
-    """1/|r| at every point, from r's coefficients."""
-    if not split.m:
-        return np.ones(zs.shape)  # r is the constant 1
-    _, logmag = phase_logmag(split.outside_poly().coeffs, zs.ravel())
-    with np.errstate(over="ignore"):
-        return (2.0 ** (-logmag)).reshape(zs.shape)
+    """1/|r| = 1/prod |z - b_k| at every point; 1 without outside roots,
+    inf on one."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / distance_product(zs, split.outside)
 
 
 def _near_root(split: RootSplit, zs: np.ndarray) -> np.ndarray:
@@ -357,10 +359,10 @@ def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
     set, |1/(z-a) - 1/(zc-a)| <= |z-zc|/(|z-a||zc-a|) moves the field of
     that set by at most t*S/(1-t), S = sum 1/|zc-a|, and 1/|r| lies within
     the factors (1 -+ t)^-m of its value at zc.  The margin covers the
-    rounding of the dense value and of the bound itself: n*eps times the
-    modulus sum S/(1-t) for each field sum, and for 1/|r| the Horner
-    error m*eps*majorant(|r|) relative to |r| plus the log2 round trip.
-    Blocks with t >= 1 get (-inf, inf).
+    rounding of the dense value and of the bound itself, ROUNDING times
+    (k + 2) eps for a reduction over k roots: times the modulus sum
+    S/(1-t) for each field sum, and times the upper bound on 1/|r|, a
+    product of m distances.  Blocks with t >= 1 get (-inf, inf).
     """
     n, m = split.n, split.m
     eps = np.finfo(float).eps
@@ -374,18 +376,9 @@ def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
         e_ab = t_in * s_in + t_out * s_out
         c_lo = c * (1.0 + t_out) ** -m
         c_hi = c * (1.0 - t_out) ** -m
-        if m:
-            r_coeffs = split.outside_poly().coeffs
-            log_c = np.log2(c_hi)
-            rel_c = (m * 2.0 ** (majorant_logmag(r_coeffs, np.abs(zc) + rho)
-                                 + log_c)
-                     + np.abs(log_c) + m * np.abs(np.log2(np.abs(zc) + rho))
-                     + m + 2.0)
-        else:
-            rel_c = np.zeros(zc.shape)   # r is the constant 1
         centre = np.abs(f_in) - np.abs(f_out)
-        margin = _SAFETY * eps * ((n + 2) * s_in + (m + 2) * s_out + e_ab
-                                  + deltas * c_hi * rel_c)
+        margin = ROUNDING * eps * ((n + 2) * s_in + e_ab
+                                   + (m + 2) * (s_out + deltas * c_hi))
         lo = centre - e_ab - deltas * c_hi - margin
         hi = centre + e_ab - deltas * c_lo + margin
     valid = (t_in < 1.0) & (t_out < 1.0)
@@ -613,13 +606,11 @@ def component_boundaries(mask: RegionMask, component: int,
 # ---------------------------------------------------------------------------
 
 def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
-                        epsilon: float, strict: bool = False,
-                        ) -> list[ComponentReport]:
+                        epsilon: float) -> list[ComponentReport]:
     """Per-component geometry flags, root membership, and Rouché census.
 
-    With strict=True the first contour-counting failure propagates as an
-    exception; the default records the failure on the report instead and
-    leaves crit_points_inside at 0.
+    A contour-counting failure is recorded on the report, with
+    crit_points_inside left at 0.
     """
     if not epsilon > 0:
         raise InvalidEpsilon("epsilon must be strictly positive")
@@ -645,12 +636,7 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
                 count = _contours.count_critical_points_in(roots, crit,
                                                            contour)
             except (RootOnContour, NonIntegerWinding) as exc:
-                if strict:
-                    raise
                 err = f"{type(exc).__name__}: {exc}"
-                count = 0
-        elif strict:
-            raise RootOnContour(0.0, mask.cell_size)
         margin = _rouche_margin(split, contour.samples)
         r_enc = _count_on(moat, moat_win, r_cells)
         qp_enc = _count_on(moat, moat_win, qp_cells)

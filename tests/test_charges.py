@@ -365,7 +365,7 @@ def test_torus_duplicates_allowed():
     assert v <= 20.0 * 50 * np.log(20.0 * 50)
 
 
-def _dense_torus_scan(T, exclude=()):
+def _dense_torus_scan(T):
     """Every grid point evaluated; the first smallest value wins."""
     m = T.m
     n = ch.GRID_PER_CHARGE * m
@@ -374,16 +374,13 @@ def _dense_torus_scan(T, exclude=()):
     ok = d.min(axis=1) >= 1.0 / (ch.DIST_FLOOR * m)
     vals = np.full(n, np.inf)
     vals[ok] = np.sum(1.0 / d[ok], axis=1)
-    for y in exclude:
-        vals[np.abs(grid - y) < ch.SINGULAR_GUARD] = np.inf
     i = int(np.argmin(vals))
     return float(grid[i]), float(vals[i])
 
 
-@given(st.integers(1, 80), st.integers(0, 3), st.integers(0, 3),
-       st.integers(0, 2 ** 32 - 1))
+@given(st.integers(1, 80), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=80, deadline=None)
-def test_torus_pruned_scan_matches_dense_scan(m, dups, n_excl, seed):
+def test_torus_pruned_scan_matches_dense_scan(m, dups, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=m)
     # duplicated charges and a lattice make exact ties between blocks
@@ -393,24 +390,20 @@ def test_torus_pruned_scan_matches_dense_scan(m, dups, n_excl, seed):
         pts = np.arange(pts.size) / pts.size
     T = ch.TorusConfig(pts)
     want = _dense_torus_scan(T)
-    # excluding the dense winner, and then the next ones, moves the answer
-    exclude = []
-    for _ in range(n_excl):
-        exclude.append(want[0])
-        want = _dense_torus_scan(T, exclude)
     try:
-        got = ch.torus_low_potential_point(T, exclude=tuple(exclude))
+        got = ch.torus_low_potential_point(T)
     except SearchExhausted:
         assert want[1] > 20.0 * T.m * np.log(20.0 * T.m)
         return
     assert got == want
 
 
-def test_torus_search_exhausted_via_exclusion():
-    cfg = ch.TorusConfig([0.0])
-    grid = np.arange(100) / 100.0
+def test_torus_search_exhausted_via_exclusion(monkeypatch):
+    # a floor of 1/(DIST_FLOOR m) = 1 excludes the whole torus, whose
+    # distances are at most 1/2
+    monkeypatch.setattr(ch, "DIST_FLOOR", 1.0)
     with pytest.raises(SearchExhausted):
-        ch.torus_low_potential_point(cfg, exclude=tuple(grid))
+        ch.torus_low_potential_point(ch.TorusConfig([0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,21 @@ def test_report_json_shape():
     assert json.loads(json.dumps(obj)) == obj
 
 
+def test_report_components_round_trip_and_reject_other_keys():
+    cfg = _cfg(delta_sweep=(1e-2,), resolution=120.0)
+    rep = harness.run_theorem_experiment(cfg)
+    obj = json.loads(json.dumps(rep.to_json()))
+    again = harness.TheoremReport.from_json(obj)
+    assert again.deltas == rep.deltas
+    assert again.to_json() == obj
+    comp = obj["deltas"][0]["components"][0]
+    for bad in ({k: v for k, v in comp.items() if k != "absorbed"},
+                {**comp, "winding": 1}):
+        obj["deltas"][0]["components"][0] = bad
+        with pytest.raises(ConfigError):
+            harness.TheoremReport.from_json(obj)
+
+
 # -- escape distance ---------------------------------------------------------
 
 def test_escape_distance_disk_hand_values():

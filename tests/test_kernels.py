@@ -43,6 +43,9 @@ def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
     phase = kernels.derivative_phase(z, a)
     assert phase.shape == shape
     assert np.array_equal(phase, _unblocked_phase(z, a))
+    product = kernels.distance_product(z, a)
+    assert product.shape == shape
+    assert np.array_equal(product, np.abs(z[..., None] - a).prod(axis=-1))
 
 
 def test_kernels_without_sources_or_points():
@@ -61,6 +64,8 @@ def test_kernels_without_sources_or_points():
     assert [v.shape for v in kernels.field_modulus_nearest(none, z.ravel())] \
         == [(0,)] * 3
     assert np.isnan(kernels.derivative_phase(z, none)).all()
+    assert np.array_equal(kernels.distance_product(z, none), np.ones((2, 2)))
+    assert kernels.distance_product(none, z.ravel()).shape == (0,)
 
 
 def test_kernel_hand_values():
@@ -72,5 +77,8 @@ def test_kernel_hand_values():
     assert kernels.derivative_phase(0.0, a) == pytest.approx(-1.0)
     assert kernels.derivative_phase(2.0, a) \
         == pytest.approx((11 - 8j) / abs(11 - 8j))
+    # |p(2)| = 1 * 3 * |2 - 2i|, and 0 on a root
+    assert kernels.distance_product(2.0, a) == pytest.approx(6 * np.sqrt(2))
+    assert kernels.distance_product(-1.0, a) == 0.0
     # p'(i) = 0 and p(1) = 0: no phase
     assert np.isnan(kernels.derivative_phase([1j, 1.0], a)).all()

@@ -106,6 +106,40 @@ def test_newton_ratio_matches_direct_quotient():
     assert np.allclose(n, ref, rtol=1e-10)
 
 
+def _two_branch_majorant(coeffs, z):
+    """log2 sum |c_k| |z|^k by its own Horner branches, the reference."""
+    a = np.abs(np.asarray(coeffs, dtype=np.complex128))
+    az = np.abs(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+    deg = len(a) - 1
+    tau = poly._split_radius(a)
+    out = np.empty(az.shape)
+    small = az <= tau
+    with np.errstate(divide="ignore"):
+        out[small] = np.log2(poly._horner(a.astype(np.complex128),
+                                          az[small].astype(np.complex128)
+                                          ).real)
+        g = poly._horner(a[::-1].astype(np.complex128),
+                         (1.0 / az[~small]).astype(np.complex128)).real
+        out[~small] = deg * np.log2(az[~small]) + np.log2(g)
+    return out
+
+
+def test_majorant_logmag_matches_two_branch_reference():
+    # degrees 0-599 with zero coefficients, |z| from 1e-300 to 1e300 on
+    # both sides of the split radius: the same bits
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        deg = int(rng.integers(0, 600))
+        c = (rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)) \
+            * 10.0 ** rng.uniform(-5, 5, size=deg + 1)
+        c[rng.uniform(size=deg + 1) < 0.3] = 0.0
+        z = 10.0 ** rng.uniform(-300, 300, size=40) \
+            * np.exp(2j * np.pi * rng.uniform(size=40))
+        z[:10] = poly._split_radius(c) * rng.uniform(0.9, 1.1, size=10)
+        assert np.array_equal(poly.majorant_logmag(c, z),
+                              _two_branch_majorant(c, z))
+
+
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------

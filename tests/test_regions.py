@@ -64,6 +64,26 @@ def test_indicator_hand_values():
     assert regions.adelta_indicator(SPLIT, d, 10.0) > 0.0
 
 
+@pytest.mark.parametrize("m", [40, 100, 200])
+def test_inverse_r_is_accurate_next_to_outside_roots(m):
+    # 1/|r| as a product of root distances rounds at order m eps wherever
+    # it is evaluated; a Horner value of r loses its relative accuracy
+    # here, 1e-3 from each root, at m >= 100
+    rng = np.random.default_rng(m)
+    inside = 0.9 * np.exp(2j * np.pi * rng.uniform(size=100))
+    outside = (1.3 + 0.7 * rng.uniform(size=m)) \
+        * np.exp(2j * np.pi * rng.uniform(size=m))
+    zs = outside + 1e-3 * np.exp(2j * np.pi * rng.uniform(size=m))
+    _, _, c = regions._indicator_terms(poly.RootSplit(inside, outside), zs)
+    # extended precision: the differences are exact, each |z - b| rounds
+    # once at a far smaller eps than a double's
+    dx = zs.real.astype(np.longdouble)[:, None] - outside.real
+    dy = zs.imag.astype(np.longdouble)[:, None] - outside.imag
+    want = 1 / np.prod(np.hypot(dx, dy), axis=1)
+    err = np.abs(c - want) / want
+    assert np.all(err <= 16.0 * (m + 2) * np.finfo(float).eps)
+
+
 def test_indicator_rejects_bad_inputs():
     with pytest.raises(ValueError):
         regions.adelta_indicator(SPLIT, 0.0, 1.0j)
@@ -188,6 +208,12 @@ def _dense_oracle(split, deltas, bbox, resolution, centers):
     return out
 
 
+def _spiral(k, r0, r1):
+    """k points on a golden-angle spiral, radii r0 to r1."""
+    j = np.arange(k)
+    return (r0 + (r1 - r0) * (j + 0.5) / k) * np.exp(2.39996323j * j)
+
+
 @st.composite
 def _grids(draw):
     n = draw(st.integers(1, 4))
@@ -221,6 +247,9 @@ def _grids(draw):
           30.0))
 # a tight bbox that raises GrowBBox
 @example(([-0.5, 0.5], [3.0], [1e-3], (-4.0, 5.0, -4.0, 4.0), 10.0))
+# large m: 200 roots in the unit disk, 150 on radii 1.3 to 2
+@example((list(_spiral(200, 0.0, 1.0)), list(_spiral(150, 1.3, 2.0)),
+          [1e-3, 1e-1], (-3.5, 3.5, -3.5, 3.5), 20.0))
 def test_quadtree_matches_dense_grid(case):
     inside, outside, deltas, bbox, res = case
     split = poly.RootSplit(np.array(inside), outside)
@@ -514,7 +543,7 @@ def test_ring_moat_with_a_hole_counts_only_the_ring():
 
 def test_worked_example_census():
     mask = _masks()[1]
-    reports = regions.classify_components(mask, SPLIT, K, EPS, strict=True)
+    reports = regions.classify_components(mask, SPLIT, K, EPS)
     assert len(reports) == 2
     by_r = {rep.r_roots_inside: rep for rep in reports}
     far, near = by_r[1], by_r[0]
