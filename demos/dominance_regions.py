@@ -12,7 +12,7 @@ the outside root where |r'/r| is large.
 import numpy as np
 
 from rootfield import ConvexDomain, RootSplit, adelta_indicator, \
-    build_masks, classify_components, critical_points, emit_svg
+    build_masks, classify_components, emit_svg
 from rootfield import regions
 
 K = ConvexDomain.disk(0.0, 1.0)
@@ -26,7 +26,7 @@ for z in (0.0, 1.5, 5.0):
     print(f"g({z}) = {g:+.4f}   ({side})")
 
 # every critical point satisfies q'/q = -r'/r, so g < 0 exactly there
-crit = critical_points(split.product())
+crit = split.critical
 print("\ncritical points:", np.round(crit, 6))
 
 bbox = regions.default_bbox(split, K, EPS)

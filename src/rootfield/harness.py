@@ -3,10 +3,10 @@
 Builds p = q * r from sampled root configurations, counts roots and
 critical points against K and its neighborhood, drives the region
 pipeline per delta, and assembles deterministic structured reports.
-A run solves the critical points of p and of q once each and builds its
-masks once; the report carries the first mask, so the figure shows the
-mask its components were counted on.  Membership in K and K_eps and the
-escape distance come from `geometry`, one call per point array.
+A run solves p' once and q' at most once (for a census component) and
+builds its masks once; the report carries the first mask, so the figure
+shows the mask its components were counted on.  Membership in K and K_eps
+and the escape distance come from `geometry`, one call per point array.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ _GROW_RETRIES = 3         # far-field bbox enlargements before reporting
 _GOLDEN_TURN = 0.6180339887498949
 
 MASK_NOT_CARRIED = object()   # TheoremReport.mask of a report read from JSON
+FAR_FIELD_FAILED = ("far-field check failed after "
+                    f"{_GROW_RETRIES} bbox enlargements")
+FAR_FIELD_NEGATIVE = "far-field check failed: m > n, so g < 0 far out"
 
 SWEEP_M_COLUMNS = ("n", "m", "m_log_n_over_n", "verdict",
                    "min_escape_distance")
@@ -309,10 +312,12 @@ def delta_masks(split: RootSplit,
     """One mask per delta of cfg, all on one bbox; None if none fits.
 
     Starts from regions.default_bbox and follows up to _GROW_RETRIES
-    GrowBBox suggestions.  The delta stage and render both build here.
+    GrowBBox suggestions; none for m > n, where g ~ (n - m)/|z| < 0 far out
+    and a larger box only pushes its border further into g < 0.  The delta
+    stage and render both build here.
     """
     bbox = regions.default_bbox(split, cfg.domain, cfg.epsilon)
-    for _ in range(_GROW_RETRIES):
+    for _ in range(_GROW_RETRIES if split.m <= split.n else 1):
         try:
             return regions.build_masks(split, list(cfg.delta_sweep), bbox,
                                        cfg.resolution)
@@ -325,8 +330,8 @@ def _delta_stage(split: RootSplit, cfg: ExperimentConfig):
     """(one DeltaReport per delta, the first delta's mask or None)."""
     masks = delta_masks(split, cfg)
     if masks is None:
-        return tuple(DeltaReport(delta=d, error="far-field check failed "
-                                 f"after {_GROW_RETRIES} bbox enlargements")
+        error = FAR_FIELD_NEGATIVE if split.m > split.n else FAR_FIELD_FAILED
+        return tuple(DeltaReport(delta=d, error=error)
                      for d in cfg.delta_sweep), None
     out = []
     for mask in masks:

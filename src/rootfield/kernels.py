@@ -1,5 +1,5 @@
 """Points x sources reductions: field sums, modulus sums, nearest distances,
-distance products, and the phase of p' from the roots of p.
+distance products, the phase of p' and the weighted root sums of `poly`.
 
 Each function takes points of any shape and a 1-D array of sources and
 returns one value per point, reduced over the sources.  The table is built
@@ -23,7 +23,7 @@ _PRODUCT = (np.float64, 1.0)
 ROUNDING = 16.0           # factor on the (k + 2) eps rounding estimates
 
 
-def _reduce(points, sources, row, kinds) -> list[np.ndarray]:
+def _reduce(points, sources, row, kinds, skip_self=False):
     """One output per kind; row maps a block of differences z - a to one
     reduced row per kind and may overwrite the block."""
     z = np.asarray(points, dtype=np.complex128)
@@ -39,6 +39,8 @@ def _reduce(points, sources, row, kinds) -> list[np.ndarray]:
             for lo in range(0, flat.size, rows):
                 blk = flat[lo:lo + rows]
                 diff = np.subtract(blk[:, None], src, out=table[:blk.size])
+                if skip_self:       # the points are the sources
+                    np.fill_diagonal(diff[:, lo:], np.inf)
                 for out, value in zip(outs, row(diff)):
                     out[lo:lo + rows] = value
     return [out.reshape(z.shape) for out in outs]
@@ -97,3 +99,35 @@ def derivative_phase(points, roots) -> np.ndarray:
         return (unit * (f / np.abs(f)),)
 
     return _reduce(points, roots, row, ((np.complex128, np.nan),))[0]
+
+
+def self_field(points, weights=1.0) -> np.ndarray:
+    """sum_{j != i by position} w_j/(z_i - z_j) at each z_i of a 1-D array."""
+    return _reduce(points, points,
+                   lambda d: (np.divide(weights, d, out=d).sum(axis=-1),),
+                   (_FIELD,), skip_self=True)[0]
+
+
+def weighted_field(points, sources, weights):
+    """(R, S, -R') = sum_k (w_k, 1, w_k/(z - a_k))/(z - a_k) at every point."""
+    def row(d):
+        inv = np.divide(1.0, d, out=d)
+        weighted = inv * weights
+        return (weighted.sum(axis=-1), inv.sum(axis=-1),
+                np.multiply(weighted, inv, out=weighted).sum(axis=-1))
+
+    return tuple(_reduce(points, sources, row, (_FIELD,) * 3))
+
+
+def field_majorant(points, sources, weights):
+    """(R, M, M_a) at every point: R = sum_k w_k/(z - a_k), and |z| M + M_a
+    = sum_k w_k (|z| + |a_k|)/|z - a_k|^2 bounds the rounding of R."""
+    far = weights * np.abs(sources)
+
+    def row(d):
+        inv = np.divide(1.0, d, out=d)
+        sq = np.abs(inv) ** 2
+        return ((inv * weights).sum(axis=-1), (sq * weights).sum(axis=-1),
+                (sq * far).sum(axis=-1))
+
+    return tuple(_reduce(points, sources, row, (_FIELD,) + (_MODULUS,) * 2))

@@ -1,13 +1,13 @@
 """Polynomials with optional root-list provenance, and their roots.
 
 Coefficients are stored in ascending order (coeffs[k] multiplies z**k).
-A polynomial built by `from_roots` keeps its root list; its critical
-points then come from the root sum p'/p = sum_k 1/(z - a_k), which stays
-finite and accurate at degrees where the coefficients overflow or are
-rounding noise.  One Aberth driver, `_aberth`, solves both coefficients
-and root sums; each caller certifies its own answer.  Coefficient
-evaluation switches to the reversed polynomial z^n p(1/z) for large |z|
-and carries magnitudes in log2 form.
+A polynomial built by `from_roots` keeps its root list.  Critical points
+of a root list, stored or a plain array, come from the root sum p'/p =
+sum_k 1/(z - a_k), `kernels` reductions that stay finite and accurate at
+degrees where the coefficients overflow or are rounding noise.  One Aberth
+driver, `_aberth`, solves both coefficients and root sums; each caller
+certifies its own answer.  Coefficient evaluation switches to the reversed
+polynomial z^n p(1/z) for large |z| and carries magnitudes in log2 form.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence
+from .kernels import field_majorant, min_distance, self_field, weighted_field
 
 ROOT_TOL = 1e-10          # |p(root)| <= ROOT_TOL * max(majorant, max|c_k|)
 SINGULAR_GUARD = 1e-12    # minimum distance from a pole for evaluation
@@ -61,25 +62,18 @@ class RootSplit:
     """Roots of one polynomial partitioned into an inside and outside part.
 
     `inside` are the roots assigned to the convex domain, `outside` the
-    rest.  The product polynomial is the original; the two factors are
-    exposed as polynomials with stored roots.  The critical points of the
-    product and of q are solved once per split; a failed solve is not kept.
+    rest; their product p is the original and the inside factor is q.  The
+    critical points of p and of q are solved from the roots once per split;
+    a failed solve is not kept.
     """
 
     inside: np.ndarray
     outside: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "inside",
-            np.atleast_1d(np.asarray(self.inside, dtype=np.complex128)))
-        object.__setattr__(
-            self, "outside",
-            np.atleast_1d(np.asarray(self.outside, dtype=np.complex128))
-            if len(np.atleast_1d(self.outside)) else
-            np.zeros(0, dtype=np.complex128))
-        if len(self.inside) == 0:
-            raise ValueError("inside root set must be non-empty")
+        object.__setattr__(self, "inside", _root_array(self.inside))
+        object.__setattr__(self, "outside", np.asarray(
+            self.outside, dtype=np.complex128).ravel())
 
     @property
     def n(self) -> int:
@@ -89,21 +83,15 @@ class RootSplit:
     def m(self) -> int:
         return len(self.outside)
 
-    def inside_poly(self) -> Polynomial:
-        return from_roots(self.inside)
-
-    def product(self) -> Polynomial:
-        return from_roots(np.concatenate([self.inside, self.outside]))
-
     @cached_property
     def critical(self) -> np.ndarray:
         """Critical points of the product p."""
-        return critical_points(self.product())
+        return critical_points(np.concatenate([self.inside, self.outside]))
 
     @cached_property
     def inside_critical(self) -> np.ndarray:
         """Critical points of the inside factor q."""
-        return critical_points(self.inside_poly())
+        return critical_points(self.inside)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +103,7 @@ def from_roots(roots) -> Polynomial:
 
     Multiplication runs in ascending |root| order to limit cancellation.
     """
-    r = np.atleast_1d(np.asarray(roots, dtype=np.complex128))
-    if r.size == 0:
-        raise ValueError("need at least one root")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("roots must be finite")
+    r = _root_array(roots)
     order = np.argsort(np.abs(r), kind="stable")
     c = np.zeros(r.size + 1, dtype=np.complex128)
     c[0] = 1.0
@@ -129,6 +113,13 @@ def from_roots(roots) -> Polynomial:
         c[0] = -a * c[0]
         deg += 1
     return Polynomial(c, roots=r)
+
+
+def _root_array(roots) -> np.ndarray:
+    r = np.atleast_1d(np.asarray(roots, dtype=np.complex128))
+    if r.size == 0 or not np.all(np.isfinite(r)):
+        raise ValueError("need at least one root, all finite")
+    return r
 
 
 def derivative(p: Polynomial) -> Polynomial:
@@ -348,10 +339,7 @@ def _aberth(ratio, x: np.ndarray) -> tuple[np.ndarray, int]:
         x = _separate_duplicates(x)
         n_ratio = ratio(x)
         bad = ~np.isfinite(n_ratio)
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - n_ratio * s
+        denom = 1.0 - n_ratio * self_field(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = n_ratio / denom
         delta = np.where(np.isfinite(delta), delta, n_ratio)
@@ -388,21 +376,20 @@ def _separate_duplicates(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def critical_points(p: Polynomial) -> np.ndarray:
-    """Roots of p', with multiplicity, sorted by (real, imag).
+def critical_points(p) -> np.ndarray:
+    """Roots of p' (p a Polynomial or its root array), sorted by (real, imag).
 
-    With all roots stored, a root of multiplicity k is returned k-1 times
+    With all roots given, a root of multiplicity k is returned k-1 times
     and the other critical points are solved on the root sum p'/p
     (`_field_zeros`); otherwise p' is solved from its coefficients, which
     are rounding noise at high degree.  Raises NoConvergence.
     """
-    if p.degree < 1:
-        raise ValueError("degree must be >= 1")
-    if p.degree == 1:
-        return np.zeros(0, dtype=np.complex128)
-    if p.roots is None or p.roots.size != p.degree:
-        return find_roots(derivative(p))
-    a, m = np.unique(p.roots, return_counts=True)
+    if isinstance(p, Polynomial):
+        if p.roots is None or p.roots.size != p.degree:
+            return (np.zeros(0, dtype=np.complex128) if p.degree == 1
+                    else find_roots(derivative(p)))
+        p = p.roots
+    a, m = np.unique(_root_array(p), return_counts=True)
     w = np.repeat(a, m - 1)
     if a.size > 1:
         w = np.concatenate([w, _field_zeros(a, m.astype(float))])
@@ -418,31 +405,24 @@ def _field_zeros(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     farthest from the weighted centroid.  Certificate: |R(w)| <= ROOT_TOL
     * sum_j m_j (|w| + |a_j|)/|w - a_j|^2, R's rounding majorant.
     """
-    diff = a[:, None] - a
-    np.fill_diagonal(diff, np.inf)
-    pull = (m / diff).sum(axis=1)
-    offset = 0.5 * np.abs(diff).min(axis=1) + 0j
-    offset[pull != 0] = -1.0 / pull[pull != 0]
-    del diff
+    pull = self_field(a, m)
+    offset = -1.0 / np.where(pull != 0, pull, 1.0)
+    for k in np.flatnonzero(pull == 0):
+        offset[k] = 0.5 * min_distance(a[k], np.delete(a, k))
     # turn each offset a little, so that no two starts and no start and a
     # root coincide, as they can for symmetric root sets
     x = a + offset * (1.0 + 1e-6 * np.exp(1j * 0.618 * np.arange(a.size)))
     x = np.delete(x, np.argmax(np.abs(a - np.dot(m, a) / m.sum())))
 
     def ratio(z):
+        r, s, minus_dr = weighted_field(z, a, m)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / (z[:, None] - a)
-            weighted = inv * m
-            r = weighted.sum(axis=1)
-            weighted *= inv
-            return r / (r * inv.sum(axis=1) - weighted.sum(axis=1))
+            return r / (r * s - minus_dr)
 
     w, iters = _aberth(ratio, x)
+    r, near, far = field_majorant(w, a, m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / (w[:, None] - a)
-        r = np.abs(inv @ m)
-        majorant = ((np.abs(w)[:, None] + np.abs(a)) * np.abs(inv) ** 2) @ m
-        worst = float(np.max(r / majorant))
+        worst = float(np.max(np.abs(r) / (np.abs(w) * near + far)))
     if not worst <= ROOT_TOL:
         raise NoConvergence(worst, iters)
     return w

@@ -619,7 +619,6 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
 
     grid = (mask.bbox, mask.cell_size, mask.shape)
     r_cells = _cells_of_points(*grid, split.outside)
-    qp_cells = _cells_of_points(*grid, split.inside_critical)
 
     reports = []
     for cid, win in enumerate(mask.windows):
@@ -639,7 +638,9 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
                 err = f"{type(exc).__name__}: {exc}"
         margin = _rouche_margin(split, contour.samples)
         r_enc = _count_on(moat, moat_win, r_cells)
-        qp_enc = _count_on(moat, moat_win, qp_cells)
+        # q' is solved only once a component reads it
+        qp_enc = _count_on(moat, moat_win,
+                           _cells_of_points(*grid, split.inside_critical))
         reports.append(ComponentReport(
             component=cid, touches_K=touches, escapes_Keps=escapes,
             r_roots_inside=r_inside, crit_points_inside=count,

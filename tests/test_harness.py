@@ -175,6 +175,37 @@ def test_run_solves_each_critical_point_set_once(monkeypatch):
                                                   cfg.n + cfg.m - 1]
 
 
+def test_run_without_components_solves_only_p_prime(monkeypatch):
+    # q' is read only by a component's census: with none, only p' is solved
+    sizes = []
+    real = poly._aberth
+
+    def counting(ratio, x):
+        sizes.append(len(x))
+        return real(ratio, x)
+
+    monkeypatch.setattr(poly, "_aberth", counting)
+    cfg = harness.ExperimentConfig(domain=K, epsilon=0.25, n=100, m=2,
+                                   delta_sweep=(1e-3, 1e-2), resolution=10.0,
+                                   seed=1)
+    rep = harness.run_theorem_experiment(cfg)
+    assert rep.errors == () and len(rep.deltas) == 2
+    assert all(d.error is None and d.components == () for d in rep.deltas)
+    assert [k for k in sizes if k > 20] == [cfg.n + cfg.m - 1]
+
+
+def test_critical_points_where_coefficients_overflow():
+    # the coefficients of this p overflow doubles; its critical points
+    # come from the roots alone, with no RuntimeWarning
+    ring = 0.98 * np.exp(2j * np.pi * (np.arange(1600) + 0.5) / 1600)
+    cfg = harness.ExperimentConfig(domain=K, epsilon=0.25, n=1600, m=2,
+                                   root_sampler=ring,
+                                   outside_sampler=np.array([3.0, -3.0]))
+    rep = harness.run_theorem_experiment(cfg)
+    assert rep.errors == () and rep.verdict is True
+    assert rep.critical.size == 1601
+
+
 def _check_critical_points(w, roots):
     """Count, root-sum residual and certificate, and Vieta's sums for p'."""
     big_n = roots.size
@@ -248,6 +279,28 @@ def test_delta_stage_records_unrecoverable_growth():
     assert rep.verdict is True
     assert all(d.error is not None for d in rep.deltas)
     assert rep.critical.size == cfg.n + cfg.m - 1
+
+
+@pytest.mark.parametrize("n, m, builds, error", [
+    (5, 8, 1, harness.FAR_FIELD_NEGATIVE),
+    (5, 5, 3, harness.FAR_FIELD_FAILED)], ids=["m>n", "m=n"])
+def test_bbox_grows_only_while_m_at_most_n(monkeypatch, n, m, builds, error):
+    # for m > n the far field of g is about (n - m)/|z| < 0, so a larger
+    # box cannot pass; at m = n the lower-order terms decide
+    calls = []
+    real = regions.build_masks
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(regions, "build_masks", counting)
+    cfg = harness.ExperimentConfig(domain=K, epsilon=0.25, n=n, m=m,
+                                   delta_sweep=(1e-3,), resolution=100.0,
+                                   seed=1)
+    rep = harness.run_theorem_experiment(cfg)
+    assert len(calls) == builds
+    assert [d.error for d in rep.deltas] == [error]
 
 
 def test_report_json_shape():

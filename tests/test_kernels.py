@@ -22,6 +22,20 @@ def _unblocked_phase(z, a):
     return np.prod(d / np.abs(d), axis=-1) * (f / np.abs(f))
 
 
+def _unblocked_self(x, w):
+    d = x[:, None] - x
+    np.fill_diagonal(d, np.inf)
+    return (w / d).sum(axis=-1)
+
+
+def _unblocked_weighted(z, a, w):
+    inv = 1.0 / (z[..., None] - a)
+    sq = np.abs(inv) ** 2
+    return ((inv * w).sum(axis=-1), inv.sum(axis=-1),
+            (inv * w * inv).sum(axis=-1), (inv * w).sum(axis=-1),
+            (sq * w).sum(axis=-1), (sq * (w * np.abs(a))).sum(axis=-1))
+
+
 @pytest.mark.parametrize("shape", [(23,), (5, 9)])
 @pytest.mark.parametrize("n_sources", [3, 40])
 def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
@@ -46,6 +60,17 @@ def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
     product = kernels.distance_product(z, a)
     assert product.shape == shape
     assert np.array_equal(product, np.abs(z[..., None] - a).prod(axis=-1))
+    w = rng.integers(1, 4, size=n_sources).astype(float)
+    got = kernels.weighted_field(z, a, w) + kernels.field_majorant(z, a, w)
+    for g, want in zip(got, _unblocked_weighted(z, a, w)):
+        assert g.shape == shape
+        assert np.array_equal(g, want)
+    # the self-skipping reduction: 3 points make blocks of 2 rows, so a
+    # block boundary cuts the diagonal; 23 to 45 points make 1-row blocks
+    for x in (a, z.ravel()):
+        for weights in (1.0, rng.integers(1, 4, size=x.size).astype(float)):
+            assert np.array_equal(kernels.self_field(x, weights),
+                                  _unblocked_self(x, weights))
 
 
 def test_kernels_without_sources_or_points():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from rootfield import poly
+from rootfield import kernels, poly
 from rootfield.errors import NoConvergence
 from rootfield.kernels import field_sum, modulus_sum
 
@@ -303,15 +303,29 @@ def test_critical_points_polish_beats_coefficients_at_high_degree():
     assert np.all(res <= 1e-9 * scale)
 
 
+def test_critical_points_do_not_depend_on_the_block_size(monkeypatch):
+    # every points x sources table of the root-sum solve is a blocked
+    # kernels reduction; 7 pairs per block make one row per block
+    rng = np.random.default_rng(7)
+    roots = rng.normal(size=30) + 1j * rng.normal(size=30)
+    for r in (roots, np.concatenate([roots[:20], roots[:3]]),
+              [-1.0, 0.0, 1.0, 2j, -2j]):        # pull 0 at the root 0
+        want = poly.critical_points(r)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_PAIRS", 7)
+            got = poly.critical_points(r)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
 def test_split_keeps_solved_critical_points_but_not_failures(monkeypatch):
     degrees = []
     real = poly.critical_points
 
-    def flaky(p):
-        degrees.append(p.degree)
+    def flaky(roots):
+        degrees.append(len(roots))
         if len(degrees) == 1:
             raise NoConvergence(1.0, 1)
-        return real(p)
+        return real(roots)
 
     monkeypatch.setattr(poly, "critical_points", flaky)
     split = poly.RootSplit([0.0, 1.0, 2j], [5.0])
@@ -320,4 +334,5 @@ def test_split_keeps_solved_critical_points_but_not_failures(monkeypatch):
     assert split.critical is split.critical
     assert split.inside_critical is split.inside_critical
     assert degrees == [4, 4, 3]
-    assert matched_error(real(split.product()), split.critical) == 0.0
+    roots = np.concatenate([split.inside, split.outside])
+    assert matched_error(real(poly.from_roots(roots)), split.critical) == 0.0

@@ -93,7 +93,7 @@ def test_indicator_rejects_bad_inputs():
 
 def test_critical_points_lie_inside_every_adelta():
     # p'/p = q'/q + r'/r vanishes at critical points, so g = -delta/|r| < 0
-    crit = poly.critical_points(SPLIT.product())
+    crit = SPLIT.critical
     for d in DELTAS:
         for w in crit:
             assert regions.adelta_indicator(SPLIT, d, w) < 0.0
@@ -117,7 +117,7 @@ def test_mask_labels_two_components():
         assert mask.n_components == 2
     # the blob around the interior critical point and the lobe around the
     # far root never merge at these deltas
-    crit = poly.critical_points(SPLIT.product())
+    crit = SPLIT.critical
     mask = masks[1]
     ij = np.argwhere(mask.labels >= 0)
     centers = mask.cell_centers()[ij[:, 0], ij[:, 1]]
@@ -138,7 +138,7 @@ def test_critical_cells_within_one_cell_of_a_label():
     # the indicator is only -delta/|r| deep at a critical point, so the
     # exact cell is not guaranteed; a labeled cell adjacent to it is
     mask = _masks()[2]
-    crit = poly.critical_points(SPLIT.product())
+    crit = SPLIT.critical
     ij = np.argwhere(mask.labels >= 0)
     centers = mask.cell_centers()[ij[:, 0], ij[:, 1]]
     for w in crit:
@@ -439,7 +439,7 @@ def test_counts_reuse_the_build_time_sampling():
 
 def test_loop_area_matches_cell_count():
     mask = _masks()[1]
-    crit = poly.critical_points(SPLIT.product())
+    crit = SPLIT.critical
     for cid in range(mask.n_components):
         contour, cells, _, absorbed, err = regions.component_boundaries(
             mask, cid, protect=crit)
@@ -452,7 +452,7 @@ def test_loop_area_matches_cell_count():
 
 def test_moat_keeps_protected_points_off_the_boundary():
     mask = _masks()[0]
-    crit = poly.critical_points(SPLIT.product())
+    crit = SPLIT.critical
     for cid in range(mask.n_components):
         c, cells, _, absorbed, err = regions.component_boundaries(
             mask, cid, protect=crit)
@@ -574,7 +574,7 @@ def test_census_random_small_instances():
             mask = regions.build_mask(split, 1e-3, bbox, 120.0)
         except GrowBBox:
             continue
-        crit = poly.critical_points(split.product())
+        crit = split.critical
         total = 0
         reports = regions.classify_components(mask, split, K, EPS)
         for rep in reports:
