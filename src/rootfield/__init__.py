@@ -10,7 +10,7 @@ from .charges import (ChargeSet, Curve, TorusConfig, curve_min,
 from .geometry import ConvexDomain
 from .harness import (ExperimentConfig, LemmaSuiteReport, TheoremReport,
                       run_lemma_suite, run_theorem_experiment, sweep_m)
-from .poly import Polynomial, RootSplit, critical_points, find_roots, from_roots
+from .poly import Polynomial, RootSplit, critical_points, from_roots
 from .regions import (RegionMask, adelta_indicator, bridging_check,
                       build_mask, build_masks, classify_components,
                       field_lower_bound)
@@ -27,7 +27,7 @@ __all__ = [
     "ConvexDomain",
     "ExperimentConfig", "LemmaSuiteReport", "TheoremReport",
     "run_lemma_suite", "run_theorem_experiment", "sweep_m",
-    "Polynomial", "RootSplit", "critical_points", "find_roots", "from_roots",
+    "Polynomial", "RootSplit", "critical_points", "from_roots",
     "RegionMask", "adelta_indicator", "bridging_check", "build_mask",
     "build_masks", "classify_components", "field_lower_bound",
     "emit_svg",

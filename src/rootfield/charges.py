@@ -1,8 +1,9 @@
 """Coulomb potentials of point charges along curves.
 
-Complex field and modulus-sum potentials, curve minima certified by a
-branch-and-bound bracket, the truncated torus kernel, and the constructive
-search for a certified low-potential point on the torus and on a curve.
+Curve minima of the complex field and modulus-sum potentials (the
+`kernels` reductions), certified by a branch-and-bound bracket, the
+truncated torus kernel, and the constructive search for a certified
+low-potential point on the torus and on a curve.
 Both searches prune with one bound (Piyavskii 1972, Shubert 1972): within
 rho of a point at distance d from its nearest charge, every distance to a
 charge changes by at most rho, so the potentials cannot fall below values
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CertificateError, ProjectionDegenerate, SearchExhausted,
-                     SingularCurve, SingularPoint)
-from .kernels import (ROUNDING, field_modulus_nearest, field_sum,
-                      min_distance, modulus_sum)
+from .errors import CertificateError, SearchExhausted, SingularCurve
+from .kernels import ROUNDING, field_modulus_nearest, modulus_sum
 from .poly import SINGULAR_GUARD
 
 MIN_SAMPLES = 10_000      # curve_min budget floor, in points per pass
@@ -149,31 +148,6 @@ def torus_distance(a, b):
     """Toroidal distance min(w, 1 - w) with w = (a - b) mod 1."""
     w = np.mod(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), 1.0)
     return np.minimum(w, 1.0 - w)
-
-
-# ---------------------------------------------------------------------------
-# pointwise potentials
-# ---------------------------------------------------------------------------
-
-def _guarded(C: ChargeSet, z) -> np.ndarray:
-    zz = np.asarray(z, dtype=np.complex128)
-    if min_distance(zz, C.charges).min() < SINGULAR_GUARD:
-        raise SingularPoint("evaluation point coincides with a charge")
-    return zz
-
-
-def complex_field(C: ChargeSet, z):
-    """Sum of 1/(z - z_l) over the charges; scalar or array z."""
-    zz = _guarded(C, z)
-    out = field_sum(zz, C.charges)
-    return complex(out) if zz.ndim == 0 else out
-
-
-def modulus_potential(C: ChargeSet, z):
-    """Sum of 1/|z - z_l|; dominates |complex_field| pointwise."""
-    zz = _guarded(C, z)
-    out = modulus_sum(zz, C.charges)
-    return float(out) if zz.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +385,11 @@ def lemma1_curve_bound(C: ChargeSet, curve: Curve) -> LemmaWitness:
     y, torus_value = torus_low_potential_point(TorusConfig(zn.real))
     rn = ((curve.vertices - v0) / s).real
     cum = curve._cum
+    # some curve point projects onto y: the scan returns y = i/(100m) with
+    # i < 100m, so 0 <= y <= 1 - 1/(100m); rn starts at exactly 0 and ends
+    # at Re(s/s), 1 up to a few ulps; so some segment has lo <= y <= hi,
+    # and _lift_candidates returns y itself for kk = 0
     cands = np.array(_lift_candidates(rn, cum / cum[-1], y))
-    if not cands.size:
-        raise ProjectionDegenerate("no curve point projects onto the "
-                                   "selected torus point")
     gns = (curve.point(cands) - v0) / s
     ps = modulus_sum(gns, zn)
     i = int(np.argmin(ps))               # first occurrence -> smaller t

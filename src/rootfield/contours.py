@@ -10,6 +10,7 @@ needing derivative quadrature.
 Two phase sources share that loop: the coefficients of p, with magnitudes
 compared in log2 space so that degree-500 products never overflow, and
 for the zeros of p' the roots of p alone (`count_critical_points_in`).
+Coefficients are evaluated and counted here, never solved.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ImpossibleCount, NonIntegerWinding, RootOnContour
 from .kernels import derivative_phase, min_distance
-from .poly import Polynomial, majorant_logmag, newton_ratio, phase_logmag
+from .poly import Polynomial, majorant_logmag, phase_logmag
 
 WINDING_TOL = 0.2      # |winding - nearest integer| allowed after refinement
 MAX_REFINE = 6         # sample-density doublings before giving up
@@ -122,8 +123,9 @@ def _resample(c: Contour, level: int) -> np.ndarray:
 def count_roots_in(p: Polynomial, c: Contour) -> int:
     """Number of roots of p strictly inside the contour (with multiplicity),
     from the phase of p on its coefficients.  Clearance is checked exactly
-    when the root list is stored, otherwise via the safe direction of the
-    Newton-step bound (a small |p/p'| places a root provably nearby).
+    when the root list is stored, otherwise by the Newton-step bound
+    degree * |p/p'|, from the log2 magnitudes of p and p' (a small bound
+    places a root provably nearby).
     """
     if p.degree < 1:
         return 0
@@ -190,14 +192,14 @@ def _check_clearance(p: Polynomial, pts: np.ndarray, clearance: float):
         _check_distance(p.roots, pts, clearance)
         return
     dc = p.coeffs[1:] * np.arange(1, p.degree + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.abs(newton_ratio(p.coeffs, dc, pts))
     # nearest root lies within degree * |p/p'| of the sample, so a small
     # quotient proves a clearance violation (the converse is not provable
-    # from |p| alone)
-    bound = p.degree * step
+    # from |p| alone); |p| > 0 here, as its phase is defined
+    with np.errstate(over="ignore"):
+        bound = p.degree * np.exp2(phase_logmag(p.coeffs, pts)[1]
+                                   - phase_logmag(dc, pts)[1])
     if np.any(bound < clearance):
-        raise RootOnContour(float(np.nanmin(bound)), clearance)
+        raise RootOnContour(float(bound.min()), clearance)
 
 
 def _check_distance(zeros, pts: np.ndarray, clearance: float):

@@ -28,6 +28,19 @@ class NoConvergence(RootfieldError):
         )
 
 
+class CoefficientOverflow(RootfieldError, ValueError):
+    """A coefficient of the expanded product exceeds the double range.
+
+    Attributes:
+        degree: degree of the polynomial that was expanded.
+    """
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        super().__init__(f"a coefficient of the degree-{degree} product "
+                         f"overflows doubles; use the roots instead")
+
+
 class SingularPoint(RootfieldError):
     """Evaluation requested too close to a pole or stored root."""
 
@@ -105,10 +118,6 @@ class GrowBBox(RootfieldError):
 class SingularCell(RootfieldError):
     """A grid cell could not be assigned an indicator sign even after
     subdivision and neighbor fill."""
-
-
-class ProjectionDegenerate(RootfieldError):
-    """Projected charge abscissa coincides with the selected torus point."""
 
 
 class SearchExhausted(RootfieldError):

@@ -1,13 +1,14 @@
-"""Polynomials with optional root-list provenance, and their roots.
+"""Polynomials with optional root-list provenance, and their critical points.
 
 Coefficients are stored in ascending order (coeffs[k] multiplies z**k).
-A polynomial built by `from_roots` keeps its root list.  Critical points
-of a root list, stored or a plain array, come from the root sum p'/p =
-sum_k 1/(z - a_k), `kernels` reductions that stay finite and accurate at
-degrees where the coefficients overflow or are rounding noise.  One Aberth
-driver, `_aberth`, solves both coefficients and root sums; each caller
-certifies its own answer.  Coefficient evaluation switches to the reversed
-polynomial z^n p(1/z) for large |z| and carries magnitudes in log2 form.
+A polynomial built by `from_roots` keeps its root list.  Coefficients are
+evaluated (for counting) but never solved: critical points come from the
+root sum p'/p = sum_k 1/(z - a_k) of a root list, stored or a plain
+array, through `kernels` reductions that stay finite and accurate at
+degrees where the coefficients overflow or are rounding noise.  The
+Aberth iteration `_aberth` solves it and `_field_zeros` certifies the
+answer.  Coefficient evaluation switches to the reversed polynomial
+z^n p(1/z) for large |z| and carries magnitudes in log2 form.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import CoefficientOverflow, NoConvergence
 from .kernels import field_majorant, min_distance, self_field, weighted_field
 
-ROOT_TOL = 1e-10          # |p(root)| <= ROOT_TOL * max(majorant, max|c_k|)
+ROOT_TOL = 1e-10          # |p'/p| <= ROOT_TOL * its rounding majorant
 SINGULAR_GUARD = 1e-12    # minimum distance from a pole for evaluation
-_ABERTH_SEED = 0x5EEDF00D  # fixed: find_roots must be a pure function
 _STEP_TOL = 1e-14
 _MAX_ITERS = 500
 
@@ -102,16 +102,20 @@ def from_roots(roots) -> Polynomial:
     """Monic polynomial with the given roots (multiset, any order).
 
     Multiplication runs in ascending |root| order to limit cancellation.
+    Raises CoefficientOverflow when a coefficient exceeds doubles.
     """
     r = _root_array(roots)
     order = np.argsort(np.abs(r), kind="stable")
     c = np.zeros(r.size + 1, dtype=np.complex128)
     c[0] = 1.0
     deg = 0
-    for a in r[order]:
-        c[1:deg + 2] = c[0:deg + 1] - a * c[1:deg + 2]
-        c[0] = -a * c[0]
-        deg += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in r[order]:
+            c[1:deg + 2] = c[0:deg + 1] - a * c[1:deg + 2]
+            c[0] = -a * c[0]
+            deg += 1
+    if not np.all(np.isfinite(c)):
+        raise CoefficientOverflow(r.size)
     return Polynomial(c, roots=r)
 
 
@@ -198,134 +202,9 @@ def majorant_logmag(coeffs, z):
     return phase_logmag(np.abs(coeffs), np.abs(z))[1]
 
 
-def newton_ratio(coeffs, dcoeffs, z):
-    """p(z)/p'(z) without overflow; inf where p' vanishes but p does not."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    dcoeffs = np.asarray(dcoeffs, dtype=np.complex128)
-    zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    deg = len(coeffs) - 1
-    tau = min(_split_radius(coeffs), _split_radius(dcoeffs))
-    out = np.empty_like(zz)
-    az = np.abs(zz)
-    small = az <= tau
-    if np.any(small):
-        zs = zz[small]
-        pv = _horner(coeffs, zs)
-        dv = _horner(dcoeffs, zs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = pv / dv
-        r[(dv == 0) & (pv == 0)] = 0.0
-        r[(dv == 0) & (pv != 0)] = np.inf
-        out[small] = r
-    big = ~small
-    if np.any(big):
-        zb = zz[big]
-        u = 1.0 / zb
-        rc = coeffs[::-1]
-        g = _horner(rc, u)
-        if deg >= 1:
-            gk = rc[1:] * np.arange(1, deg + 1)
-            gp = _horner(gk, u)
-        else:
-            gp = np.zeros_like(u)
-        denom = deg * g - u * gp          # p'/z^(deg-1) evaluated via g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = zb * g / denom
-        r[(denom == 0) & (g == 0)] = 0.0
-        r[(denom == 0) & (g != 0)] = np.inf
-        out[big] = r
-    return out
-
-
 # ---------------------------------------------------------------------------
-# root finding (simultaneous Aberth-Ehrlich iteration)
+# critical points (simultaneous Aberth-Ehrlich iteration on the root sum)
 # ---------------------------------------------------------------------------
-
-def _initial_points(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Circle initialization with radii from the upper hull of coefficient
-    log-magnitudes (one radius cluster per hull segment), angles randomly
-    perturbed to break symmetric stalls."""
-    deg = len(coeffs) - 1
-    a = np.abs(coeffs)
-    with np.errstate(divide="ignore"):
-        logs = np.where(a > 0, np.log2(a, where=a > 0,
-                                       out=np.full_like(a, -np.inf)), -np.inf)
-    ks = [k for k in range(deg + 1) if np.isfinite(logs[k])]
-    # upper convex hull of (k, logs[k])
-    hull: list[int] = []
-    for k in ks:
-        while len(hull) >= 2:
-            k1, k2 = hull[-2], hull[-1]
-            # keep if k2 lies strictly above the chord k1 -> k
-            if (logs[k2] - logs[k1]) * (k - k1) <= (logs[k] - logs[k1]) * (k2 - k1):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    radii = np.empty(deg)
-    pos = 0
-    for i in range(len(hull) - 1):
-        k1, k2 = hull[i], hull[i + 1]
-        width = k2 - k1
-        r = 2.0 ** ((logs[k1] - logs[k2]) / width)
-        r = min(max(r, 1e-12), 1e12)
-        radii[pos: pos + width] = r
-        pos += width
-    radii[pos:] = radii[pos - 1] if pos else 1.0
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.37) / deg
-    angles = angles + rng.uniform(-0.5, 0.5, deg) * (np.pi / deg)
-    return radii * np.exp(1j * angles)
-
-
-def find_roots(p: Polynomial) -> np.ndarray:
-    """All complex roots, with multiplicity, sorted by (real, imag).
-
-    Deterministic: the symmetry-breaking perturbation uses a fixed seed.
-    Raises NoConvergence when the residual certificate fails.
-    """
-    if p.degree < 1:
-        raise ValueError("degree must be >= 1")
-    coeffs = p.coeffs.copy()
-    # deflate exact roots at the origin
-    k0 = 0
-    while coeffs[k0] == 0:
-        k0 += 1
-    zero_roots = np.zeros(k0, dtype=np.complex128)
-    c = coeffs[k0:]
-    d = len(c) - 1
-    if d == 0:
-        roots = zero_roots
-    elif d == 1:
-        roots = np.concatenate([zero_roots, [-c[0] / c[1]]])
-    elif d == 2:
-        roots = np.concatenate([zero_roots, _quadratic(c)])
-    else:
-        dc = c[1:] * np.arange(1, d + 1)
-        rng = np.random.default_rng(_ABERTH_SEED)
-        x, iters = _aberth(lambda z: newton_ratio(c, dc, z),
-                           _initial_points(c, rng))
-        _, logmag = phase_logmag(c, x)
-        allowed = np.log2(ROOT_TOL) + np.maximum(majorant_logmag(c, x),
-                                                 np.log2(np.max(np.abs(c))))
-        worst_log = float(np.max(logmag - allowed))
-        if np.isnan(worst_log) or worst_log > 0.0:
-            raise NoConvergence(
-                float(ROOT_TOL * 2.0 ** min(worst_log, 1000.0)), iters)
-        roots = np.concatenate([zero_roots, x])
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
-
-
-def _quadratic(c: np.ndarray) -> np.ndarray:
-    a0, a1, a2 = c
-    disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
-    if (a1.conjugate() * disc).real < 0:
-        disc = -disc
-    q = -(a1 + disc) / 2.0
-    if q == 0:
-        return np.array([0.0 + 0j, 0.0 + 0j])
-    return np.array([q / a2, a0 / q])
-
 
 def _aberth(ratio, x: np.ndarray) -> tuple[np.ndarray, int]:
     """(zeros, iterations) of the Aberth-Ehrlich iteration from x, where
@@ -377,17 +256,18 @@ def _separate_duplicates(x: np.ndarray) -> np.ndarray:
 
 
 def critical_points(p) -> np.ndarray:
-    """Roots of p' (p a Polynomial or its root array), sorted by (real, imag).
+    """Roots of p' (p a root array or a Polynomial that stores its roots),
+    sorted by (real, imag).
 
-    With all roots given, a root of multiplicity k is returned k-1 times
-    and the other critical points are solved on the root sum p'/p
-    (`_field_zeros`); otherwise p' is solved from its coefficients, which
-    are rounding noise at high degree.  Raises NoConvergence.
+    A root of multiplicity k is returned k-1 times and the other critical
+    points are solved on the root sum p'/p (`_field_zeros`).  Coefficients
+    are never solved: a Polynomial without its roots raises ValueError.
+    Raises NoConvergence.
     """
     if isinstance(p, Polynomial):
         if p.roots is None or p.roots.size != p.degree:
-            return (np.zeros(0, dtype=np.complex128) if p.degree == 1
-                    else find_roots(derivative(p)))
+            raise ValueError("critical points are solved from the roots: "
+                             "build the polynomial with from_roots")
         p = p.roots
     a, m = np.unique(_root_array(p), return_counts=True)
     w = np.repeat(a, m - 1)

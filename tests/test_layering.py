@@ -9,8 +9,7 @@ import pytest
 
 from rootfield import charges, kernels, poly, regions, search
 
-COEFFICIENT_EVALUATORS = (poly.phase_logmag, poly.majorant_logmag,
-                          poly.newton_ratio)
+COEFFICIENT_EVALUATORS = (poly.phase_logmag, poly.majorant_logmag)
 
 
 @pytest.mark.parametrize("module", [regions, kernels, charges, search],

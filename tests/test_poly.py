@@ -1,9 +1,10 @@
-"""Root finding and evaluation.
+"""Construction, coefficient evaluation and critical points.
 
-Oracles: closed forms where they exist (quadratic/cubic critical points,
-Vieta sums), otherwise self-consistency between independent code paths
-(coefficient Horner vs. root-product evaluation, coefficient roots vs.
-root-sum critical points).
+Coefficients are evaluated here, never solved.  Oracles: closed forms
+where they exist (cubic critical points, Vieta sums), numpy's expansion
+`np.poly` and companion-matrix roots `np.roots(np.polyder(...))` of the
+same roots, otherwise self-consistency between independent code paths
+(coefficient Horner vs. root-product evaluation).
 """
 
 import numpy as np
@@ -12,10 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from rootfield import kernels, poly
-from rootfield.errors import NoConvergence
+from rootfield.errors import CoefficientOverflow, NoConvergence, \
+    RootfieldError
 from rootfield.kernels import field_sum, modulus_sum
 
-MATCH_TOL_LOW_DEG = 1e-8   # round-trip matching error, degree <= 12
+MATCH_TOL_LOW_DEG = 1e-8   # critical points against numpy, degree <= 13
 LOG2_EVAL_TOL = 1e-9       # agreement of log2 magnitudes across eval branches
 
 
@@ -43,6 +45,30 @@ def test_from_roots_expands_cubic():
     p = poly.from_roots([1.0, -2.0, 3j])
     expected = np.array([6j, -2 - 3j, 1 - 3j, 1.0])
     assert np.allclose(p.coeffs, expected, atol=1e-14)
+
+
+def test_from_roots_matches_numpy_expansion():
+    # the only check of the expansion beyond degree 3: numpy multiplies in
+    # input order, from_roots in ascending |root| order
+    rng = np.random.default_rng(23)
+    for deg in range(2, 41):
+        roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+        got = poly.from_roots(roots)
+        want = np.poly(roots)[::-1]
+        assert np.array_equal(got.roots, roots)
+        assert np.max(np.abs(got.coeffs - want)) \
+            <= 1e-12 * np.max(np.abs(want))
+
+
+def test_from_roots_raises_a_typed_overflow():
+    # 1,600 roots on |z| = 0.98 at half steps: the partial products of
+    # neighbouring roots overflow doubles before the full product closes
+    ring = 0.98 * np.exp(2j * np.pi * (np.arange(1600) + 0.5) / 1600)
+    with pytest.raises(CoefficientOverflow) as info:
+        poly.from_roots(ring)
+    assert isinstance(info.value, RootfieldError)
+    assert isinstance(info.value, ValueError)
+    assert info.value.degree == 1600
 
 
 def test_normalization_drops_high_order_zeros():
@@ -96,16 +122,6 @@ def test_eval_branches_agree_across_split_radius():
         assert np.all(np.abs(logmag - ref) < LOG2_EVAL_TOL * np.abs(ref))
 
 
-def test_newton_ratio_matches_direct_quotient():
-    rng = np.random.default_rng(7)
-    c = rng.normal(size=12) + 1j * rng.normal(size=12)
-    dc = c[1:] * np.arange(1, 12)
-    z = rng.normal(size=25) + 1j * rng.normal(size=25)
-    n = poly.newton_ratio(c, dc, z)
-    ref = np.polyval(c[::-1], z) / np.polyval(dc[::-1], z)
-    assert np.allclose(n, ref, rtol=1e-10)
-
-
 def _two_branch_majorant(coeffs, z):
     """log2 sum |c_k| |z|^k by its own Horner branches, the reference."""
     a = np.abs(np.asarray(coeffs, dtype=np.complex128))
@@ -141,52 +157,37 @@ def test_majorant_logmag_matches_two_branch_reference():
 
 
 # ---------------------------------------------------------------------------
-# root finding
+# critical points
 # ---------------------------------------------------------------------------
 
-def test_find_roots_quadratic_exact():
-    p = poly.Polynomial([2.0, -3.0, 1.0])  # (z-1)(z-2)
-    r = poly.find_roots(p)
-    assert np.allclose(sorted(r.real), [1.0, 2.0], atol=1e-14)
+def _numpy_critical_points(roots):
+    """Companion-matrix roots of p' from numpy's expansion of the roots."""
+    return np.roots(np.polyder(np.poly(roots)))
 
 
-def test_find_roots_deflates_origin_roots():
-    # z^3 (z - 2): three exact zeros plus one simple root
-    p = poly.Polynomial([0.0, 0.0, 0.0, -2.0, 1.0])
-    r = poly.find_roots(p)
-    assert np.sum(r == 0) == 3
-    assert np.min(np.abs(r - 2.0)) < 1e-12
+def test_critical_points_cubic_closed_form():
+    # z^3 - z has critical points at +-1/sqrt(3); the root-sum start
+    # sum_{j!=k} 1/(a_k - a_j) is 0 at a_k = 0
+    for p in (np.array([0.0, -1.0, 1.0]),
+              poly.from_roots([-1.0, 0.0, 1.0])):
+        w = poly.critical_points(p)
+        assert matched_error(np.array([-1, 1]) / np.sqrt(3), w) < 1e-14
 
 
-def test_find_roots_degree7_round_trip():
-    roots = np.array([0.1 + 0.2j, -0.5, 1.5 - 0.3j, 2j, -1 - 1j,
-                      0.7 + 0.7j, 3.0])
-    found = poly.find_roots(poly.from_roots(roots))
-    assert matched_error(roots, found) < 1e-12
+def test_critical_points_degree_one_empty():
+    # 1 + 2z, from its root
+    assert poly.critical_points(poly.from_roots([-0.5])).size == 0
+    assert poly.critical_points(np.array([-0.5])).size == 0
 
 
-def test_find_roots_is_deterministic():
-    rng = np.random.default_rng(19)
-    roots = rng.normal(size=30) + 1j * rng.normal(size=30)
-    p = poly.from_roots(roots)
-    a = poly.find_roots(p)
-    b = poly.find_roots(p)
-    assert np.array_equal(a, b)
-
-
-def test_find_roots_high_degree_certificate_holds():
-    # 120 clustered roots plus 5 outliers: residuals must sit inside the
-    # float64 evaluation noise floor even though forward errors cannot
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=600) * 0.4 + 1j * rng.normal(size=600) * 0.4
-    inside = pts[np.abs(pts) < 1.0][:120]
-    outside = 3.0 * np.exp(2j * np.pi * np.arange(5) / 5)
-    p = poly.from_roots(np.concatenate([inside, outside]))
-    found = poly.find_roots(p)      # raises NoConvergence on failure
-    assert len(found) == 125
-    # the far roots are well conditioned and must round-trip tightly
-    for w in outside:
-        assert np.min(np.abs(found - w)) < 1e-8
+def test_critical_points_need_the_roots():
+    # coefficients are never solved: a polynomial without its roots has
+    # no critical points to give
+    for p in (poly.Polynomial([0.0, -1.0, 0.0, 1.0]),
+              poly.Polynomial([1.0, 2.0]),
+              poly.derivative(poly.from_roots([1.0, 2.0, 3.0]))):
+        with pytest.raises(ValueError, match="roots"):
+            poly.critical_points(p)
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
@@ -194,44 +195,18 @@ def test_find_roots_high_degree_certificate_holds():
                 min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_vieta_sum_of_found_roots(roots):
+    # the critical points are the roots of p', whose sum is
+    # -c'_{d-2}/c'_{d-1} = (d - 1)/d * sum of the roots of p
     roots = np.array(roots, dtype=complex)
     if len(roots) > 1:
         sep = np.abs(roots[:, None] - roots[None, :])
         np.fill_diagonal(sep, np.inf)
         assume(sep.min() > 1e-2)   # clustered roots are covered elsewhere
-    p = poly.from_roots(roots)
-    found = poly.find_roots(p)
-    # e1: sum of roots = -c_{d-1}/c_d, robust against root permutation
-    d = p.degree
-    assert abs(found.sum() - (-p.coeffs[d - 1] / p.coeffs[d])) \
-        < 1e-7 * (1 + abs(p.coeffs[d - 1]))
-
-
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_round_trip_random_configurations(seed):
-    rng = np.random.default_rng(seed)
-    deg = int(rng.integers(2, 13))
-    roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
-    found = poly.find_roots(poly.from_roots(roots))
-    assert matched_error(roots, found) < MATCH_TOL_LOW_DEG
-
-
-# ---------------------------------------------------------------------------
-# critical points
-# ---------------------------------------------------------------------------
-
-def test_critical_points_cubic_closed_form():
-    # z^3 - z has critical points at +-1/sqrt(3); from its roots, the
-    # root-sum start sum_{j!=k} 1/(a_k - a_j) is 0 at a_k = 0
-    for p in (poly.Polynomial([0.0, -1.0, 0.0, 1.0]),
-              poly.from_roots([-1.0, 0.0, 1.0])):
-        w = poly.critical_points(p)
-        assert matched_error(np.array([-1, 1]) / np.sqrt(3), w) < 1e-14
-
-
-def test_critical_points_degree_one_empty():
-    assert poly.critical_points(poly.Polynomial([1.0, 2.0])).size == 0
+    dp = poly.derivative(poly.from_roots(roots))
+    found = poly.critical_points(roots)
+    d = dp.degree
+    want = -dp.coeffs[d - 1] / dp.coeffs[d] if d else 0.0
+    assert abs(found.sum() - want) < 1e-7 * (1 + abs(dp.coeffs[d - 1]))
 
 
 def test_critical_points_of_repeated_root():
@@ -250,16 +225,16 @@ def test_critical_points_of_repeated_root():
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_root_sum_critical_points_match_coefficient_solve(seed):
-    # the coefficient solve of p' is the reference for the root-sum solve
+    # numpy's companion-matrix solve of p' is the reference for the
+    # root-sum solve
     rng = np.random.default_rng(seed)
     deg = int(rng.integers(3, 14))
     roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
     sep = np.abs(roots[:, None] - roots[None, :])
     np.fill_diagonal(sep, np.inf)
     assume(sep.min() > 0.1)
-    p = poly.from_roots(roots)
-    w = poly.critical_points(p)
-    assert matched_error(poly.find_roots(poly.derivative(p)), w) \
+    w = poly.critical_points(poly.from_roots(roots))
+    assert matched_error(_numpy_critical_points(roots), w) \
         < MATCH_TOL_LOW_DEG
 
 
@@ -272,9 +247,8 @@ def test_root_sum_critical_points_match_coefficient_solve(seed):
 def test_critical_points_of_symmetric_root_sets(roots):
     # unturned, the root-sum start offsets put a start point on a root
     # (the first two inputs) or two start points together (the others)
-    p = poly.from_roots(roots)
-    w = poly.critical_points(p)
-    assert matched_error(poly.find_roots(poly.derivative(p)), w) < 1e-14
+    w = poly.critical_points(poly.from_roots(roots))
+    assert matched_error(_numpy_critical_points(roots), w) < 1e-14
 
 
 def test_critical_points_count_and_hull_containment():
