@@ -1,33 +1,37 @@
 """Argument-principle root counting along contours.
 
-Winding numbers are accumulated from principal-branch argument increments
-between consecutive samples of a circle or of one segment of a segment
-set.  Any single increment above pi/2, or fewer than four samples per
-possible root, triggers a doubling of the sample density (up to
+`count_roots_in` counts the roots of p from its coefficients.  Winding
+numbers are accumulated from principal-branch argument increments between
+consecutive samples of a circle or of one segment of a segment set, with
+magnitudes compared in log2 space so that degree-500 products never
+overflow.  Any single increment above pi/2, or fewer than four samples
+per possible root, triggers a doubling of the sample density (up to
 MAX_REFINE doublings), which prevents branch-jump undercounting without
-needing derivative quadrature.
+needing derivative quadrature.  Coefficients are evaluated and counted
+here, never solved.
 
-Two phase sources share that loop: the coefficients of p, with magnitudes
-compared in log2 space so that degree-500 products never overflow, and
-for the zeros of p' the roots of p alone (`count_critical_points_in`).
-Coefficients are evaluated and counted here, never solved.
+`count_critical_points_in` counts the zeros of p' from the roots of p
+alone: the roots inside plus the winding of p'/p, certified on each piece
+of the contour by a bound on the root sum, with no sample density to
+guess and no solved zero to read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ImpossibleCount, NonIntegerWinding, RootOnContour
-from .kernels import derivative_phase, min_distance
+from .kernels import ROUNDING, field_modulus_nearest, field_sum, min_distance
 from .poly import Polynomial, majorant_logmag, phase_logmag
 
 WINDING_TOL = 0.2      # |winding - nearest integer| allowed after refinement
 MAX_REFINE = 6         # sample-density doublings before giving up
 _MAX_ARG_STEP = np.pi / 2
 _NOISE_LOG2 = -50.0    # |p| below 2^-50 * majorant means "on a root"
+_MAX_HALVINGS = 30     # halvings before a piece counts as meeting a zero or
+                       # a pole of p'/p
 
 
 @dataclass(frozen=True)
@@ -122,43 +126,19 @@ def _resample(c: Contour, level: int) -> np.ndarray:
 
 def count_roots_in(p: Polynomial, c: Contour) -> int:
     """Number of roots of p strictly inside the contour (with multiplicity),
-    from the phase of p on its coefficients.  Clearance is checked exactly
-    when the root list is stored, otherwise by the Newton-step bound
-    degree * |p/p'|, from the log2 magnitudes of p and p' (a small bound
-    places a root provably nearby).
+    from the phase of p on its coefficients, first over c's own samples.
+
+    The density doubles, up to MAX_REFINE times, while there are fewer
+    than 2*pi*degree/_MAX_ARG_STEP samples (sparser, a phase winding once
+    per root can advance by nearly 2*pi per step, which reads as a small
+    backward step), while an increment exceeds _MAX_ARG_STEP, or while the
+    total misses an integer by more than WINDING_TOL.  No phase, or a root
+    closer than the clearance, raises RootOnContour; a count of the wrong
+    sign for c's orientation, or above the degree, raises ImpossibleCount.
     """
-    if p.degree < 1:
+    degree = p.degree
+    if degree < 1:
         return 0
-
-    def phase(pts):
-        unit, logmag = phase_logmag(p.coeffs, pts)
-        # |p| below the rounding floor: no phase, so "on a root"
-        unit[logmag <= majorant_logmag(p.coeffs, pts) + _NOISE_LOG2] = np.nan
-        return unit
-
-    return _winding_count(c, p.degree, phase, partial(_check_clearance, p))
-
-
-def count_critical_points_in(roots, critical, c: Contour) -> int:
-    """Number of zeros of p' strictly inside the contour, p = prod (z - a_k)
-    over roots, from the phase of p' on the roots alone.  Clearance is
-    checked exactly against critical, the solved zeros of p'."""
-    return _winding_count(c, np.size(roots) - 1,
-                          partial(derivative_phase, roots=roots),
-                          partial(_check_distance, critical))
-
-
-def _winding_count(c: Contour, degree: int, phase, clear) -> int:
-    """Winding along c of a polynomial of that degree and unit phase
-    phase(pts), first over c's own samples.  The density doubles, up to
-    MAX_REFINE times, while there are fewer than 2*pi*degree/_MAX_ARG_STEP
-    samples (sparser, a phase winding once per root can advance by nearly
-    2*pi per step, which reads as a small backward step), while an
-    increment exceeds _MAX_ARG_STEP, or while the total misses an integer
-    by more than WINDING_TOL.  A phase that is not finite raises
-    RootOnContour, as clear(pts, clearance) does for a root too close; a
-    count of the wrong sign for c's orientation, or above the degree,
-    raises ImpossibleCount."""
     area = np.pi * c.radius ** 2 if c.kind == "circle" else \
         loop_area(c.segments)
     for level in range(MAX_REFINE + 1):
@@ -167,14 +147,26 @@ def _winding_count(c: Contour, degree: int, phase, clear) -> int:
                 and level < MAX_REFINE:
             continue
         clearance = 2.0 / (c.refinement * 2.0 ** level)
-        unit = phase(pts)
-        if not np.all(np.isfinite(unit)):
+        unit, logmag = phase_logmag(p.coeffs, pts)
+        # |p| below the rounding floor: no phase, so "on a root"
+        if np.any(logmag <= majorant_logmag(p.coeffs, pts) + _NOISE_LOG2) \
+                or not np.all(np.isfinite(unit)):
             raise RootOnContour(0.0, clearance)
         inc = np.angle(unit[1:] * np.conj(unit[:-1]))
         inc[_seams(c, level)] = 0.0
         if np.max(np.abs(inc)) > _MAX_ARG_STEP and level < MAX_REFINE:
             continue
-        clear(pts, clearance)
+        if p.roots is not None and p.roots.size:
+            near = min_distance(pts, p.roots)
+        else:
+            # the nearest root lies within degree * |p/p'| of the sample, so
+            # a small quotient proves a clearance violation (the converse is
+            # not provable from |p| alone); |p| > 0 here, as it has a phase
+            dc = p.coeffs[1:] * np.arange(1, degree + 1)
+            with np.errstate(over="ignore"):
+                near = degree * np.exp2(logmag - phase_logmag(dc, pts)[1])
+        if np.any(near < clearance):
+            raise RootOnContour(float(near.min()), clearance)
         winding = float(inc.sum() / (2 * np.pi))
         if abs(winding - round(winding)) > WINDING_TOL:
             if level < MAX_REFINE:
@@ -187,23 +179,56 @@ def _winding_count(c: Contour, degree: int, phase, clear) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _check_clearance(p: Polynomial, pts: np.ndarray, clearance: float):
-    if p.roots is not None and p.roots.size:
-        _check_distance(p.roots, pts, clearance)
-        return
-    dc = p.coeffs[1:] * np.arange(1, p.degree + 1)
-    # nearest root lies within degree * |p/p'| of the sample, so a small
-    # quotient proves a clearance violation (the converse is not provable
-    # from |p| alone); |p| > 0 here, as its phase is defined
-    with np.errstate(over="ignore"):
-        bound = p.degree * np.exp2(phase_logmag(p.coeffs, pts)[1]
-                                   - phase_logmag(dc, pts)[1])
-    if np.any(bound < clearance):
-        raise RootOnContour(float(bound.min()), clearance)
+def count_critical_points_in(roots, c: Contour) -> int:
+    """Number of zeros of p' strictly inside the contour, p = prod (z - a_k)
+    over roots, from the roots alone: the roots inside plus the winding of
+    F = p'/p = sum_k 1/(z - a_k).
 
-
-def _check_distance(zeros, pts: np.ndarray, clearance: float):
-    """RootOnContour if a zero lies closer than clearance to a sample."""
-    dmin = float(min_distance(pts, zeros).min())
-    if dmin < clearance:
-        raise RootOnContour(dmin, clearance)
+    The winding is certified piece by piece.  On a piece within rho of its
+    midpoint w, |F(z) - F(w)| <= rho S/(d - rho) with S = sum_k 1/|w - a_k|
+    and d = min_k |w - a_k|.  When rho < d and that bound plus the rounding
+    of F(w) is below |F(w)|, F has no zero on the piece and arg F stays
+    within pi/2 of arg F(w), so the principal increment between the
+    piece's ends is exact.  Pieces start as the arcs between a circle's
+    samples or as whole segments, and one that fails is halved.  A piece
+    still failing after _MAX_HALVINGS halvings (a zero of p' or a root of
+    p on or next to the contour) raises RootOnContour, as an empty root
+    list (p' = 0) does at once.
+    """
+    a = np.asarray(roots, dtype=np.complex128).ravel()
+    if not a.size:
+        raise RootOnContour(0.0, np.inf)
+    if c.kind == "circle":
+        f = field_sum(c.samples, a)
+        u, v, f0, f1 = c.samples[:-1], c.samples[1:], f[:-1], f[1:]
+    else:
+        u, v = c.segments[:, 0], c.segments[:, 1]
+        f0, f1 = field_sum(u, a), field_sum(v, a)
+    margin = ROUNDING * (a.size + 2) * np.finfo(float).eps
+    winding = 0.0
+    for _ in range(_MAX_HALVINGS + 1):
+        w = 0.5 * (u + v)
+        if c.kind == "circle":      # the arc's midpoint: arcs are < pi
+            w = c.center + c.radius * np.exp(1j * np.angle(w - c.center))
+        rho = np.maximum(np.abs(u - w), np.abs(v - w))
+        fw, sw, d = field_modulus_nearest(w, a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (rho < d) & (rho * sw / (d - rho) + margin * sw < np.abs(fw))
+        winding += float(np.angle(f1[ok] * np.conj(f0[ok])).sum())
+        bad = ~ok
+        if not bad.any():
+            break
+        u, v = (np.concatenate([u[bad], w[bad]]),
+                np.concatenate([w[bad], v[bad]]))
+        f0, f1 = (np.concatenate([f0[bad], fw[bad]]),
+                  np.concatenate([fw[bad], f1[bad]]))
+    else:
+        raise RootOnContour(0.0, float(rho[bad].max()))
+    if c.kind == "circle":
+        inside = int(np.count_nonzero(np.abs(a - c.center) < c.radius))
+    else:
+        # a root sees each segment (u, v) under the angle arg((v-a)/(u-a))
+        s = c.segments
+        seen = np.angle((s[:, 1, None] - a) / (s[:, 0, None] - a))
+        inside = int(round(seen.sum() / (2 * np.pi)))
+    return inside + int(round(winding / (2 * np.pi)))

@@ -3,10 +3,12 @@
 Builds p = q * r from sampled root configurations, counts roots and
 critical points against K and its neighborhood, drives the region
 pipeline per delta, and assembles deterministic structured reports.
-A run solves p' once and q' at most once (for a census component) and
-builds its masks once; the report carries the first mask, so the figure
-shows the mask its components were counted on.  Membership in K and K_eps
-and the escape distance come from `geometry`, one call per point array.
+Roots are used as given, repeated ones too.  A run solves p' once and
+builds its masks once; the census counts the zeros of p' and q' from the
+roots without solving either.  The report carries the first mask, so the
+figure shows the mask its components were counted on.  Membership in K
+and K_eps and the escape distance come from `geometry`, one call per
+point array.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from .poly import RootSplit
 from . import charges as _charges
 from . import geometry, regions
 
-MULT_JITTER = 1e-9        # duplicate roots move by this times the root scale
 _SAMPLER_CAP = 200        # rejection batches before giving up
 _GROW_RETRIES = 3         # far-field bbox enlargements before reporting
-_GOLDEN_TURN = 0.6180339887498949
 
 MASK_NOT_CARRIED = object()   # TheoremReport.mask of a report read from JSON
 FAR_FIELD_FAILED = ("far-field check failed after "
@@ -132,6 +132,8 @@ def _sample_inside(K: ConvexDomain, n: int, kind, rng) -> np.ndarray:
         if pts.size != n:
             raise ConfigError(f"explicit root list has {pts.size} points, "
                               f"config says n={n}")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigError("an explicit inside root is not finite")
         if np.any(distance(K, pts) > 0):
             raise ConfigError("an explicit inside root lies outside K")
         return pts
@@ -160,6 +162,8 @@ def _sample_outside(K: ConvexDomain, m: int, spec, rng) -> np.ndarray:
         if pts.size != m:
             raise ConfigError(f"explicit outside list has {pts.size} "
                               f"points, config says m={m}")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigError("an explicit outside root is not finite")
         if np.any(distance(K, pts) <= 0):
             raise ConfigError("an explicit outside root lies in K")
         return pts
@@ -176,26 +180,6 @@ def _sample_outside(K: ConvexDomain, m: int, spec, rng) -> np.ndarray:
         if out.size >= m:
             return out[:m]
     raise ConfigError("annulus sampler kept landing inside K; raise lo")
-
-
-def multiplicity_jitter(roots) -> np.ndarray:
-    """Separate exact duplicates so the product polynomial is square-free.
-
-    The k-th copy of a repeated value moves by MULT_JITTER * root scale
-    along deterministic golden-angle directions.
-    """
-    out = np.asarray(roots, dtype=np.complex128).copy()
-    if out.size == 0:
-        return out
-    step = MULT_JITTER * max(1.0, float(np.abs(out).max()))
-    seen: dict[complex, int] = {}
-    for i, z in enumerate(out):
-        key = complex(z)
-        k = seen.get(key, 0)
-        if k:
-            out[i] = z + step * np.exp(2j * np.pi * _GOLDEN_TURN * k)
-        seen[key] = k + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +344,10 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremReport:
 
     inside = _sample_inside(cfg.domain, cfg.n, cfg.root_sampler, rng)
     outside = _sample_outside(cfg.domain, cfg.m, cfg.outside_sampler, rng)
-    jittered = multiplicity_jitter(np.concatenate([inside, outside]))
-    inside, outside = jittered[:cfg.n], jittered[cfg.n:]
     split = RootSplit(inside, outside)
 
-    roots_in = int(np.sum(distance(cfg.domain, jittered) <= 0))
+    roots = np.concatenate([inside, outside])
+    roots_in = int(np.sum(distance(cfg.domain, roots) <= 0))
     roots_out = cfg.n + cfg.m - roots_in
 
     crit = np.zeros(0, dtype=np.complex128)

@@ -1,5 +1,5 @@
 """Points x sources reductions: field sums, modulus sums, nearest distances,
-distance products, the phase of p' and the weighted root sums of `poly`.
+distance products and the weighted root sums of `poly`.
 
 Each function takes points of any shape and a 1-D array of sources and
 returns one value per point, reduced over the sources.  The table is built
@@ -86,19 +86,6 @@ def field_modulus_nearest(points, sources):
                 nearest)
 
     return tuple(_reduce(points, sources, row, (_FIELD, _MODULUS, _NEAREST)))
-
-
-def derivative_phase(points, roots) -> np.ndarray:
-    """Unit phase of p'(z), p = prod_k (z - a_k): as p' = p*F, F = sum_k
-    1/(z - a_k), the product of the unit phases of z - a_k times F/|F|.
-    No coefficient is formed.  nan on a root, where F = 0, and without
-    roots (p' = 0)."""
-    def row(d):
-        unit = np.prod(d / np.abs(d), axis=-1)
-        f = _field(d)
-        return (unit * (f / np.abs(f)),)
-
-    return _reduce(points, roots, row, ((np.complex128, np.nan),))[0]
 
 
 def self_field(points, weights=1.0) -> np.ndarray:

@@ -63,17 +63,19 @@ class RootSplit:
 
     `inside` are the roots assigned to the convex domain, `outside` the
     rest; their product p is the original and the inside factor is q.  The
-    critical points of p and of q are solved from the roots once per split;
-    a failed solve is not kept.
+    critical points of p are solved from the roots once per split; a failed
+    solve is not kept.
     """
 
     inside: np.ndarray
     outside: np.ndarray
 
     def __post_init__(self):
+        outside = np.asarray(self.outside, dtype=np.complex128).ravel()
+        if not np.all(np.isfinite(outside)):
+            raise ValueError("outside roots must be finite")
         object.__setattr__(self, "inside", _root_array(self.inside))
-        object.__setattr__(self, "outside", np.asarray(
-            self.outside, dtype=np.complex128).ravel())
+        object.__setattr__(self, "outside", outside)
 
     @property
     def n(self) -> int:
@@ -87,11 +89,6 @@ class RootSplit:
     def critical(self) -> np.ndarray:
         """Critical points of the product p."""
         return critical_points(np.concatenate([self.inside, self.outside]))
-
-    @cached_property
-    def inside_critical(self) -> np.ndarray:
-        """Critical points of the inside factor q."""
-        return critical_points(self.inside)
 
 
 # ---------------------------------------------------------------------------

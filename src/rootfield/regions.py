@@ -3,10 +3,11 @@
 A_delta = {z : |q'/q| <= |r'/r| + delta/|r|} contains every critical point
 of p = q*r, because q'/q = -r'/r exactly at roots of p'.  The set is
 sampled at cell centers on a regular grid, labeled by 4-connected flood
-fill, and each component is certified by an argument-principle count of
-p' roots over the boundary of a union of cells, with the phase of p'
-taken from the roots of p, together with a Rouché margin: the minimum of
-|q'/q| - |r'/r| on that boundary, positive exactly where |q'r| > |qr'|.
+fill, and each component is certified by argument-principle counts of
+the zeros of p' and of q' over the boundary of a union of cells, each
+from the roots alone (`contours.count_critical_points_in`), together with
+a Rouché margin: the minimum of |q'/q| - |r'/r| on that boundary,
+positive exactly where |q'r| > |qr'|.
 
 All three terms come from the roots alone: the two field sums and
 1/|r| = 1/prod |z - b_k| over the outside roots b_k, each one `kernels`
@@ -53,8 +54,8 @@ import numpy as np
 from scipy import ndimage
 
 from . import contours as _contours
-from .errors import (GrowBBox, InvalidEpsilon, NonIntegerWinding,
-                     RootOnContour, SingularCell, SingularPoint)
+from .errors import (GrowBBox, InvalidEpsilon, RootOnContour, SingularCell,
+                     SingularPoint)
 from .geometry import ConvexDomain, bounding_box, contains, diameter, distance
 from .kernels import (ROUNDING, distance_product, field_modulus_nearest,
                       field_sum, min_distance)
@@ -132,7 +133,7 @@ class ComponentReport:
     r_roots_inside: int          # r roots whose cell carries this label
     crit_points_inside: int      # argument-principle count over the moat
     rouche_margin: float         # min |q'/q| - |r'/r| on the moat samples
-    qprime_roots_enclosed: int = 0   # q' roots with cells in the moat
+    qprime_roots_enclosed: int = 0   # q' zeros counted over the moat
     r_roots_enclosed: int = 0        # r roots with cells in the moat
     absorbed: tuple[int, ...] = ()   # other component ids merged into the moat
     count_error: str | None = None
@@ -609,16 +610,16 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
                         epsilon: float) -> list[ComponentReport]:
     """Per-component geometry flags, root membership, and Rouché census.
 
-    A contour-counting failure is recorded on the report, with
-    crit_points_inside left at 0.
+    The zeros of p' and of q' in each moat are both counted from the
+    roots over its boundary.  A counting failure is recorded on the
+    report, with its count left at 0; the first failure is kept.
     """
     if not epsilon > 0:
         raise InvalidEpsilon("epsilon must be strictly positive")
     crit = split.critical
     roots = np.concatenate([split.inside, split.outside])
-
-    grid = (mask.bbox, mask.cell_size, mask.shape)
-    r_cells = _cells_of_points(*grid, split.outside)
+    r_cells = _cells_of_points(mask.bbox, mask.cell_size, mask.shape,
+                               split.outside)
 
     reports = []
     for cid, win in enumerate(mask.windows):
@@ -629,18 +630,18 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
                            if i >= 0 and mask.labels[i, j] == cid))
         contour, moat, moat_win, absorbed, err = component_boundaries(
             mask, cid, protect=crit)
-        count = 0
+        count = qp_enc = 0
         if err is None:
             try:
-                count = _contours.count_critical_points_in(roots, crit,
-                                                           contour)
-            except (RootOnContour, NonIntegerWinding) as exc:
+                count = _contours.count_critical_points_in(roots, contour)
+            except RootOnContour as exc:
                 err = f"{type(exc).__name__}: {exc}"
+        try:
+            qp_enc = _contours.count_critical_points_in(split.inside, contour)
+        except RootOnContour as exc:
+            err = err or f"{type(exc).__name__}: {exc}"
         margin = _rouche_margin(split, contour.samples)
         r_enc = _count_on(moat, moat_win, r_cells)
-        # q' is solved only once a component reads it
-        qp_enc = _count_on(moat, moat_win,
-                           _cells_of_points(*grid, split.inside_critical))
         reports.append(ComponentReport(
             component=cid, touches_K=touches, escapes_Keps=escapes,
             r_roots_inside=r_inside, crit_points_inside=count,

@@ -153,6 +153,18 @@ def test_config_error_exit_codes(tmp_path):
     assert cli.main(["render", garbage, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("sampler", ["root_sampler", "outside_sampler"])
+def test_non_finite_explicit_roots_are_a_config_error(tmp_path, capsys,
+                                                      sampler):
+    roots = {"root_sampler": [[0.5, 0.0], [-0.5, 0.0]],
+             "outside_sampler": [[3.0, 0.0]]}
+    roots[sampler][0] = [float("nan"), 0.0]
+    cfg = _write(tmp_path, dict(EXPERIMENT, n=2, m=1, **roots))
+    assert cli.main(["theorem", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_each_subcommand_accepts_only_the_flags_it_reads(capsys):
     reads = {"theorem": {"config", "seed", "out", "resolution"},
              "sweep-m": {"config", "seed", "out", "jobs", "resolution"},

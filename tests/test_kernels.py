@@ -16,12 +16,6 @@ def _unblocked(z, a):
         np.abs(d).min(axis=-1)
 
 
-def _unblocked_phase(z, a):
-    d = z[..., None] - a
-    f = (1.0 / d).sum(axis=-1)
-    return np.prod(d / np.abs(d), axis=-1) * (f / np.abs(f))
-
-
 def _unblocked_self(x, w):
     d = x[:, None] - x
     np.fill_diagonal(d, np.inf)
@@ -54,9 +48,6 @@ def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
         assert g.shape == shape
         assert g.dtype == want.dtype
         assert np.array_equal(g, want)
-    phase = kernels.derivative_phase(z, a)
-    assert phase.shape == shape
-    assert np.array_equal(phase, _unblocked_phase(z, a))
     product = kernels.distance_product(z, a)
     assert product.shape == shape
     assert np.array_equal(product, np.abs(z[..., None] - a).prod(axis=-1))
@@ -88,7 +79,6 @@ def test_kernels_without_sources_or_points():
         assert f(none, z.ravel()).shape == (0,)
     assert [v.shape for v in kernels.field_modulus_nearest(none, z.ravel())] \
         == [(0,)] * 3
-    assert np.isnan(kernels.derivative_phase(z, none)).all()
     assert np.array_equal(kernels.distance_product(z, none), np.ones((2, 2)))
     assert kernels.distance_product(none, z.ravel()).shape == (0,)
 
@@ -98,12 +88,16 @@ def test_kernel_hand_values():
     assert kernels.field_sum(0.0, a) == pytest.approx(-1.0 + 1.0 + 0.5j)
     assert kernels.modulus_sum(0.0, a) == pytest.approx(2.5)
     assert kernels.min_distance(0.5, a) == pytest.approx(0.5)
-    # p = (z - 1)(z + 1)(z - 2i) has p' = 3z^2 - 4iz - 1
-    assert kernels.derivative_phase(0.0, a) == pytest.approx(-1.0)
-    assert kernels.derivative_phase(2.0, a) \
-        == pytest.approx((11 - 8j) / abs(11 - 8j))
+    # p = (z - 1)(z + 1)(z - 2i) has p' = 3z^2 - 4iz - 1, so at 2 the
+    # root sum is p'/p = (11 - 8i)/(3 (2 - 2i))
+    f, s, d = kernels.field_modulus_nearest(2.0, a)
+    assert f == pytest.approx((11 - 8j) / (6 - 6j))
+    assert s == pytest.approx(1.0 + 1.0 / 3.0 + 1.0 / np.sqrt(8.0))
+    assert d == pytest.approx(1.0)
     # |p(2)| = 1 * 3 * |2 - 2i|, and 0 on a root
     assert kernels.distance_product(2.0, a) == pytest.approx(6 * np.sqrt(2))
     assert kernels.distance_product(-1.0, a) == 0.0
-    # p'(i) = 0 and p(1) = 0: no phase
-    assert np.isnan(kernels.derivative_phase([1j, 1.0], a)).all()
+    # p'(i) = 0: the root sum vanishes; p(1) = 0: a point on a source
+    f, s, d = kernels.field_modulus_nearest([1j, 1.0], a)
+    assert abs(f[0]) < 1e-15 and d[1] == 0.0
+    assert not np.isfinite(f[1]) and not np.isfinite(s[1])

@@ -306,7 +306,14 @@ def test_split_keeps_solved_critical_points_but_not_failures(monkeypatch):
     with pytest.raises(NoConvergence):
         split.critical
     assert split.critical is split.critical
-    assert split.inside_critical is split.inside_critical
-    assert degrees == [4, 4, 3]
+    assert degrees == [4, 4]
     roots = np.concatenate([split.inside, split.outside])
     assert matched_error(real(poly.from_roots(roots)), split.critical) == 0.0
+
+
+def test_split_rejects_non_finite_roots():
+    for inside, outside in (([0.0, np.nan], [5.0]), ([0.0, 1.0], [np.inf]),
+                            ([], [5.0])):
+        with pytest.raises(ValueError, match="finite"):
+            poly.RootSplit(inside, outside)
+    assert poly.RootSplit([0.0, 1.0], []).m == 0

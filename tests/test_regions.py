@@ -421,16 +421,41 @@ def test_sample_polyline_is_the_segment_loop_bit_for_bit():
 def test_counts_reuse_the_build_time_sampling():
     split, res = _census_instance(0)
     mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
-    roots = np.concatenate([split.inside, split.outside])
+    dp = poly.derivative(poly.from_roots(np.concatenate([split.inside,
+                                                         split.outside])))
     loops = [regions.component_boundaries(mask, cid, split.critical)[0]
              for cid in range(mask.n_components)]
     loops += [contours.circle(0.0, r) for r in (0.5, 1.25, 2.0)]
     for c in loops:
         rebuilt = contours._resample(c, 0)
         assert rebuilt.tobytes() == c.samples.tobytes()
-        assert contours.count_critical_points_in(roots, split.critical, c) \
-            == contours.count_critical_points_in(
-                roots, split.critical, dataclasses.replace(c, samples=rebuilt))
+        assert contours.count_roots_in(dp, c) == contours.count_roots_in(
+            dp, dataclasses.replace(c, samples=rebuilt))
+
+
+def test_qprime_counts_match_solved_zeros_in_the_moat():
+    # the census counts q' zeros from the roots of q; the solved zeros of
+    # q' whose cells lie in the moat are the independent reference
+    compared = 0
+    for seed in range(12):
+        split, res = _census_instance(seed)
+        try:
+            masks = regions.build_masks(split, (1e-2, 1e-3), CENSUS_BOX, res)
+        except GrowBBox:
+            continue
+        zeros = poly.critical_points(split.inside)
+        for mask in masks:
+            cells = regions._cells_of_points(mask.bbox, mask.cell_size,
+                                             mask.shape, zeros)
+            reports = regions.classify_components(mask, split, K, EPS)
+            for rep in reports:
+                _, moat, win, _, err = regions.component_boundaries(
+                    mask, rep.component, split.critical)
+                assert err is None and rep.count_error is None
+                assert rep.qprime_roots_enclosed \
+                    == regions._count_on(moat, win, cells)
+                compared += 1
+    assert compared >= 30
 
 
 # ---------------------------------------------------------------------------
