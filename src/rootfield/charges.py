@@ -395,8 +395,16 @@ def lemma1_curve_bound(C: ChargeSet, curve: Curve) -> LemmaWitness:
     i = int(np.argmin(ps))               # first occurrence -> smaller t
     best_t, best_p, gn = float(cands[i]), float(ps[i]), gns[i]
     one_d = float(modulus_sum(gn.real, zn.real))
+    # gn.real is y + k up to the rounding of rn, cum, curve.point and
+    # (z - v0)/s: at most ROUNDING * N eps max|v|/|s| for N vertices.  Every
+    # abscissa keeps torus distance >= 1/(DIST_FLOOR m) from y, so that
+    # rounding raises one_d by at most the factor 1/(1 - shift); at
+    # shift >= 1 it certifies nothing, and only the fixed slack is left
+    shift = (DIST_FLOOR * C.m * ROUNDING * curve.vertices.size
+             * np.finfo(float).eps * np.abs(curve.vertices).max() / abs(s))
     slack = 1.0 + 1e-9
-    if not (best_p <= one_d * slack and one_d <= torus_value * slack):
+    room = slack / (1.0 - shift) if shift < 1.0 else slack
+    if not (best_p <= one_d * slack and one_d <= torus_value * room):
         raise CertificateError(
             "projection chain inequality failed at the witness",
             {"two_d": best_p, "one_d": one_d, "torus": torus_value})

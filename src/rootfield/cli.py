@@ -27,7 +27,7 @@ EXIT_CONFIG = 2
 _DEFAULT_EXPERIMENT = {
     "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
     "epsilon": 0.5, "n": 100, "m": 2,
-    "delta_sweep": [1e-3], "resolution": 200.0, "seed": 0,
+    "delta_sweep": [1e-3],
 }
 
 

@@ -97,22 +97,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """Keys missing from obj take the dataclass defaults."""
+        def points(pairs):
+            return np.array([complex(x, y) for x, y in pairs])
+
+        def outside(spec):
+            if isinstance(spec, dict):
+                lo, hi = spec["annulus"]
+                return ("annulus", float(lo), float(hi))
+            return points(spec)
+
+        read = {"root_sampler":
+                lambda rs: rs if isinstance(rs, str) else points(rs),
+                "outside_sampler": outside, "delta_sweep": tuple,
+                "resolution": float, "seed": int}
         try:
-            rs = obj.get("root_sampler", "uniform")
-            if not isinstance(rs, str):
-                rs = np.array([complex(x, y) for x, y in rs])
-            os_ = obj.get("outside_sampler", {"annulus": [1.0, 2.0]})
-            if isinstance(os_, dict):
-                lo, hi = os_["annulus"]
-                os_ = ("annulus", float(lo), float(hi))
-            else:
-                os_ = np.array([complex(x, y) for x, y in os_])
             return cls(domain=ConvexDomain.from_json(obj["domain"]),
                        epsilon=float(obj["epsilon"]), n=int(obj["n"]),
-                       m=int(obj["m"]), root_sampler=rs, outside_sampler=os_,
-                       delta_sweep=tuple(obj.get("delta_sweep", ())),
-                       resolution=float(obj.get("resolution", 200.0)),
-                       seed=int(obj.get("seed", 0)))
+                       m=int(obj["m"]),
+                       **{k: f(obj[k]) for k, f in read.items() if k in obj})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -346,8 +349,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremReport:
     outside = _sample_outside(cfg.domain, cfg.m, cfg.outside_sampler, rng)
     split = RootSplit(inside, outside)
 
-    roots = np.concatenate([inside, outside])
-    roots_in = int(np.sum(distance(cfg.domain, roots) <= 0))
+    roots_in = int(np.sum(distance(cfg.domain, split.roots) <= 0))
     roots_out = cfg.n + cfg.m - roots_in
 
     crit = np.zeros(0, dtype=np.complex128)

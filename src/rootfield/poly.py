@@ -86,9 +86,14 @@ class RootSplit:
         return len(self.outside)
 
     @cached_property
+    def roots(self) -> np.ndarray:
+        """All roots of p: the inside roots, then the outside ones."""
+        return np.concatenate([self.inside, self.outside])
+
+    @cached_property
     def critical(self) -> np.ndarray:
         """Critical points of the product p."""
-        return critical_points(np.concatenate([self.inside, self.outside]))
+        return critical_points(self.roots)
 
 
 # ---------------------------------------------------------------------------

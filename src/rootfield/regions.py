@@ -177,8 +177,7 @@ def _inverse_r(split: RootSplit, zs: np.ndarray) -> np.ndarray:
 
 def _near_root(split: RootSplit, zs: np.ndarray) -> np.ndarray:
     """Points of zs within SINGULAR_GUARD of a root."""
-    roots = np.concatenate([split.inside, split.outside])
-    return min_distance(zs, roots) < SINGULAR_GUARD
+    return min_distance(zs, split.roots) < SINGULAR_GUARD
 
 
 def adelta_indicator(split: RootSplit, delta: float, z) -> float:
@@ -198,10 +197,9 @@ def adelta_indicator(split: RootSplit, delta: float, z) -> float:
 
 def default_bbox(split: RootSplit, K: ConvexDomain, epsilon: float):
     """Hull of all roots inflated by 2*(epsilon + diam K) on every side."""
-    roots = np.concatenate([split.inside, split.outside])
     kx0, kx1, ky0, ky1 = bounding_box(K)
-    xs = np.concatenate([roots.real, [kx0, kx1]])
-    ys = np.concatenate([roots.imag, [ky0, ky1]])
+    xs = np.concatenate([split.roots.real, [kx0, kx1]])
+    ys = np.concatenate([split.roots.imag, [ky0, ky1]])
     pad = 2.0 * (epsilon + diameter(K))
     return (float(xs.min() - pad), float(xs.max() + pad),
             float(ys.min() - pad), float(ys.max() + pad))
@@ -233,20 +231,19 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
     ys = ymin + (np.arange(ny) + 0.5) * h
 
     gs, reach, evaluations = _signed_fill(split, deltas, xs, ys)
-    # a center within SINGULAR_GUARD of a root lies in that root's cell
-    roots = np.concatenate([split.inside, split.outside])
-    cells = _cells_of_points((xmin, xmax, ymin, ymax), h, (ny, nx), roots)
+    # a center within SINGULAR_GUARD of a root lies in that root's cell.
+    # Only these cells can hold nan: g is nan only as inf - inf or 0*inf,
+    # and A, B or C is infinite only at such a center (a distance product
+    # that underflows gives C = inf, but then g = -inf); a nan block bound
+    # settles nothing, so no painted cell holds nan
+    cells = _cells_of_points((xmin, xmax, ymin, ymax), h, (ny, nx),
+                             split.roots)
     cells = cells[cells[:, 0] >= 0]
     near = cells[_near_root(split, xs[cells[:, 1]] + 1j * ys[cells[:, 0]])]
 
     masks = []
     for delta, g, win in zip(deltas, gs, reach):
-        # nan (inf - inf) needs a cell center on a root, and a top block
-        # holding a root is never certified positive, so it is in reach
-        nan = np.argwhere(np.isnan(g[win])) + (win[0].start, win[1].start)
-        _patch_singular_cells(split, delta, g,
-                              np.unique(np.concatenate([near, nan]), axis=0),
-                              xs, ys, h)
+        _patch_singular_cells(split, delta, g, near, xs, ys, h)
         _far_field_check(g, (xmin, xmax, ymin, ymax))
         labels, windows = _label(g, win)
         masks.append(RegionMask((xmin, xmax, ymin, ymax), float(resolution),
@@ -290,9 +287,10 @@ def _signed_fill(split: RootSplit, deltas, xs, ys):
     from `_block_bounds` fix the sign of g for every delta is settled and
     painted with the bound nearest zero; any other block splits into
     four, down to single cells, which are evaluated exactly as on a dense
-    grid (the same points and arithmetic, hence the same bits).  The top
-    level is painted all at once, nan on its unsettled blocks, which the
-    finer levels overwrite.  A delta's reach is the window of the top
+    grid (the same points and arithmetic, hence the same bits).  The
+    blocks of one level partition what the coarser levels left unsettled,
+    so every cell is written once: by `_paint` on the level that settles
+    it, or as a single cell.  A delta's reach is the window of the top
     blocks not certified positive for it; every cell with g <= EQUALITY_TOL
     lies inside it.
     """
@@ -321,17 +319,13 @@ def _signed_fill(split: RootSplit, deltas, xs, ys):
         lo, hi = _block_bounds(split, dl, zc, rho)
         positive = lo > EQUALITY_TOL
         settled = np.all(positive | (hi < 0.0), axis=0)
-        value = np.where(positive, lo, hi)
         if reach is None:
             # the top level; its single cells are evaluated exactly below
             maybe = np.ones((len(deltas), one.size), dtype=bool)
             maybe[:, ~one] = ~positive
             reach = [_hull(top[:, k]) for k in maybe]
-            coarse = np.full((len(deltas), one.size), np.nan)
-            coarse[:, ~one] = np.where(settled, value, np.nan)
-            _paint_top(gs, coarse.reshape(len(deltas), -1, -(-nx // _BLOCK)))
-        else:
-            _paint(gs, blocks[:, settled], value[:, settled])
+        _paint(gs, blocks[:, settled],
+               np.where(positive, lo, hi)[:, settled])
         evaluations += zc.size
         blocks = _quarters(blocks[:, ~settled])
     ii = np.concatenate([b[0] for b in singles])
@@ -398,24 +392,14 @@ def _quarters(blocks: np.ndarray) -> np.ndarray:
     return out[:, (out[1] > out[0]) & (out[3] > out[2])]
 
 
-def _paint_top(gs, coarse: np.ndarray) -> None:
-    """gs[k][block (a, b)] = coarse[k, a, b] for every top block, edge
-    blocks cut short, in one broadcast write per grid; coarse is nan on
-    the blocks left to the finer levels."""
-    ny, nx = gs[0].shape
-    full = ny - ny % _BLOCK
-    for g, c in zip(gs, coarse):
-        rows = np.repeat(c, _BLOCK, axis=1)[:, :nx]
-        g[:full].reshape(-1, _BLOCK, nx)[...] = rows[:full // _BLOCK, None]
-        g[full:] = rows[full // _BLOCK:]
-
-
 def _paint(gs, blocks: np.ndarray, values: np.ndarray) -> None:
     """gs[k][i0:i1, j0:j1] = values[k, b] for every block column b.
 
     Blocks of one shape whose corners sit on multiples of that shape are
     written through a block view of the grid, a contiguous run per block
-    row; the rest by one fancy assignment per shape.
+    row; the rest by one fancy assignment per shape.  Every quadtree level
+    paints through here; the full top blocks and their quarters are all
+    tiled, so only blocks cut short by the grid's edge can be loose.
     """
     i0, i1, j0, j1 = blocks
     ny, nx = gs[0].shape
@@ -617,23 +601,22 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     if not epsilon > 0:
         raise InvalidEpsilon("epsilon must be strictly positive")
     crit = split.critical
-    roots = np.concatenate([split.inside, split.outside])
     r_cells = _cells_of_points(mask.bbox, mask.cell_size, mask.shape,
                                split.outside)
 
     reports = []
     for cid, win in enumerate(mask.windows):
-        _, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
+        cells, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
         touches = bool(np.any(in_k))
         escapes = bool(np.any(out_keps))
-        r_inside = int(sum(1 for i, j in r_cells
-                           if i >= 0 and mask.labels[i, j] == cid))
+        r_inside = _count_on(cells, win, r_cells)
         contour, moat, moat_win, absorbed, err = component_boundaries(
             mask, cid, protect=crit)
         count = qp_enc = 0
         if err is None:
             try:
-                count = _contours.count_critical_points_in(roots, contour)
+                count = _contours.count_critical_points_in(split.roots,
+                                                           contour)
             except RootOnContour as exc:
                 err = f"{type(exc).__name__}: {exc}"
         try:

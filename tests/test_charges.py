@@ -450,6 +450,24 @@ def test_lemma_chain_randomized():
         checked += 1
 
 
+def test_lemma_bound_on_small_curves_far_from_the_origin():
+    # the normalization (z - v0)/s rounds at eps max|v|/|s|, up to 2e-7
+    # here; trials 239, 558, 571, 977, 1244, 1665, 1955 and 2308 once
+    # failed the projection chain check by 1e-9 to 4e-8 relative
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        m = int(rng.integers(1, 13))
+        scale = 10 ** rng.uniform(-7, 0)
+        v0 = 100 * np.exp(2j * np.pi * rng.uniform())
+        rot = np.exp(2j * np.pi * rng.uniform())
+        mid = rng.normal(size=1) + 1j * rng.normal(size=1)
+        curve = ch.Curve(v0 + scale * rot * np.concatenate([[0], mid, [1]]))
+        C = ch.ChargeSet(v0 + scale * rot * (rng.normal(size=m)
+                                             + 1j * rng.normal(size=m)))
+        w = ch.lemma1_curve_bound(C, curve)
+        assert w.torus_value <= 20.0 * m * np.log(20.0 * m)
+
+
 def test_lemma_rejects_closed_curve():
     loop = ch.Curve([0.0, 1.0, 1.0 + 1.0j, 0.0])
     with pytest.raises(ValueError):

@@ -48,6 +48,11 @@ def test_config_json_round_trip_samplers():
     again = harness.ExperimentConfig.from_json(explicit.to_json())
     assert again.to_json() == explicit.to_json()
 
+    # keys left out take the dataclass defaults
+    bare = harness.ExperimentConfig.from_json(
+        {"domain": K.to_json(), "epsilon": 0.5, "n": 8, "m": 2})
+    assert bare == harness.ExperimentConfig(domain=K, epsilon=0.5, n=8, m=2)
+
 
 def test_config_from_json_rejects_garbage():
     with pytest.raises(ConfigError):

@@ -307,8 +307,11 @@ def test_split_keeps_solved_critical_points_but_not_failures(monkeypatch):
         split.critical
     assert split.critical is split.critical
     assert degrees == [4, 4]
-    roots = np.concatenate([split.inside, split.outside])
-    assert matched_error(real(poly.from_roots(roots)), split.critical) == 0.0
+    # the root array, inside roots first, is built once per split
+    assert np.array_equal(split.roots, [0.0, 1.0, 2j, 5.0])
+    assert split.roots is split.roots
+    assert matched_error(real(poly.from_roots(split.roots)),
+                         split.critical) == 0.0
 
 
 def test_split_rejects_non_finite_roots():

@@ -9,7 +9,7 @@ from scipy import ndimage
 
 from rootfield import geometry as geo
 from rootfield import contours, harness, poly, regions
-from rootfield.errors import GrowBBox, SingularPoint
+from rootfield.errors import GrowBBox, SingularCell, SingularPoint
 
 RES = 200.0
 DELTAS = (1e-4, 1e-3, 1e-2)
@@ -179,6 +179,15 @@ def test_root_on_cell_center_is_patched():
         assert np.abs(mask.indicator).max() < 1e3
 
 
+def test_roots_on_a_center_and_its_quarter_points_raise_singular_cell():
+    center = 0.05 + 0.05j
+    quarters = center + 0.025 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    split = poly.RootSplit(np.array([center, *quarters]), [5.0])
+    with pytest.raises(SingularCell) as info:
+        regions.build_masks(split, [1e-2], (-1.0, 1.0, -1.0, 1.0), 10.0)
+    assert abs(info.value.args[0] - center) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # the quadtree against the dense grid
 # ---------------------------------------------------------------------------
@@ -253,20 +262,15 @@ def _grids(draw):
 def test_quadtree_matches_dense_grid(case):
     inside, outside, deltas, bbox, res = case
     split = poly.RootSplit(np.array(inside), outside)
-    painted, painted_top = [], []
-    real_paint, real_paint_top = regions._paint, regions._paint_top
+    painted = []
+    real_paint = regions._paint
 
     def recording(gs, blocks, values):
         painted.append(blocks)
         real_paint(gs, blocks, values)
 
-    def recording_top(gs, coarse):
-        painted_top.append(~np.isnan(coarse[0]))
-        real_paint_top(gs, coarse)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regions, "_paint", recording)
-        mp.setattr(regions, "_paint_top", recording_top)
         try:
             masks = regions.build_masks(split, deltas, bbox, res)
         except GrowBBox as exc:
@@ -281,17 +285,21 @@ def test_quadtree_matches_dense_grid(case):
         assert masks.suggested == oracle.suggested
         return
     assert not isinstance(masks, GrowBBox)
-    block = regions._BLOCK
-    settled = np.repeat(np.repeat(painted_top[0], block, axis=0), block,
-                        axis=1)[:ny, :nx]
+    writes = np.zeros((ny, nx), dtype=int)
     for blocks in painted:
         for i0, i1, j0, j1 in blocks.T:
-            settled[i0:i1, j0:j1] = True
+            writes[i0:i1, j0:j1] += 1
+    # painted blocks never overlap, so no cell is painted twice
+    assert writes.max(initial=0) <= 1
+    settled = writes == 1
     for mask, (g, patched, labels, count) in zip(masks, oracle):
         assert mask.n_components == count
         assert np.array_equal(mask.labels, labels)
+        assert not np.isnan(mask.indicator).any()
         assert np.array_equal(mask.indicator <= regions.EQUALITY_TOL,
                               g <= regions.EQUALITY_TOL)
+        # every cell no block painted holds the exact dense value, so the
+        # painted blocks and the exactly evaluated cells cover the grid
         exact = ~settled | patched
         assert np.array_equal(mask.indicator[exact], g[exact])
         got, want = mask.indicator[~exact], g[~exact]
