@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, harness, render, search
@@ -44,6 +44,29 @@ def _load_config(args) -> dict:
     return obj
 
 
+def _field(raw: dict, key: str, read, default=None):
+    """raw[key] converted by read, or default when absent; a value read
+    rejects is a ConfigError, raised before any run starts."""
+    if key not in raw:
+        return default
+    try:
+        return read(raw[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r} in config: {exc}") from exc
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _ints(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return tuple(map(_int, value))
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -51,10 +74,8 @@ def _out_dir(args) -> Path:
 
 
 def _experiment_config(args, raw: dict) -> harness.ExperimentConfig:
-    merged = dict(_DEFAULT_EXPERIMENT)
-    names = {f.name for f in fields(harness.ExperimentConfig)}
-    merged.update({k: v for k, v in raw.items() if k in names})
-    cfg = harness.ExperimentConfig.from_json(merged)
+    # from_json reads the keys it knows, so m_values passes unread
+    cfg = harness.ExperimentConfig.from_json({**_DEFAULT_EXPERIMENT, **raw})
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.resolution is not None:
@@ -88,7 +109,7 @@ def _cmd_theorem(args) -> int:
 
 def _cmd_sweep_m(args) -> int:
     raw = _load_config(args)
-    m_values = raw.get("m_values", [0, 1, 2, 5, 10, 20])
+    m_values = _field(raw, "m_values", _ints, (0, 1, 2, 5, 10, 20))
     cfg = _experiment_config(args, raw)
     out = _out_dir(args)
     rows = harness.sweep_m(cfg, m_values, path=out / "sweep.csv",
@@ -101,12 +122,13 @@ def _cmd_sweep_m(args) -> int:
 
 def _cmd_lemma(args) -> int:
     raw = _load_config(args)
-    suite = harness.run_lemma_suite(
-        trials=int(raw.get("trials", 200)),
-        m_range=tuple(raw.get("m_range", (5, 200))),
-        seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
-        curve_trials=raw.get("curve_trials"),
-        sharp_ms=tuple(raw.get("sharp_ms", (10, 100, 1000))))
+    read = {"trials": _int, "m_range": _ints, "seed": _int,
+            "curve_trials": lambda v: v if v is None else _int(v),
+            "sharp_ms": _ints}
+    kwargs = {k: _field(raw, k, f) for k, f in read.items() if k in raw}
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    suite = harness.run_lemma_suite(**kwargs)
     out = _out_dir(args)
     _write_json(out / "lemma.json", asdict(suite))
     print(f"{suite.trials} torus + {suite.curve_trials} curve instances, "
@@ -115,14 +137,16 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_sharp(args) -> int:
-    raw = _load_config(args)
-    ms = raw.get("sharp_ms", [10, 50, 100, 500, 1000])
+    ms = _field(_load_config(args), "sharp_ms", _ints,
+                (10, 50, 100, 500, 1000))
+    if any(m < 2 for m in ms):
+        raise ConfigError("every sharp m must be at least 2")
     out = _out_dir(args)
     lines = ["m,t,value,ratio"]
     for m in ms:
-        ex = sharp_example(int(m))
-        lines.append(f"{int(m)},{ex.t!r},{ex.value!r},{ex.ratio!r}")
-        print(f"m={int(m):5d}  value={ex.value:.6f}  "
+        ex = sharp_example(m)
+        lines.append(f"{m},{ex.t!r},{ex.value!r},{ex.ratio!r}")
+        print(f"m={m:5d}  value={ex.value:.6f}  "
               f"value/(m ln m)={ex.ratio:.6f}")
     (out / "sharp.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
@@ -130,14 +154,15 @@ def _cmd_sharp(args) -> int:
 
 def _cmd_supercharge(args) -> int:
     raw = _load_config(args)
-    curve_pts = raw.get("curve", [[0.0, 0.0], [1.0, 0.0]])
-    curve = Curve([complex(x, y) for x, y in curve_pts])
+    curve = _field(raw, "curve", lambda v: Curve(
+        [complex(x, y) for x, y in v]), Curve([0.0, 1.0]))
     cfg = search.SearchConfig(
-        curve=curve, m=int(raw.get("m", 3)),
-        restarts=int(raw.get("restarts", 6)),
-        budget=int(raw.get("budget", 12000)),
-        exclusion_margin=float(raw.get("exclusion_margin", 1e-2)),
-        seed=args.seed if args.seed is not None else int(raw.get("seed", 0)))
+        curve=curve, m=_field(raw, "m", _int, 3),
+        restarts=_field(raw, "restarts", _int, 6),
+        budget=_field(raw, "budget", _int, 12000),
+        exclusion_margin=_field(raw, "exclusion_margin", float, 1e-2),
+        seed=args.seed if args.seed is not None
+        else _field(raw, "seed", _int, 0))
     try:
         res = search.optimize_charges(cfg)
     except BudgetExhausted as exc:

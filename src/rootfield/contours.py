@@ -1,19 +1,19 @@
-"""Argument-principle root counting along contours.
+"""Argument-principle root counting along contours, each held as its
+geometry: a circle or a closed set of directed segments.
 
-`count_roots_in` counts the roots of p from its coefficients.  Winding
-numbers are accumulated from principal-branch argument increments between
-consecutive samples of a circle or of one segment of a segment set, with
-magnitudes compared in log2 space so that degree-500 products never
-overflow.  Any single increment above pi/2, or fewer than four samples
-per possible root, triggers a doubling of the sample density (up to
-MAX_REFINE doublings), which prevents branch-jump undercounting without
-needing derivative quadrature.  Coefficients are evaluated and counted
-here, never solved.
+`count_roots_in` counts the roots of p inside a circle from its
+coefficients, over samples of the circle from its one sampler.  Winding
+numbers are accumulated from principal-branch argument increments
+between consecutive samples, with magnitudes compared in log2 space so
+that degree-500 products never overflow.  Any single increment above
+pi/2, or fewer than four samples per possible root, triggers a doubling
+of the sample density (up to MAX_REFINE doublings), which prevents
+branch-jump undercounting.  Coefficients are counted here, never solved.
 
-`count_critical_points_in` counts the zeros of p' from the roots of p
-alone: the roots inside plus the winding of p'/p, certified on each piece
-of the contour by a bound on the root sum, with no sample density to
-guess and no solved zero to read.
+`count_critical_points_in` counts the zeros of p' inside a circle or a
+segment set from the roots of p alone: the roots inside plus the winding
+of p'/p, certified on each piece of the contour by a bound on the root
+sum, with no sample density to guess and no solved zero to read.
 """
 
 from __future__ import annotations
@@ -36,88 +36,43 @@ _MAX_HALVINGS = 30     # halvings before a piece counts as meeting a zero or
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed contour: a circle traced once counterclockwise, or a closed
-    set of directed segments.
-
-    `samples` is the build-time sampling and `refinement` its density in
-    samples per unit arclength; adaptive passes rebuild the sampling from
-    the stored geometry at doubled density.  A circle is one run of
-    samples (first == last).  A segment set is one run per segment a -> b,
-    sampled at a + (k/n)(b - a) for k = 0..n, in the order of `segments`;
-    argument increments are taken within a run only, so the segments may
-    come in any order.
-    """
+    """Closed contour: a circle traced once counterclockwise, with the
+    density (samples per unit arclength) a count first samples it at, or
+    a closed set of directed segments, (k, 2) rows (a, b) in any order."""
 
     kind: str                       # circle | segments
-    samples: np.ndarray
-    refinement: float
     center: complex = 0j
     radius: float = 0.0
-    segments: np.ndarray | None = None   # (k, 2) rows (a, b)
+    refinement: float = 0.0
+    segments: np.ndarray | None = None
 
 
 def circle(center, radius: float, refinement: float = 64.0) -> Contour:
     if radius <= 0:
         raise ValueError("circle radius must be positive")
-    c = complex(center)
-    pts = _sample_circle(c, radius, refinement)
-    return Contour("circle", pts, refinement, center=c, radius=radius)
+    return Contour("circle", center=complex(center), radius=radius,
+                   refinement=refinement)
 
 
-def segment_set(segments, refinement: float = 64.0) -> Contour:
+def segment_set(segments) -> Contour:
     """Contour over directed segments (a, b) that form closed loops: every
-    point starts as many segments as it ends.  Loops counterclockwise
-    count their inside, clockwise ones (holes) subtract it."""
+    point starts as many segments as it ends.  Its zeros are counted from
+    roots (`count_critical_points_in`): loops counterclockwise count their
+    inside, clockwise ones (holes) subtract it."""
     s = np.asarray(segments, dtype=np.complex128).reshape(-1, 2)
     if not s.size or not np.array_equal(np.sort(s[:, 0]), np.sort(s[:, 1])):
         raise ValueError("segments must form closed loops")
-    return Contour("segments", _sample_segments(s, refinement), refinement,
-                   segments=s)
+    return Contour("segments", segments=s)
 
 
-def _sample_circle(center: complex, radius: float, refinement: float):
-    n = max(16, int(np.ceil(2 * np.pi * radius * refinement)))
+def _circle_samples(c: Contour, level: int = 0) -> np.ndarray:
+    """The circle c at c.refinement * 2**level samples per unit arclength
+    (at least 16), one run with first == last."""
+    n = max(16, int(np.ceil(2 * np.pi * c.radius
+                            * (c.refinement * 2.0 ** level))))
     t = np.arange(n) / n
-    pts = center + radius * np.exp(2j * np.pi * t)
+    pts = c.center + c.radius * np.exp(2j * np.pi * t)
     return np.concatenate([pts, pts[:1]])
-
-
-def _steps(segments: np.ndarray, density: float) -> np.ndarray:
-    """Sample steps per segment, n = max(1, ceil(|b - a|*density))."""
-    d = np.abs(segments[:, 1] - segments[:, 0])
-    return np.maximum(1, np.ceil(d * density).astype(int))
-
-
-def _sample_segments(segments: np.ndarray, density: float) -> np.ndarray:
-    """One run per segment a -> b: a + (k/n)*(b - a), k = 0..n."""
-    a, b = segments[:, 0], segments[:, 1]
-    runs = _steps(segments, density) + 1
-    ends = np.cumsum(runs)
-    k = np.arange(ends[-1]) - np.repeat(ends - runs, runs)
-    t = k / np.repeat(runs - 1, runs)
-    return np.repeat(a, runs) + t * np.repeat(b - a, runs)
-
-
-def _seams(c: Contour, level: int) -> np.ndarray:
-    """Indices of the increments that join two runs of the sampling."""
-    if c.kind == "circle":
-        return np.zeros(0, dtype=int)
-    density = c.refinement * 2.0 ** level
-    return np.cumsum(_steps(c.segments, density) + 1)[:-1] - 1
-
-
-def loop_area(segments: np.ndarray) -> float:
-    """Signed shoelace area enclosed by a closed set of segments, (k, 2)
-    rows (a, b); positive when the loops run counterclockwise."""
-    a, b = segments[:, 0], segments[:, 1]
-    return float(0.5 * np.sum(a.real * b.imag - a.imag * b.real))
-
-
-def _resample(c: Contour, level: int) -> np.ndarray:
-    density = c.refinement * 2.0 ** level
-    if c.kind == "circle":
-        return _sample_circle(c.center, c.radius, density)
-    return _sample_segments(c.segments, density)
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +80,26 @@ def _resample(c: Contour, level: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def count_roots_in(p: Polynomial, c: Contour) -> int:
-    """Number of roots of p strictly inside the contour (with multiplicity),
-    from the phase of p on its coefficients, first over c's own samples.
+    """Number of roots of p strictly inside the circle c (with
+    multiplicity), from the phase of p on its coefficients, first at c's
+    own refinement.  A segment set raises ValueError: its zeros are
+    counted from roots, by `count_critical_points_in`.
 
     The density doubles, up to MAX_REFINE times, while there are fewer
     than 2*pi*degree/_MAX_ARG_STEP samples (sparser, a phase winding once
     per root can advance by nearly 2*pi per step, which reads as a small
     backward step), while an increment exceeds _MAX_ARG_STEP, or while the
     total misses an integer by more than WINDING_TOL.  No phase, or a root
-    closer than the clearance, raises RootOnContour; a count of the wrong
-    sign for c's orientation, or above the degree, raises ImpossibleCount.
+    closer than the clearance, raises RootOnContour; a count below zero
+    or above the degree raises ImpossibleCount.
     """
+    if c.kind != "circle":
+        raise ValueError("coefficient counts run on circles only")
     degree = p.degree
     if degree < 1:
         return 0
-    area = np.pi * c.radius ** 2 if c.kind == "circle" else \
-        loop_area(c.segments)
     for level in range(MAX_REFINE + 1):
-        pts = c.samples if level == 0 else _resample(c, level)
+        pts = _circle_samples(c, level)
         if pts.size < 2 * np.pi * degree / _MAX_ARG_STEP \
                 and level < MAX_REFINE:
             continue
@@ -153,7 +110,6 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
                 or not np.all(np.isfinite(unit)):
             raise RootOnContour(0.0, clearance)
         inc = np.angle(unit[1:] * np.conj(unit[:-1]))
-        inc[_seams(c, level)] = 0.0
         if np.max(np.abs(inc)) > _MAX_ARG_STEP and level < MAX_REFINE:
             continue
         if p.roots is not None and p.roots.size:
@@ -173,7 +129,7 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
                 continue
             raise NonIntegerWinding(winding)
         count = int(round(winding))
-        if abs(count) > degree or count * area < 0:
+        if not 0 <= count <= degree:
             raise ImpossibleCount(count, degree)
         return count
     raise AssertionError("unreachable")  # pragma: no cover
@@ -199,8 +155,9 @@ def count_critical_points_in(roots, c: Contour) -> int:
     if not a.size:
         raise RootOnContour(0.0, np.inf)
     if c.kind == "circle":
-        f = field_sum(c.samples, a)
-        u, v, f0, f1 = c.samples[:-1], c.samples[1:], f[:-1], f[1:]
+        pts = _circle_samples(c)
+        f = field_sum(pts, a)
+        u, v, f0, f1 = pts[:-1], pts[1:], f[:-1], f[1:]
     else:
         u, v = c.segments[:, 0], c.segments[:, 1]
         f0, f1 = field_sum(u, a), field_sum(v, a)

@@ -90,8 +90,8 @@ class NonIntegerWinding(RootfieldError):
 
 
 class ImpossibleCount(NonIntegerWinding):
-    """A count no polynomial has on the contour: its sign disagrees with
-    the orientation of the samples, or it exceeds the degree."""
+    """A count no polynomial has inside a circle: below zero, or above
+    the degree."""
 
     def __init__(self, winding: int, degree: int):
         self.winding = winding

@@ -436,16 +436,21 @@ class LemmaSuiteReport:
         return not self.violations
 
 
-def run_lemma_suite(trials: int, m_range=(5, 200), seed: int = 0,
+def run_lemma_suite(trials: int = 200, m_range=(5, 200), seed: int = 0,
                     curve_trials: int | None = None,
                     sharp_ms=(10, 100, 1000)) -> LemmaSuiteReport:
     """Random torus and curve instances; every certificate must hold.
 
     Violations are collected with full instance dumps for reproduction;
-    a correct implementation returns an empty tuple.
+    a correct implementation returns an empty tuple.  Parameters out of
+    range raise ConfigError before any instance runs.
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
+    if len(m_range) != 2 or not 1 <= m_range[0] <= m_range[1]:
+        raise ConfigError("m_range must be (low, high), 1 <= low <= high")
+    if any(m < 2 for m in sharp_ms):
+        raise ConfigError("every sharp m must be at least 2")
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
     worst = 0.0

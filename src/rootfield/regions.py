@@ -36,7 +36,7 @@ the zero level of the indicator, so the contour is the boundary of the
 "moat" instead — the component dilated by one or more rings of cells that
 belong to no component.  On the moat the indicator is strictly positive,
 which is what makes the recorded Rouché margins positive and keeps the
-roots of p' clear of the samples.  Rings grow (and nearby components are
+roots of p' off the boundary.  Rings grow (and nearby components are
 absorbed) until every root of p' is either deep inside or well outside
 the moat; the Rouché count equality holds for any such union of cells, so
 absorption never invalidates a certificate.  The boundary is the moat's
@@ -63,7 +63,7 @@ from .poly import RootSplit, SINGULAR_GUARD
 
 EQUALITY_TOL = 1e-14   # |g| at or below this counts as inside (closed set)
 _RING_LIMIT = 6        # moat growth rings before a component count gives up
-_REFINE_FACTOR = 4.0   # contour samples per cell edge
+_REFINE_FACTOR = 4.0   # Rouché margin samples per cell edge of the moat
 _BLOCK = 32            # side, in cells, of the quadtree's top blocks
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
@@ -92,9 +92,12 @@ class RegionMask:
     delta: float
     indicator: np.ndarray
     labels: np.ndarray
-    n_components: int
     windows: tuple[tuple[slice, slice], ...]
     evaluations: int = 0
+
+    @property
+    def n_components(self) -> int:
+        return len(self.windows)
 
     @property
     def cell_size(self) -> float:
@@ -247,8 +250,7 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
         _far_field_check(g, (xmin, xmax, ymin, ymax))
         labels, windows = _label(g, win)
         masks.append(RegionMask((xmin, xmax, ymin, ymax), float(resolution),
-                                delta, g, labels, len(windows), windows,
-                                evaluations))
+                                delta, g, labels, windows, evaluations))
     return masks
 
 
@@ -581,9 +583,18 @@ def component_boundaries(mask: RegionMask, component: int,
     shift = win[1].start + 1j * win[0].start
     origin = mask.bbox[0] + 1j * mask.bbox[2]
     segments = origin + (_boundary_segments(cells) + shift) * mask.cell_size
-    contour = _contours.segment_set(
-        segments, refinement=_REFINE_FACTOR * mask.resolution)
-    return contour, cells, win, absorbed, err
+    return _contours.segment_set(segments), cells, win, absorbed, err
+
+
+def _sample_segments(segments: np.ndarray, density: float) -> np.ndarray:
+    """One run per segment a -> b: a + (k/n)*(b - a), k = 0..n, with
+    n = max(1, ceil(|b - a|*density))."""
+    a, b = segments[:, 0], segments[:, 1]
+    runs = np.maximum(1, np.ceil(np.abs(b - a) * density).astype(int)) + 1
+    ends = np.cumsum(runs)
+    k = np.arange(ends[-1]) - np.repeat(ends - runs, runs)
+    t = k / np.repeat(runs - 1, runs)
+    return np.repeat(a, runs) + t * np.repeat(b - a, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +634,8 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
             qp_enc = _contours.count_critical_points_in(split.inside, contour)
         except RootOnContour as exc:
             err = err or f"{type(exc).__name__}: {exc}"
-        margin = _rouche_margin(split, contour.samples)
+        margin = _rouche_margin(split, _sample_segments(
+            contour.segments, _REFINE_FACTOR * mask.resolution))
         r_enc = _count_on(moat, moat_win, r_cells)
         reports.append(ComponentReport(
             component=cid, touches_K=touches, escapes_Keps=escapes,

@@ -153,6 +153,32 @@ def test_config_error_exit_codes(tmp_path):
     assert cli.main(["render", garbage, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, config", [
+    ("supercharge", {"m": "x"}),
+    ("supercharge", {"restarts": "x"}),
+    ("supercharge", {"curve": [[0, 0]]}),
+    ("lemma", {"m_range": 5}),
+    ("lemma", {"m_range": [5, 4]}),
+    ("lemma", {"m_range": [0, 0]}),
+    ("lemma", {"curve_trials": "3"}),
+    ("lemma", {"sharp_ms": [1]}),
+    ("sharp", {"sharp_ms": ["a"]}),
+    ("sharp", {"sharp_ms": [1]}),
+    ("sweep-m", {"m_values": [1, "b"]}),
+])
+def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
+    # each is rejected before its run starts, with no traceback
+    if command == "sweep-m":
+        config = dict(EXPERIMENT, **config)
+    cfg = _write(tmp_path, config)
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sampler", ["root_sampler", "outside_sampler"])
 def test_non_finite_explicit_roots_are_a_config_error(tmp_path, capsys,
                                                       sampler):

@@ -15,11 +15,10 @@ from rootfield.errors import ImpossibleCount, NonIntegerWinding, RootOnContour
 CUBE_ROOTS_OF_UNITY = poly.Polynomial([-1.0, 0.0, 0.0, 1.0])
 
 
-def _polygon(vertices, refinement=64.0):
+def _polygon(vertices):
     """The closed polygon through vertices as a set of its edges."""
     v = np.asarray(vertices, dtype=complex)
-    return contours.segment_set(np.stack([v, np.roll(v, -1)], axis=1),
-                                refinement)
+    return contours.segment_set(np.stack([v, np.roll(v, -1)], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -27,20 +26,11 @@ def _polygon(vertices, refinement=64.0):
 # ---------------------------------------------------------------------------
 
 def test_circle_samples_are_closed_and_dense():
-    c = contours.circle(1 + 1j, 2.0, refinement=64.0)
-    assert c.samples[0] == c.samples[-1]
-    gaps = np.abs(np.diff(c.samples))
+    samples = contours._circle_samples(contours.circle(1 + 1j, 2.0,
+                                                       refinement=64.0))
+    assert samples[0] == samples[-1]
+    gaps = np.abs(np.diff(samples))
     assert gaps.max() <= 1.0 / 64.0 + 1e-12
-
-
-def test_polygon_loop_spacing():
-    c = _polygon([0, 4.0, 4 + 4j, 4j], refinement=10.0)
-    seams = contours._seams(c, 0)
-    # each segment's run starts on its first vertex and ends on its second
-    assert np.array_equal(c.samples[np.r_[0, seams + 1]], c.segments[:, 0])
-    assert np.array_equal(c.samples[np.r_[seams, -1]], c.segments[:, 1])
-    steps = np.delete(np.abs(np.diff(c.samples)), seams)
-    assert steps.max() <= 0.1 + 1e-12
 
 
 def test_degenerate_contours_rejected():
@@ -75,11 +65,6 @@ def test_count_matches_membership_for_disk_samples():
     p = poly.from_roots(pts)
     got = contours.count_roots_in(p, contours.circle(0, 1.5))
     assert got == int(np.sum(np.abs(pts) < 1.5)) == 10
-
-
-def test_count_in_square_loop():
-    sq = _polygon([-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j])
-    assert contours.count_roots_in(CUBE_ROOTS_OF_UNITY, sq) == 3
 
 
 def test_count_weights_multiplicity():
@@ -144,14 +129,6 @@ def test_finer_contour_resolves_near_root():
     assert contours.count_roots_in(p, c) == 2
 
 
-def test_clockwise_loop_counts_negative():
-    # a hole runs clockwise; its negative count is a valid one
-    p = poly.from_roots([0.0 + 0j, 3.0])
-    cw = _polygon([1 + 1j, 1 - 1j, -1 - 1j, -1 + 1j])
-    assert contours.loop_area(cw.segments) < 0
-    assert contours.count_roots_in(p, cw) == -1
-
-
 def _harness_roots(seed):
     """Roots of the harness instance of this seed: n=500 in the unit disk,
     m=2 in the annulus [1, 2]."""
@@ -173,17 +150,22 @@ def test_n500_coefficient_counts_are_not_aliased():
             == 499
 
 
-def test_count_against_the_contour_orientation_raises():
-    # the samples run counterclockwise, the segments clockwise: the count
-    # is +3 while the orientation says it must be <= 0
-    ccw = _polygon([-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j])
-    cw = _polygon([-2 + 2j, 2 + 2j, 2 - 2j, -2 - 2j])
-    assert contours.loop_area(cw.segments) < 0
-    c = contours.Contour("segments", ccw.samples, ccw.refinement,
-                         segments=cw.segments)
-    with pytest.raises(ImpossibleCount):
-        contours.count_roots_in(CUBE_ROOTS_OF_UNITY, c)
+def test_count_out_of_range_raises(monkeypatch):
+    # with no refinement the aliased level-0 counts of the n=500 p' above
+    # (-4 at radius 1.25, -105 at 1.5) reach the range check
+    monkeypatch.setattr(contours, "MAX_REFINE", 0)
+    dp = poly.derivative(poly.from_roots(_harness_roots(1)))
+    for radius in (1.25, 1.5):
+        with pytest.raises(ImpossibleCount):
+            contours.count_roots_in(dp, contours.circle(0.0, radius))
     assert issubclass(ImpossibleCount, NonIntegerWinding)
+
+
+def test_coefficient_count_on_a_segment_set_raises():
+    # segment sets are counted from roots only
+    square = _polygon([-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j])
+    with pytest.raises(ValueError):
+        contours.count_roots_in(CUBE_ROOTS_OF_UNITY, square)
 
 
 def test_clearance_check_without_root_list():
@@ -283,7 +265,8 @@ def test_critical_count_without_roots_raises_at_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _margin(inside, outside, c):
-    return regions._rouche_margin(poly.RootSplit(inside, outside), c.samples)
+    return regions._rouche_margin(poly.RootSplit(inside, outside),
+                                  contours._circle_samples(c))
 
 
 def test_z_squared_dominates_one_on_radius_two():
@@ -318,7 +301,8 @@ def test_dominance_implies_equal_counts():
         if np.min(np.abs(np.abs(np.concatenate([roots, crit])) - 2.5)) \
                 < 0.08:
             continue
-        if not regions._rouche_margin(split, c.samples) > 0:
+        if not regions._rouche_margin(split,
+                                      contours._circle_samples(c)) > 0:
             continue
         used += 1
         q = poly.from_roots(fr)

@@ -1,7 +1,5 @@
 """Region masks: indicator values, labeling, moats, and the Rouché census."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -278,7 +276,7 @@ def test_quadtree_matches_dense_grid(case):
     ny = max(4, int(np.ceil((bbox[3] - bbox[2]) * res)))
     nx = max(4, int(np.ceil((bbox[1] - bbox[0]) * res)))
     probe = regions.RegionMask(bbox, res, deltas[0], np.zeros((ny, nx)),
-                               np.zeros((ny, nx), dtype=np.int32), 0, ())
+                               np.zeros((ny, nx), dtype=np.int32), ())
     oracle = _dense_oracle(split, deltas, bbox, res, probe.cell_centers())
     if isinstance(oracle, GrowBBox):
         assert isinstance(masks, GrowBBox)
@@ -411,7 +409,7 @@ def _segment_runs(segments, refinement):
 def test_sample_polyline_is_the_segment_loop_bit_for_bit():
     split, res = _census_instance(4)
     mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
-    sets = [(c.segments, c.refinement)
+    sets = [(c.segments, regions._REFINE_FACTOR * res)
             for c in (regions.component_boundaries(mask, cid,
                                                    split.critical)[0]
                       for cid in range(mask.n_components))]
@@ -421,24 +419,9 @@ def test_sample_polyline_is_the_segment_loop_bit_for_bit():
         s[rng.uniform(size=s.shape) < 0.2] = 0.0     # zeros and repeats
         sets.append((s, float(rng.uniform(1.0, 100.0))))
     for s, refinement in sets:
-        got = contours._sample_segments(s, refinement)
+        got = regions._sample_segments(s, refinement)
         want = _segment_runs(s, refinement)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_counts_reuse_the_build_time_sampling():
-    split, res = _census_instance(0)
-    mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
-    dp = poly.derivative(poly.from_roots(np.concatenate([split.inside,
-                                                         split.outside])))
-    loops = [regions.component_boundaries(mask, cid, split.critical)[0]
-             for cid in range(mask.n_components)]
-    loops += [contours.circle(0.0, r) for r in (0.5, 1.25, 2.0)]
-    for c in loops:
-        rebuilt = contours._resample(c, 0)
-        assert rebuilt.tobytes() == c.samples.tobytes()
-        assert contours.count_roots_in(dp, c) == contours.count_roots_in(
-            dp, dataclasses.replace(c, samples=rebuilt))
 
 
 def test_qprime_counts_match_solved_zeros_in_the_moat():
@@ -470,6 +453,13 @@ def test_qprime_counts_match_solved_zeros_in_the_moat():
 # moats and loops
 # ---------------------------------------------------------------------------
 
+def _shoelace(segments):
+    """Signed area enclosed by closed loops of segments, (k, 2) rows
+    (a, b); positive when the loops run counterclockwise."""
+    a, b = segments[:, 0], segments[:, 1]
+    return float(0.5 * np.sum(a.real * b.imag - a.imag * b.real))
+
+
 def test_loop_area_matches_cell_count():
     mask = _masks()[1]
     crit = SPLIT.critical
@@ -477,9 +467,9 @@ def test_loop_area_matches_cell_count():
         contour, cells, _, absorbed, err = regions.component_boundaries(
             mask, cid, protect=crit)
         assert err is None
-        area = contours.loop_area(regions._boundary_segments(cells))
+        area = _shoelace(regions._boundary_segments(cells))
         assert area == float(cells.sum())
-        assert contours.loop_area(contour.segments) == pytest.approx(
+        assert _shoelace(contour.segments) == pytest.approx(
             float(cells.sum()) * mask.cell_size ** 2)
 
 
@@ -490,10 +480,10 @@ def test_moat_keeps_protected_points_off_the_boundary():
         c, cells, _, absorbed, err = regions.component_boundaries(
             mask, cid, protect=crit)
         assert err is None
-        step = np.delete(np.abs(np.diff(c.samples)),
-                         contours._seams(c, 0)).max()
+        density = regions._REFINE_FACTOR * mask.resolution
+        samples = regions._sample_segments(c.segments, density)
         for w in crit:
-            assert np.abs(c.samples - w).min() > step
+            assert np.abs(samples - w).min() > 1.0 / density
 
 
 def _unit_edges(cells):
@@ -527,7 +517,7 @@ def test_boundary_segments_of_random_cell_sets():
             cells = ndimage.binary_dilation(cells) & ~cells    # rings
         seg = regions._boundary_segments(cells)
         a, b = seg[:, 0], seg[:, 1]
-        assert contours.loop_area(seg) == cells.sum()
+        assert _shoelace(seg) == cells.sum()
         # every vertex starts as many segments as it ends
         assert np.array_equal(np.sort(a), np.sort(b))
         # the segments are the boundary edges, merged ...
@@ -550,7 +540,7 @@ def _ring_mask(res=10.0):
     labels = np.where(ring, 0, -1)
     return regions.RegionMask(
         bbox=(-2.0, 2.0, -2.0, 2.0), resolution=res, delta=1e-3,
-        indicator=np.where(ring, -1.0, 1.0), labels=labels, n_components=1,
+        indicator=np.where(ring, -1.0, 1.0), labels=labels,
         windows=tuple(ndimage.find_objects(labels + 1)))
 
 
@@ -566,8 +556,9 @@ def test_ring_moat_with_a_hole_counts_only_the_ring():
         assert ndimage.binary_fill_holes(cells).sum() > cells.sum()
         assert regions._count_on(
             cells, win, regions._cells_of_points(*grid, roots)) == want
-        p = poly.from_roots(roots)
-        assert contours.count_roots_in(p, contour) == want
+        # p = (z - zero)^2 has its one critical point at zero
+        assert contours.count_critical_points_in([zero, zero], contour) \
+            == want
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_component_rects_match_the_cell_walk(seed):
     present = np.unique(labels[labels >= 0])
     labels = np.where(labels >= 0, np.searchsorted(present, labels), -1)
     mask = regions.RegionMask(bbox, 10.0, 1e-2, np.zeros((ny, nx)),
-                              labels.astype(np.int32), present.size,
+                              labels.astype(np.int32),
                               tuple(ndimage.find_objects(labels + 1)))
     frame = render._Frame(bbox)
     assert render._component_rects(frame, mask) \
