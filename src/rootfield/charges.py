@@ -52,14 +52,6 @@ class ChargeSet:
     def m(self) -> int:
         return self.charges.size
 
-    def to_json(self) -> dict:
-        return {"charges": [[float(z.real), float(z.imag)]
-                            for z in self.charges]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChargeSet":
-        return cls(np.array([complex(x, y) for x, y in obj["charges"]]))
-
 
 @dataclass(frozen=True)
 class Curve:
@@ -117,14 +109,6 @@ class Curve:
         """True when gamma(0) = 0 and gamma(1) = 1, to within 1e-12."""
         return (abs(self.vertices[0]) <= 1e-12
                 and abs(self.vertices[-1] - 1.0) <= 1e-12)
-
-    def to_json(self) -> dict:
-        return {"curve": [[float(v.real), float(v.imag)]
-                          for v in self.vertices]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Curve":
-        return cls(np.array([complex(x, y) for x, y in obj["curve"]]))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from pathlib import Path
 from . import __version__, harness, render, search
 from .charges import Curve, lemma1_curve_bound, sharp_example
 from .errors import BudgetExhausted, ConfigError, RootfieldError
+from .harness import read_field, read_int, read_ints, read_points, \
+    read_real, read_sharp_ms, write_points
 from .search import CEILING_SLACK
 
 EXIT_OK = 0
@@ -31,40 +33,19 @@ _DEFAULT_EXPERIMENT = {
 }
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
+def _read_json(path, what: str) -> dict:
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"{what} file must hold a JSON object")
     return obj
 
 
-def _field(raw: dict, key: str, read, default=None):
-    """raw[key] converted by read, or default when absent; a value read
-    rejects is a ConfigError, raised before any run starts."""
-    if key not in raw:
-        return default
-    try:
-        return read(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key!r} in config: {exc}") from exc
-
-
-def _int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
-def _ints(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise TypeError(f"{value!r} is not a list")
-    return tuple(map(_int, value))
+def _load_config(args) -> dict:
+    return {} if args.config is None else _read_json(args.config, "config")
 
 
 def _out_dir(args) -> Path:
@@ -109,7 +90,7 @@ def _cmd_theorem(args) -> int:
 
 def _cmd_sweep_m(args) -> int:
     raw = _load_config(args)
-    m_values = _field(raw, "m_values", _ints, (0, 1, 2, 5, 10, 20))
+    m_values = read_field(raw, "m_values", read_ints, (0, 1, 2, 5, 10, 20))
     cfg = _experiment_config(args, raw)
     out = _out_dir(args)
     rows = harness.sweep_m(cfg, m_values, path=out / "sweep.csv",
@@ -122,10 +103,10 @@ def _cmd_sweep_m(args) -> int:
 
 def _cmd_lemma(args) -> int:
     raw = _load_config(args)
-    read = {"trials": _int, "m_range": _ints, "seed": _int,
-            "curve_trials": lambda v: v if v is None else _int(v),
-            "sharp_ms": _ints}
-    kwargs = {k: _field(raw, k, f) for k, f in read.items() if k in raw}
+    read = {"trials": read_int, "m_range": read_ints, "seed": read_int,
+            "curve_trials": lambda v: v if v is None else read_int(v),
+            "sharp_ms": read_ints}
+    kwargs = {k: read_field(raw, k, f) for k, f in read.items() if k in raw}
     if args.seed is not None:
         kwargs["seed"] = args.seed
     suite = harness.run_lemma_suite(**kwargs)
@@ -137,10 +118,8 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_sharp(args) -> int:
-    ms = _field(_load_config(args), "sharp_ms", _ints,
-                (10, 50, 100, 500, 1000))
-    if any(m < 2 for m in ms):
-        raise ConfigError("every sharp m must be at least 2")
+    ms = read_field(_load_config(args), "sharp_ms", read_sharp_ms,
+                    (10, 50, 100, 500, 1000))
     out = _out_dir(args)
     lines = ["m,t,value,ratio"]
     for m in ms:
@@ -154,15 +133,15 @@ def _cmd_sharp(args) -> int:
 
 def _cmd_supercharge(args) -> int:
     raw = _load_config(args)
-    curve = _field(raw, "curve", lambda v: Curve(
-        [complex(x, y) for x, y in v]), Curve([0.0, 1.0]))
+    curve = read_field(raw, "curve", lambda v: Curve(read_points(v)),
+                       Curve([0.0, 1.0]))
     cfg = search.SearchConfig(
-        curve=curve, m=_field(raw, "m", _int, 3),
-        restarts=_field(raw, "restarts", _int, 6),
-        budget=_field(raw, "budget", _int, 12000),
-        exclusion_margin=_field(raw, "exclusion_margin", float, 1e-2),
+        curve=curve, m=read_field(raw, "m", read_int, 3),
+        restarts=read_field(raw, "restarts", read_int, 6),
+        budget=read_field(raw, "budget", read_int, 12000),
+        exclusion_margin=read_field(raw, "exclusion_margin", read_real, 1e-2),
         seed=args.seed if args.seed is not None
-        else _field(raw, "seed", _int, 0))
+        else read_field(raw, "seed", read_int, 0))
     try:
         res = search.optimize_charges(cfg)
     except BudgetExhausted as exc:
@@ -171,7 +150,7 @@ def _cmd_supercharge(args) -> int:
     out = _out_dir(args)
     _write_json(out / "supercharge.json", {
         "m": cfg.m, "achieved": res.achieved, "ceiling": ceiling,
-        "charges": [[z.real, z.imag] for z in res.best_charges.charges],
+        "charges": write_points(res.best_charges.charges),
         "history": list(res.history), "evals_used": res.evals_used,
         "budget_exhausted": res.budget_exhausted, "seed": cfg.seed,
     })
@@ -186,11 +165,7 @@ def _cmd_supercharge(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    try:
-        with open(args.report) as fh:
-            rep = harness.TheoremReport.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
+    rep = harness.TheoremReport.from_json(_read_json(args.report, "report"))
     out = _out_dir(args)
     target = out / (Path(args.report).stem + ".svg")
     render.emit_svg(rep, target)

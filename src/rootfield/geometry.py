@@ -49,32 +49,6 @@ class ConvexDomain:
     def disk(center, radius: float) -> "ConvexDomain":
         return ConvexDomain("disk", center=complex(center), radius=float(radius))
 
-    @staticmethod
-    def polygon(vertices) -> "ConvexDomain":
-        pts = [complex(p[0], p[1]) if isinstance(p, (list, tuple, np.ndarray))
-               else complex(p) for p in vertices]
-        return ConvexDomain("polygon",
-                            vertices=np.asarray(pts, dtype=np.complex128))
-
-    def to_json(self) -> dict:
-        if self.kind == "disk":
-            return {"kind": "disk",
-                    "center": [self.center.real, self.center.imag],
-                    "radius": self.radius}
-        return {"kind": "polygon",
-                "vertices": [[v.real, v.imag] for v in self.vertices]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ConvexDomain":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("domain object needs a 'kind' field")
-        if obj["kind"] == "disk":
-            c = obj["center"]
-            return ConvexDomain.disk(complex(c[0], c[1]), obj["radius"])
-        if obj["kind"] == "polygon":
-            return ConvexDomain.polygon(obj["vertices"])
-        raise ValueError(f"unknown domain kind {obj['kind']!r}")
-
 
 # ---------------------------------------------------------------------------
 # hull construction

@@ -8,21 +8,24 @@ builds its masks once; the census counts the zeros of p' and q' from the
 roots without solving either.  The report carries the first mask, so the
 figure shows the mask its components were counted on.  Membership in K
 and K_eps and the escape distance come from `geometry`, one call per
-point array.
+point array.  Every JSON value the package reads passes a strict reader
+here, through `read_field`; `write_points` writes every point.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, \
+    replace
 
 import numpy as np
 
 from .charges import TorusConfig, lemma1_curve_bound, sharp_example, \
     torus_distance, torus_low_potential_point
-from .errors import ConfigError, GrowBBox, RootfieldError, SearchExhausted
+from .errors import ConfigError, DegenerateHull, GrowBBox, RootfieldError, \
+    SearchExhausted
 from .geometry import ConvexDomain, bounding_box, boundary_point, \
-    contains, diameter, distance
+    contains, convex_hull, diameter, distance
 from .poly import RootSplit
 from . import charges as _charges
 from . import geometry, regions
@@ -37,11 +40,102 @@ FAR_FIELD_NEGATIVE = "far-field check failed: m > n, so g < 0 far out"
 
 SWEEP_M_COLUMNS = ("n", "m", "m_log_n_over_n", "verdict",
                    "min_escape_distance")
+_COUNTS = ("roots_in_K", "roots_outside", "crit_in_Keps", "crit_elsewhere")
+_FLOAT_MAX = float(np.finfo(np.float64).max)   # read_real's finite range
 
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+def read_field(obj, key: str, read, default=MISSING):
+    """obj[key] converted by read, or default when absent; a missing
+    required key or a value read rejects is a ConfigError naming key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"expected a JSON object, not {obj!r}")
+    if key not in obj:
+        if default is MISSING:
+            raise ConfigError(f"missing {key!r}")
+        return default
+    try:
+        return read(obj[key])
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r}: {exc}") from exc
+
+
+def _exactly(*kinds):
+    """A reader of JSON values of the given types alone (true is no int)."""
+    def read(value):
+        if type(value) not in kinds:
+            raise ConfigError(f"{value!r} is not a JSON {kinds[0].__name__}")
+        return value
+    return read
+
+
+def _list_of(read, size=None):
+    """A reader of JSON lists (of size items, if given) that read takes."""
+    def read_list(value) -> tuple:
+        if type(value) not in (list, tuple) or size not in (None, len(value)):
+            raise ConfigError(f"{value!r} is not a list of {size or 'values'}")
+        return tuple(map(read, value))
+    return read_list
+
+
+read_int, _bool, _text = _exactly(int), _exactly(bool), _exactly(str)
+read_ints = _list_of(read_int)
+
+
+def read_real(value) -> float:
+    """A finite JSON number, as a float."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{value!r} is not a number")
+    if not abs(value) <= _FLOAT_MAX:
+        raise ConfigError(f"{value!r} is not finite")
+    return float(value)
+
+
+def read_sharp_ms(value) -> tuple[int, ...]:
+    """Sizes of the sharp example: a list of integers, each at least 2."""
+    ms = read_ints(value)
+    if any(m < 2 for m in ms):
+        raise ConfigError("every sharp m must be at least 2")
+    return ms
+
+
+def _point(value) -> complex:
+    return complex(*_list_of(read_real, 2)(value))
+
+
+def read_points(value) -> np.ndarray:
+    """A list of [x, y] pairs of finite reals, as a complex array."""
+    return np.array(_list_of(_point)(value), dtype=np.complex128)
+
+
+def write_points(points) -> list[list[float]]:
+    """The [x, y] pairs of complex points, as read_points reads them."""
+    return [[z.real, z.imag] for z in np.asarray(points, complex).tolist()]
+
+
+def _domain_to_json(K: ConvexDomain) -> dict:
+    if K.kind == "disk":
+        return {"kind": "disk", "center": write_points([K.center])[0],
+                "radius": K.radius}
+    return {"kind": "polygon", "vertices": write_points(K.vertices)}
+
+
+def _domain_from_json(obj) -> ConvexDomain:
+    """A disk or polygon; one that cannot be built is a ConfigError."""
+    kind = read_field(obj, "kind", _text)
+    if kind not in ("disk", "polygon"):
+        raise ConfigError(f"unknown domain kind {kind!r}")
+    try:
+        if kind == "disk":
+            return ConvexDomain.disk(read_field(obj, "center", _point),
+                                     read_field(obj, "radius", read_real))
+        return convex_hull(read_field(obj, "vertices", read_points))
+    except DegenerateHull as exc:
+        raise ConfigError(f"bad {kind}: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -81,43 +175,32 @@ class ExperimentConfig:
                            tuple(float(d) for d in self.delta_sweep))
 
     def to_json(self) -> dict:
-        rs = self.root_sampler
-        if not isinstance(rs, str):
-            rs = [[z.real, z.imag] for z in np.asarray(rs, complex)]
-        os_ = self.outside_sampler
-        if _is_annulus(os_):
-            os_ = {"annulus": [float(os_[1]), float(os_[2])]}
-        else:
-            os_ = [[z.real, z.imag] for z in np.asarray(os_, complex)]
-        return {"domain": self.domain.to_json(), "epsilon": self.epsilon,
-                "n": self.n, "m": self.m, "root_sampler": rs,
-                "outside_sampler": os_,
+        rs, os_ = self.root_sampler, self.outside_sampler
+        return {"domain": _domain_to_json(self.domain),
+                "epsilon": self.epsilon, "n": self.n, "m": self.m,
+                "root_sampler": rs if isinstance(rs, str)
+                else write_points(rs),
+                "outside_sampler": {"annulus": [float(os_[1]), float(os_[2])]}
+                if _is_annulus(os_) else write_points(os_),
                 "delta_sweep": list(self.delta_sweep),
                 "resolution": self.resolution, "seed": self.seed}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Keys missing from obj take the dataclass defaults."""
-        def points(pairs):
-            return np.array([complex(x, y) for x, y in pairs])
+        """Keys missing from obj take the dataclass defaults; keys that
+        are not fields are not read."""
+        return cls(**{f.name: read_field(obj, f.name,
+                                         _CONFIG_READERS[f.name], f.default)
+                      for f in fields(cls)})
 
-        def outside(spec):
-            if isinstance(spec, dict):
-                lo, hi = spec["annulus"]
-                return ("annulus", float(lo), float(hi))
-            return points(spec)
 
-        read = {"root_sampler":
-                lambda rs: rs if isinstance(rs, str) else points(rs),
-                "outside_sampler": outside, "delta_sweep": tuple,
-                "resolution": float, "seed": int}
-        try:
-            return cls(domain=ConvexDomain.from_json(obj["domain"]),
-                       epsilon=float(obj["epsilon"]), n=int(obj["n"]),
-                       m=int(obj["m"]),
-                       **{k: f(obj[k]) for k, f in read.items() if k in obj})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
+_CONFIG_READERS = {
+    "domain": _domain_from_json, "epsilon": read_real, "n": read_int,
+    "m": read_int, "resolution": read_real, "seed": read_int,
+    "root_sampler": lambda rs: rs if type(rs) is str else read_points(rs),
+    "outside_sampler": lambda s: read_points(s) if type(s) is not dict
+    else ("annulus", *read_field(s, "annulus", _list_of(read_real, 2))),
+    "delta_sweep": _list_of(read_real)}
 
 
 def _is_annulus(spec) -> bool:
@@ -217,75 +300,57 @@ class TheoremReport:
     mask: object = field(default=MASK_NOT_CARRIED, compare=False, repr=False)
 
     def to_json(self) -> dict:
-        def pts(a):
-            return [[float(z.real), float(z.imag)] for z in a]
-
-        deltas = []
-        for d in self.deltas:
-            deltas.append({
+        return {
+            "version": self.version,
+            "config": self.config.to_json(),
+            "counts": {k: getattr(self, k) for k in _COUNTS},
+            "verdict": self.verdict,
+            "roots": {"inside": write_points(self.inside_roots),
+                      "outside": write_points(self.outside_roots)},
+            "critical_points": write_points(self.critical),
+            "deltas": [{
                 "delta": d.delta,
                 "components": [{**asdict(c), "absorbed": list(c.absorbed)}
                                for c in d.components],
                 "bridged": d.bridged,
-                "witness": None if d.witness is None else pts(d.witness),
+                "witness": None if d.witness is None
+                else write_points(d.witness),
                 "error": d.error,
-            })
-        return {
-            "version": self.version,
-            "config": self.config.to_json(),
-            "counts": {
-                "roots_in_K": self.roots_in_K,
-                "roots_outside": self.roots_outside,
-                "crit_in_Keps": self.crit_in_Keps,
-                "crit_elsewhere": self.crit_elsewhere,
-            },
-            "verdict": self.verdict,
-            "roots": {"inside": pts(self.inside_roots),
-                      "outside": pts(self.outside_roots)},
-            "critical_points": pts(self.critical),
-            "deltas": deltas,
+            } for d in self.deltas],
             "errors": [list(e) for e in self.errors],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "TheoremReport":
-        def arr(lst):
-            if not lst:
-                return np.zeros(0, dtype=np.complex128)
-            return np.array([complex(x, y) for x, y in lst])
+        counts = read_field(obj, "counts", lambda c: {
+            k: read_field(c, k, read_int) for k in _COUNTS})
+        roots = read_field(obj, "roots", lambda r: {
+            k: read_field(r, k, read_points) for k in ("inside", "outside")})
+        return cls(
+            config=read_field(obj, "config", ExperimentConfig.from_json),
+            inside_roots=roots["inside"], outside_roots=roots["outside"],
+            critical=read_field(obj, "critical_points", read_points),
+            verdict=read_field(obj, "verdict", _bool),
+            deltas=read_field(obj, "deltas", _list_of(_delta), ()),
+            errors=read_field(obj, "errors", _list_of(_list_of(_text, 2)), ()),
+            version=read_field(obj, "version", _text, ""), **counts)
 
-        try:
-            deltas = []
-            for d in obj.get("deltas", []):
-                comps = tuple(_component(c) for c in d["components"])
-                w = d.get("witness")
-                deltas.append(DeltaReport(
-                    delta=float(d["delta"]), components=comps,
-                    bridged=d.get("bridged"),
-                    witness=None if w is None else arr(w),
-                    error=d.get("error")))
-            counts = obj["counts"]
-            return cls(
-                config=ExperimentConfig.from_json(obj["config"]),
-                inside_roots=arr(obj["roots"]["inside"]),
-                outside_roots=arr(obj["roots"]["outside"]),
-                critical=arr(obj["critical_points"]),
-                roots_in_K=int(counts["roots_in_K"]),
-                roots_outside=int(counts["roots_outside"]),
-                crit_in_Keps=int(counts["crit_in_Keps"]),
-                crit_elsewhere=int(counts["crit_elsewhere"]),
-                verdict=bool(obj["verdict"]), deltas=tuple(deltas),
-                errors=tuple((s, msg) for s, msg in obj.get("errors", ())),
-                version=str(obj.get("version", "")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad theorem report: {exc}") from exc
+
+def _delta(obj) -> DeltaReport:
+    return DeltaReport(
+        delta=read_field(obj, "delta", read_real),
+        components=read_field(obj, "components", _list_of(_component)),
+        bridged=read_field(obj, "bridged", _exactly(bool, type(None)), None),
+        witness=read_field(obj, "witness", lambda w: None if w is None
+                           else read_points(w), None),
+        error=read_field(obj, "error", _exactly(str, type(None)), None))
 
 
 def _component(obj: dict) -> regions.ComponentReport:
     """A ComponentReport from its JSON object, which holds each field."""
     names = {f.name for f in fields(regions.ComponentReport)}
     if set(obj) != names:
-        raise KeyError(f"component keys {sorted(set(obj) ^ names)}")
+        raise ConfigError(f"component keys {sorted(set(obj) ^ names)}")
     return regions.ComponentReport(**{**obj,
                                       "absorbed": tuple(obj["absorbed"])})
 
@@ -449,8 +514,7 @@ def run_lemma_suite(trials: int = 200, m_range=(5, 200), seed: int = 0,
         raise ConfigError("need at least one trial")
     if len(m_range) != 2 or not 1 <= m_range[0] <= m_range[1]:
         raise ConfigError("m_range must be (low, high), 1 <= low <= high")
-    if any(m < 2 for m in sharp_ms):
-        raise ConfigError("every sharp m must be at least 2")
+    sharp_ms = read_sharp_ms(sharp_ms)
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
     worst = 0.0
@@ -479,21 +543,21 @@ def run_lemma_suite(trials: int = 200, m_range=(5, 200), seed: int = 0,
         mid = rng.normal(size=2) + 1j * rng.normal(size=2)
         curve = _charges.Curve(np.concatenate([[0.0], mid, [1.0]]))
         bound = 20.0 * m * np.log(20.0 * m)
+        dump = {"charges": write_points(C.charges)}
         try:
             w = lemma1_curve_bound(C, curve)
         except RootfieldError as exc:
             violations.append({"kind": "curve", "m": m, "error": str(exc),
-                               "charges": C.to_json()})
+                               "charges": dump})
             continue
         if w.normalized_value > w.torus_value * (1 + 1e-9) \
                 or w.torus_value > bound:
             violations.append({"kind": "curve", "m": m,
                                "witness": w.normalized_value,
                                "torus": w.torus_value, "bound": bound,
-                               "charges": C.to_json()})
+                               "charges": dump})
 
-    sharp = tuple((int(m), float(sharp_example(int(m)).ratio))
-                  for m in sharp_ms)
+    sharp = tuple((m, float(sharp_example(m).ratio)) for m in sharp_ms)
     _, m_one = torus_low_potential_point(TorusConfig([0.5]))
     return LemmaSuiteReport(trials=trials, curve_trials=curve_trials,
                             violations=tuple(violations), sharp_ratios=sharp,

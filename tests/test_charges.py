@@ -103,15 +103,6 @@ def test_conjecture_normalization_flag():
     assert not ch.Curve([0.0, 2.0]).is_conjecture_normalized()
 
 
-def test_json_round_trips():
-    C = ch.ChargeSet([1.5 - 0.25j, 3.0])
-    assert np.array_equal(ch.ChargeSet.from_json(C.to_json()).charges,
-                          C.charges)
-    c = ch.Curve([0.0, 0.5 + 1.0j, 1.0])
-    assert np.array_equal(ch.Curve.from_json(c.to_json()).vertices,
-                          c.vertices)
-
-
 def test_torus_config_wraps():
     cfg = ch.TorusConfig([1.25, -0.25, 0.5])
     assert np.allclose(sorted(cfg.points), [0.25, 0.5, 0.75])

@@ -165,14 +165,35 @@ def test_config_error_exit_codes(tmp_path):
     ("sharp", {"sharp_ms": ["a"]}),
     ("sharp", {"sharp_ms": [1]}),
     ("sweep-m", {"m_values": [1, "b"]}),
+    ("theorem", {"n": 3.7}),
+    ("theorem", {"m": "1"}),
+    ("theorem", {"seed": True}),
+    ("theorem", {"epsilon": float("inf")}),
+    ("theorem", {"delta_sweep": [float("inf")]}),
+    ("theorem", {"resolution": float("inf")}),
+    ("theorem", {"outside_sampler": {"annulus": [2, float("inf")]}}),
+    ("theorem", {"domain": {"kind": "disk", "center": [0, 0], "radius": "1"}}),
+    ("theorem", {"domain": {"kind": "disk", "center": [0, 0], "radius": -1}}),
+    ("theorem", {"domain": {"kind": "polygon", "vertices": [[0, 0], [1, 0]]}}),
+    ("supercharge", {"exclusion_margin": float("inf")}),
+    ("supercharge", {"exclusion_margin": "0.02"}),
+    ("render", {"verdict": "false"}),
+    ("render", {"counts": {"roots_in_K": 6, "roots_outside": 1,
+                           "crit_in_Keps": 4.9, "crit_elsewhere": 1}}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
-    # each is rejected before its run starts, with no traceback
-    if command == "sweep-m":
+    # each is rejected before its run starts, with no traceback; render
+    # reads a report of EXPERIMENT with the given values in place of its own
+    if command in ("sweep-m", "theorem"):
         config = dict(EXPERIMENT, **config)
+    if command == "render":
+        report = harness.run_theorem_experiment(
+            harness.ExperimentConfig.from_json(EXPERIMENT))
+        config = dict(report.to_json(), **config)
     cfg = _write(tmp_path, config)
     out = tmp_path / "run"
-    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    source = [cfg] if command == "render" else ["--config", cfg]
+    assert cli.main([command, *source, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rootfield import geometry as geo
 from rootfield.errors import DegenerateHull
 
-SQUARE = geo.ConvexDomain.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+SQUARE = geo.convex_hull([0, 1, 1 + 1j, 1j])
 DISK = geo.ConvexDomain.disk(1 + 1j, 2.0)
 
 
@@ -48,7 +48,7 @@ def test_degenerate_hull_raises():
 
 def test_polygon_input_is_renormalized():
     # clockwise input with a duplicate comes out CCW and deduplicated
-    dom = geo.ConvexDomain.polygon([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)])
+    dom = geo.convex_hull([0, 1j, 1 + 1j, 1, 0])
     assert len(dom.vertices) == 4
     v = dom.vertices
     w = np.roll(v, -1)
@@ -147,23 +147,8 @@ def test_diameter_matches_brute_force(seed):
 
 
 # ---------------------------------------------------------------------------
-# serialization and parametrization
+# parametrization
 # ---------------------------------------------------------------------------
-
-def test_json_round_trip():
-    for dom in (SQUARE, DISK):
-        again = geo.ConvexDomain.from_json(dom.to_json())
-        assert again.kind == dom.kind
-        if dom.kind == "disk":
-            assert again.center == dom.center and again.radius == dom.radius
-        else:
-            assert np.array_equal(again.vertices, dom.vertices)
-
-
-def test_from_json_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        geo.ConvexDomain.from_json({"kind": "ellipse"})
-
 
 def test_boundary_point_traverses_square():
     # s in [0,1) walks the perimeter at constant speed from vertices[0]

@@ -11,7 +11,7 @@ from rootfield.errors import ConfigError, GrowBBox
 from rootfield.kernels import field_sum, modulus_sum
 
 K = geo.ConvexDomain.disk(0.0, 1.0)
-SQUARE = geo.ConvexDomain.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+SQUARE = geo.convex_hull([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
 
 
 def _cfg(**kw):
@@ -50,16 +50,40 @@ def test_config_json_round_trip_samplers():
 
     # keys left out take the dataclass defaults
     bare = harness.ExperimentConfig.from_json(
-        {"domain": K.to_json(), "epsilon": 0.5, "n": 8, "m": 2})
+        {"domain": harness._domain_to_json(K), "epsilon": 0.5, "n": 8,
+         "m": 2})
     assert bare == harness.ExperimentConfig(domain=K, epsilon=0.5, n=8, m=2)
 
 
 def test_config_from_json_rejects_garbage():
     with pytest.raises(ConfigError):
         harness.ExperimentConfig.from_json({"epsilon": 0.5})
-    with pytest.raises(ConfigError):
-        harness.ExperimentConfig.from_json(
-            {"domain": {"kind": "blob"}, "epsilon": 0.5, "n": 4, "m": 0})
+    for domain in ({"kind": "blob"},
+                   {"kind": "disk", "center": [0, 0], "radius": -1},
+                   {"kind": "polygon", "vertices": [[0, 0], [1, 0]]}):
+        with pytest.raises(ConfigError):
+            harness.ExperimentConfig.from_json(
+                {"domain": domain, "epsilon": 0.5, "n": 4, "m": 0})
+
+
+def test_domain_json_round_trip():
+    for dom in (SQUARE, geo.ConvexDomain.disk(1 + 1j, 2.0)):
+        again = harness._domain_from_json(
+            json.loads(json.dumps(harness._domain_to_json(dom))))
+        assert again.kind == dom.kind
+        if dom.kind == "disk":
+            assert again.center == dom.center and again.radius == dom.radius
+        else:
+            assert np.array_equal(again.vertices, dom.vertices)
+
+
+def test_points_json_round_trip():
+    for z in (np.array([1.5 - 0.25j, 3.0]), np.array([0.0, 0.5 + 1.0j, 1.0]),
+              np.zeros(0, dtype=complex)):
+        again = harness.read_points(json.loads(json.dumps(
+            harness.write_points(z))))
+        assert again.dtype == np.complex128
+        assert np.array_equal(again, z)
 
 
 def test_explicit_sampler_membership_checked():
@@ -326,6 +350,11 @@ def test_report_components_round_trip_and_reject_other_keys():
         obj["deltas"][0]["components"][0] = bad
         with pytest.raises(ConfigError):
             harness.TheoremReport.from_json(obj)
+    obj["deltas"][0]["components"][0] = comp
+    for bad in ({"verdict": "false"},
+                {"counts": {**obj["counts"], "crit_in_Keps": 4.9}}):
+        with pytest.raises(ConfigError):
+            harness.TheoremReport.from_json({**obj, **bad})
 
 
 # -- escape distance ---------------------------------------------------------

@@ -23,8 +23,6 @@ READERS = sorted(ROOT.glob("demos/*.py")) + sorted(
 KEPT = {
     # the paper's f_m, which ROADMAP.md keeps
     "charges.truncated_kernel",
-    # the hull that criteria 1 and 4 of the acceptance suite build
-    "geometry.convex_hull",
 }
 
 

@@ -652,7 +652,7 @@ def test_bridge_detected_when_lobe_reaches_K():
 
 
 @pytest.mark.parametrize("domain", [
-    K, geo.ConvexDomain.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])])
+    K, geo.convex_hull([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])])
 def test_component_flags_match_whole_grid_flags(domain):
     split = poly.RootSplit([-0.5, 0.5], [1.05])
     bbox = regions.default_bbox(split, domain, EPS)

@@ -179,7 +179,7 @@ def test_component_rects_match_the_cell_walk(seed):
 
 
 def test_polygon_domain_renders(tmp_path):
-    square = geo.ConvexDomain.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+    square = geo.convex_hull([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
     rep = _report(domain=square, epsilon=0.4, delta_sweep=())
     path = tmp_path / "square.svg"
     render.emit_svg(rep, path)
