@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootfield import geometry as geo
-from rootfield.errors import DegenerateHull
+from rootfield import harness
+from rootfield.errors import ConfigError, DegenerateHull
 
 SQUARE = geo.convex_hull([0, 1, 1 + 1j, 1j])
 DISK = geo.ConvexDomain.disk(1 + 1j, 2.0)
@@ -147,8 +148,14 @@ def test_diameter_matches_brute_force(seed):
 
 
 # ---------------------------------------------------------------------------
-# parametrization
+# reading and parametrization
 # ---------------------------------------------------------------------------
+
+def test_from_json_rejects_unknown_kind():
+    # domains are decoded only at the harness boundary
+    with pytest.raises(ConfigError):
+        harness._domain_from_json({"kind": "ellipse"})
+
 
 def test_boundary_point_traverses_square():
     # s in [0,1) walks the perimeter at constant speed from vertices[0]
