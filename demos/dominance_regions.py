@@ -11,8 +11,9 @@ the outside root where |r'/r| is large.
 
 import numpy as np
 
-from rootfield import ConvexDomain, RootSplit, adelta_indicator, \
-    build_masks, classify_components, emit_svg
+from rootfield import ConvexDomain, ExperimentConfig, RootSplit, \
+    adelta_indicator, build_masks, classify_components, emit_svg, \
+    run_theorem_experiment
 from rootfield import regions
 
 K = ConvexDomain.disk(0.0, 1.0)
@@ -41,6 +42,11 @@ for mask in masks:
               f"escapes K_eps = {c.escapes_Keps}, "
               f"crit = {c.crit_points_inside}, margin = {c.rouche_margin:.3g}")
 
-# shrinking delta shrinks the set toward the critical points and roots
-emit_svg(masks[0], "dominance_regions.svg", split=split, K=K, epsilon=EPS)
+# shrinking delta shrinks the set toward the critical points and roots;
+# the figure is a theorem run's on the same roots, deltas and grid
+cfg = ExperimentConfig(domain=K, epsilon=EPS, n=2, m=1,
+                       root_sampler=[-0.5, 0.5], outside_sampler=[3.0],
+                       delta_sweep=[mask.delta for mask in masks],
+                       resolution=masks[0].resolution)
+emit_svg(run_theorem_experiment(cfg), "dominance_regions.svg")
 print("\nwrote dominance_regions.svg")

@@ -346,13 +346,22 @@ def _delta(obj) -> DeltaReport:
         error=read_field(obj, "error", _exactly(str, type(None)), None))
 
 
+_COMPONENT_READERS = {
+    "component": read_int, "touches_K": _bool, "escapes_Keps": _bool,
+    "r_roots_inside": read_int, "crit_points_inside": read_int,
+    # a margin sampled on a root is inf or nan, which json writes
+    "rouche_margin": lambda v: float(_exactly(float, int)(v)),
+    "qprime_roots_enclosed": read_int, "r_roots_enclosed": read_int,
+    "absorbed": read_ints, "count_error": _exactly(str, type(None))}
+
+
 def _component(obj: dict) -> regions.ComponentReport:
     """A ComponentReport from its JSON object, which holds each field."""
     names = {f.name for f in fields(regions.ComponentReport)}
     if set(obj) != names:
         raise ConfigError(f"component keys {sorted(set(obj) ^ names)}")
-    return regions.ComponentReport(**{**obj,
-                                      "absorbed": tuple(obj["absorbed"])})
+    return regions.ComponentReport(**{
+        k: read_field(obj, k, _COMPONENT_READERS[k]) for k in names})
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +399,9 @@ def _delta_stage(split: RootSplit, cfg: ExperimentConfig):
         try:
             comps = regions.classify_components(mask, split, cfg.domain,
                                                 cfg.epsilon)
-            bridge = regions.bridging_check(mask, cfg.domain, cfg.epsilon)
+            path = regions.bridging_check(mask, cfg.domain, cfg.epsilon)
             out.append(DeltaReport(delta=mask.delta, components=tuple(comps),
-                                   bridged=bridge.bridged,
-                                   witness=bridge.path))
+                                   bridged=path is not None, witness=path))
         except RootfieldError as exc:
             out.append(DeltaReport(delta=mask.delta,
                                    error=f"{type(exc).__name__}: {exc}"))

@@ -13,16 +13,20 @@ All three terms come from the roots alone: the two field sums and
 1/|r| = 1/prod |z - b_k| over the outside roots b_k, each one `kernels`
 reduction, so each rounds at order (k + 2) eps for k sources.
 
-The grid is filled by a quadtree, not cell by cell.  On a block of cells
-the field sums and 1/|r| are bounded from their values at the block's
-center (interval bounds in the style of Snyder, SIGGRAPH 1992), with a
-margin for the rounding of the values a cell-by-cell evaluation would
-compute.  A block whose bounds fix the sign of g for every delta is
-settled and holds its bound nearest zero; any other block splits in
-four, and the single cells left are evaluated exactly.  The labels are
-therefore those of the dense grid, cell for cell; `indicator` differs
-from the dense values only on settled cells, where it is a bound of the
-same sign and no larger modulus.
+The grid is filled by a region quadtree of power-of-two squares (Samet,
+ACM Comput. Surv. 1984), not cell by cell.  The top blocks are 32-cell
+squares tiling the grid from its first cell, the last ones reaching past
+its far edges; each level has one side, 32 down to 2, and a block splits
+into four equal quarters, dropping those wholly off the grid.  On a
+block the field sums and 1/|r| are bounded from their values at the
+block's center (interval bounds in the style of Snyder, SIGGRAPH 1992)
+over its whole square, with a margin for the rounding of the values a
+cell-by-cell evaluation would compute.  A block whose bounds fix the sign
+of g for every delta is settled and its cells on the grid hold its bound
+nearest zero; the single cells left are evaluated exactly.  The labels
+are therefore those of the dense grid, cell for cell; `indicator`
+differs from the dense values only on settled cells, where it is a bound
+of the same sign and no larger modulus.
 
 Everything after the fill costs the size of the labeled region, not of
 the grid.  Labeling runs on the window of the cells with g <= EQUALITY_TOL
@@ -76,15 +80,16 @@ class RegionMask:
 
     indicator[i, j] is g at the center of cell (i, j) where the cell was
     evaluated; on a cell whose sign a quadtree block certified it is that
-    block's bound nearest zero, of the same sign as g and no larger in
-    modulus.  Either way indicator <= EQUALITY_TOL exactly where
-    g <= EQUALITY_TOL.  labels hold a dense component id for those cells,
-    numbered in raster order of each component's first cell, and -1
-    elsewhere; labeling runs only on the window of those cells, so every
-    cell outside it is -1 by construction.  windows[c] is the (rows,
-    columns) slice pair of component c's bounding box on the grid.
-    evaluations counts the cells and block centers at which the field
-    terms were evaluated, shared by the masks of one `build_masks` call.
+    block's bound nearest zero over the block's whole square, which the
+    grid's edge may cut, of the same sign as g and no larger in modulus.
+    Either way indicator <= EQUALITY_TOL exactly where g <= EQUALITY_TOL.
+    labels hold a dense component id for those cells, numbered in raster
+    order of each component's first cell, and -1 elsewhere; labeling runs
+    only on the window of those cells, so every cell outside it is -1 by
+    construction.  windows[c] is the (rows, columns) slice pair of
+    component c's bounding box on the grid.  evaluations counts the cells
+    and block centers at which the field terms were evaluated, shared by
+    the masks of one `build_masks` call.
     """
 
     bbox: tuple[float, float, float, float]   # xmin, xmax, ymin, ymax
@@ -140,13 +145,6 @@ class ComponentReport:
     r_roots_enclosed: int = 0        # r roots with cells in the moat
     absorbed: tuple[int, ...] = ()   # other component ids merged into the moat
     count_error: str | None = None
-
-
-@dataclass(frozen=True)
-class BridgeResult:
-    bridged: bool
-    component: int | None = None
-    path: np.ndarray | None = None   # cell centers from a K cell outward
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +228,11 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
     h = 1.0 / resolution
     nx = max(4, int(np.ceil((xmax - xmin) * resolution)))
     ny = max(4, int(np.ceil((ymax - ymin) * resolution)))
-    xs = xmin + (np.arange(nx) + 0.5) * h
-    ys = ymin + (np.arange(ny) + 0.5) * h
+    # centers on to whole top blocks; the first nx (ny) are the grid's
+    xs = xmin + (np.arange(-(-nx // _BLOCK) * _BLOCK) + 0.5) * h
+    ys = ymin + (np.arange(-(-ny // _BLOCK) * _BLOCK) + 0.5) * h
 
-    gs, reach, evaluations = _signed_fill(split, deltas, xs, ys)
+    gs, reach, evaluations = _signed_fill(split, deltas, xs, ys, (ny, nx))
     # a center within SINGULAR_GUARD of a root lies in that root's cell.
     # Only these cells can hold nan: g is nan only as inf - inf or 0*inf,
     # and A, B or C is infinite only at such a center (a distance product
@@ -281,39 +280,31 @@ def _label(g: np.ndarray, reach):
     return labels, windows
 
 
-def _signed_fill(split: RootSplit, deltas, xs, ys):
-    """(g grid per delta, reach window per delta, evaluation count) on the
-    cell centers xs x ys.
+def _signed_fill(split: RootSplit, deltas, xs, ys, shape):
+    """(g grid of the given shape per delta, reach window per delta,
+    evaluation count) on the cell centers xs x ys, which run on to whole
+    _BLOCK x _BLOCK top blocks past the grid.
 
-    The grid is tiled with _BLOCK x _BLOCK blocks.  A block whose bounds
-    from `_block_bounds` fix the sign of g for every delta is settled and
+    A block is its corner (i0, j0); each level has one side, and a
+    block's quarters are equal squares.  A block whose bounds from
+    `_block_bounds` fix the sign of g for every delta is settled and
     painted with the bound nearest zero; any other block splits into
-    four, down to single cells, which are evaluated exactly as on a dense
-    grid (the same points and arithmetic, hence the same bits).  The
-    blocks of one level partition what the coarser levels left unsettled,
-    so every cell is written once: by `_paint` on the level that settles
-    it, or as a single cell.  A delta's reach is the window of the top
-    blocks not certified positive for it; every cell with g <= EQUALITY_TOL
-    lies inside it.
+    its quarters that reach the grid, down to single cells, which are
+    evaluated exactly as on a dense grid (the same points and arithmetic,
+    hence the same bits).  The blocks of one level partition what the
+    coarser levels left unsettled, so every cell is written once.  A
+    delta's reach is the window of the top blocks not certified positive
+    for it; every cell with g <= EQUALITY_TOL lies inside it.
     """
-    ny, nx = len(ys), len(xs)
-    gs = [np.empty((ny, nx)) for _ in deltas]
+    ny, nx = shape
+    gs = [np.empty(shape) for _ in deltas]
     dl = np.array(deltas)[:, None]
     i0, j0 = (a.ravel() for a in np.meshgrid(np.arange(0, ny, _BLOCK),
                                              np.arange(0, nx, _BLOCK),
                                              indexing="ij"))
-    blocks = np.stack([i0, np.minimum(i0 + _BLOCK, ny),
-                       j0, np.minimum(j0 + _BLOCK, nx)])
-    top = blocks
-    reach = None
-    singles = []
-    evaluations = 0
-    while blocks.shape[1]:
-        one = (blocks[1] - blocks[0] == 1) & (blocks[3] - blocks[2] == 1)
-        singles.append(blocks[:, one])
-        blocks = blocks[:, ~one]
-        i0, i1, j0, j1 = blocks
-        x0, x1, y0, y1 = xs[j0], xs[j1 - 1], ys[i0], ys[i1 - 1]
+    size, reach, evaluations = _BLOCK, None, 0
+    while size > 1:
+        x0, x1, y0, y1 = xs[j0], xs[j0 + size - 1], ys[i0], ys[i0 + size - 1]
         zc = 0.5 * (x0 + x1) + 0.5j * (y0 + y1)
         # the farthest cell center is a corner; the factor covers rounding
         rho = np.hypot(np.maximum(x1 - zc.real, zc.real - x0),
@@ -322,29 +313,30 @@ def _signed_fill(split: RootSplit, deltas, xs, ys):
         positive = lo > EQUALITY_TOL
         settled = np.all(positive | (hi < 0.0), axis=0)
         if reach is None:
-            # the top level; its single cells are evaluated exactly below
-            maybe = np.ones((len(deltas), one.size), dtype=bool)
-            maybe[:, ~one] = ~positive
-            reach = [_hull(top[:, k]) for k in maybe]
-        _paint(gs, blocks[:, settled],
+            reach = [_hull(i0[~p], j0[~p], size, shape) for p in positive]
+        _paint(gs, i0[settled], j0[settled], size,
                np.where(positive, lo, hi)[:, settled])
         evaluations += zc.size
-        blocks = _quarters(blocks[:, ~settled])
-    ii = np.concatenate([b[0] for b in singles])
-    jj = np.concatenate([b[2] for b in singles])
-    a, b, c = _indicator_terms(split, xs[jj] + 1j * ys[ii])
+        size //= 2
+        i0, j0 = i0[~settled], j0[~settled]
+        i0 = np.concatenate([i0, i0, i0 + size, i0 + size])
+        j0 = np.concatenate([j0, j0 + size, j0, j0 + size])
+        on = (i0 < ny) & (j0 < nx)
+        i0, j0 = i0[on], j0[on]
+    a, b, c = _indicator_terms(split, xs[j0] + 1j * ys[i0])
     for delta, g in zip(deltas, gs):
         with np.errstate(invalid="ignore"):
-            g[ii, jj] = a - b - delta * c
-    return gs, reach, evaluations + ii.size
+            g[i0, j0] = a - b - delta * c
+    return gs, reach, evaluations + i0.size
 
 
-def _hull(blocks: np.ndarray):
-    """The (rows, columns) window of a set of (i0, i1, j0, j1) columns."""
-    if not blocks.shape[1]:
+def _hull(i0: np.ndarray, j0: np.ndarray, size: int, shape):
+    """The (rows, columns) window of the blocks of side size with corners
+    (i0, j0), clipped to a grid of the given shape."""
+    if not i0.size:
         return slice(0, 0), slice(0, 0)
-    return (slice(int(blocks[0].min()), int(blocks[1].max())),
-            slice(int(blocks[2].min()), int(blocks[3].max())))
+    return (slice(int(i0.min()), min(shape[0], int(i0.max()) + size)),
+            slice(int(j0.min()), min(shape[1], int(j0.max()) + size)))
 
 
 def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
@@ -382,42 +374,25 @@ def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
     return np.where(valid, lo, -np.inf), np.where(valid, hi, np.inf)
 
 
-def _quarters(blocks: np.ndarray) -> np.ndarray:
-    """The non-empty quarters of each (i0, i1, j0, j1) column."""
-    i0, i1, j0, j1 = blocks
-    im = i0 + (i1 - i0 + 1) // 2
-    jm = j0 + (j1 - j0 + 1) // 2
-    out = np.stack([np.concatenate([i0, i0, im, im]),
-                    np.concatenate([im, im, i1, i1]),
-                    np.concatenate([j0, jm, j0, jm]),
-                    np.concatenate([jm, j1, jm, j1])])
-    return out[:, (out[1] > out[0]) & (out[3] > out[2])]
+def _paint(gs, i0: np.ndarray, j0: np.ndarray, size: int,
+           values: np.ndarray) -> None:
+    """gs[k][i:i + size, j:j + size] = values[k, b] for every block corner
+    (i, j) = (i0[b], j0[b]), clipped to the grid.
 
-
-def _paint(gs, blocks: np.ndarray, values: np.ndarray) -> None:
-    """gs[k][i0:i1, j0:j1] = values[k, b] for every block column b.
-
-    Blocks of one shape whose corners sit on multiples of that shape are
-    written through a block view of the grid, a contiguous run per block
-    row; the rest by one fancy assignment per shape.  Every quadtree level
-    paints through here; the full top blocks and their quarters are all
-    tiled, so only blocks cut short by the grid's edge can be loose.
+    The corners sit on multiples of size, so the blocks inside the grid
+    are written through one block view of it, a contiguous run per block
+    row; the few that the grid's edge cuts, as clipped slices.
     """
-    i0, i1, j0, j1 = blocks
     ny, nx = gs[0].shape
-    shapes = np.stack([i1 - i0, j1 - j0], axis=1)
-    for hh, ww in np.unique(shapes, axis=0):
-        sel = (shapes[:, 0] == hh) & (shapes[:, 1] == ww)
-        tiled = sel & (i0 % hh == 0) & (j0 % ww == 0)
-        loose = sel & ~tiled
-        rows = i0[loose, None, None] + np.arange(hh)[:, None]
-        cols = j0[loose, None, None] + np.arange(ww)
-        for g, v in zip(gs, values):
-            view = g[:ny - ny % hh, :nx - nx % ww].reshape(
-                ny // hh, hh, nx // ww, ww)
-            view[i0[tiled] // hh, :, j0[tiled] // ww, :] = \
-                v[tiled, None, None]
-            g[rows, cols] = v[loose, None, None]
+    inner = (i0 + size <= ny) & (j0 + size <= nx)
+    cut = list(zip(i0[~inner].tolist(), j0[~inner].tolist()))
+    for g, v in zip(gs, values):
+        view = g[:ny - ny % size, :nx - nx % size].reshape(
+            ny // size, size, nx // size, size)
+        view[i0[inner] // size, :, j0[inner] // size, :] = \
+            v[inner, None, None]
+        for (i, j), w in zip(cut, v[~inner]):
+            g[i:i + size, j:j + size] = w
 
 
 def _patch_singular_cells(split, delta, g, cells, xs, ys, h) -> None:
@@ -670,8 +645,9 @@ def _component_flags(mask: RegionMask, cid: int, win, K: ConvexDomain,
 
 
 def bridging_check(mask: RegionMask, K: ConvexDomain,
-                   epsilon: float) -> BridgeResult:
-    """Find a component crossing from K to outside K_eps, with a witness.
+                   epsilon: float) -> np.ndarray | None:
+    """The witness of a component crossing from K to outside K_eps, or
+    None when no component crosses.
 
     The witness is a 4-connected cell-center path inside the component
     from a cell in K to a cell beyond K_eps — the discrete version of the
@@ -680,12 +656,10 @@ def bridging_check(mask: RegionMask, K: ConvexDomain,
     """
     for cid, win in enumerate(mask.windows):
         cells, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
-        if not (np.any(in_k) and np.any(out_keps)):
-            continue
-        path = _cell_path(cells, in_k, out_keps)
-        pts = mask.cell_centers(win)[path[:, 0], path[:, 1]]
-        return BridgeResult(True, cid, pts)
-    return BridgeResult(False)
+        if np.any(in_k) and np.any(out_keps):
+            path = _cell_path(cells, in_k, out_keps)
+            return mask.cell_centers(win)[path[:, 0], path[:, 1]]
+    return None
 
 
 def _cell_path(region: np.ndarray, sources: np.ndarray,

@@ -156,35 +156,22 @@ def _report_mask(report) -> regions.RegionMask | None:
     return None if masks is None else masks[0]
 
 
-def emit_svg(obj, path, *, split: RootSplit | None = None,
-             K: ConvexDomain | None = None,
-             epsilon: float | None = None) -> None:
-    """Write an SVG figure for a RegionMask or a TheoremReport.
+def emit_svg(report, path) -> None:
+    """Write the SVG figure of a TheoremReport.
 
     Layers, bottom to top: K_eps, K, filled A_delta components, roots
     (dots: inside blue, outside red), critical points (crosses), and the
     bridging witness path when the report carries one.
     """
-    crit = np.zeros(0, dtype=complex)
-    witness = None
-    mask = None
-    if isinstance(obj, regions.RegionMask):
-        mask = obj
-        frame = _Frame(mask.bbox)
-    elif isinstance(obj, _harness.TheoremReport):
-        K, epsilon = obj.config.domain, obj.config.epsilon
-        split = RootSplit(obj.inside_roots, obj.outside_roots)
-        crit = obj.critical
-        mask = _report_mask(obj)
-        for d in obj.deltas:
-            if d.witness is not None:
-                witness = d.witness
-                break
-        bbox = mask.bbox if mask is not None else \
-            regions.default_bbox(split, K, epsilon)
-        frame = _Frame(bbox)
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__}")
+    if not isinstance(report, _harness.TheoremReport):
+        raise TypeError(f"cannot render {type(report).__name__}")
+    K, epsilon = report.config.domain, report.config.epsilon
+    split = RootSplit(report.inside_roots, report.outside_roots)
+    mask = _report_mask(report)
+    witness = next((d.witness for d in report.deltas
+                    if d.witness is not None), None)
+    frame = _Frame(mask.bbox if mask is not None
+                   else regions.default_bbox(split, K, epsilon))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -194,12 +181,11 @@ def emit_svg(obj, path, *, split: RootSplit | None = None,
         f'<rect width="{_num(frame.w)}" height="{_num(frame.h)}" '
         'fill="#ffffff"/>',
     ]
-    if K is not None and epsilon is not None:
-        lines += _domain_layers(frame, K, epsilon)
+    lines += _domain_layers(frame, K, epsilon)
     if mask is not None:
         lines += _component_rects(frame, mask)
-    if split is not None:
-        lines += _marker_layers(frame, split.inside, split.outside, crit)
+    lines += _marker_layers(frame, split.inside, split.outside,
+                            report.critical)
     if witness is not None:
         lines += _witness_layer(frame, witness)
     lines.append("</svg>")

@@ -180,6 +180,12 @@ def test_config_error_exit_codes(tmp_path):
     ("render", {"verdict": "false"}),
     ("render", {"counts": {"roots_in_K": 6, "roots_outside": 1,
                            "crit_in_Keps": 4.9, "crit_elsewhere": 1}}),
+    ("render", {"deltas": [{"delta": 1e-2, "components": [{
+        "component": 0, "touches_K": "yes", "escapes_Keps": False,
+        "r_roots_inside": 0, "crit_points_inside": 4.9,
+        "rouche_margin": 0.5, "qprime_roots_enclosed": 4,
+        "r_roots_enclosed": 0, "absorbed": "ab", "count_error": None}],
+        "bridged": False, "witness": None, "error": None}]}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
     # each is rejected before its run starts, with no traceback; render

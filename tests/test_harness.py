@@ -346,10 +346,26 @@ def test_report_components_round_trip_and_reject_other_keys():
     assert again.to_json() == obj
     comp = obj["deltas"][0]["components"][0]
     for bad in ({k: v for k, v in comp.items() if k != "absorbed"},
-                {**comp, "winding": 1}):
+                {**comp, "winding": 1},
+                {**comp, "crit_points_inside": 4.9},
+                {**comp, "component": True},
+                {**comp, "touches_K": "yes"},
+                {**comp, "escapes_Keps": 0},
+                {**comp, "absorbed": "ab"},
+                {**comp, "absorbed": [1.5]},
+                {**comp, "count_error": 3},
+                {**comp, "rouche_margin": "0.5"},
+                {**comp, "rouche_margin": False}):
         obj["deltas"][0]["components"][0] = bad
         with pytest.raises(ConfigError):
             harness.TheoremReport.from_json(obj)
+    # a margin sampled on a root is inf or nan; json writes and reads both
+    for margin in (float("inf"), float("nan"), 2):
+        obj["deltas"][0]["components"][0] = {**comp, "rouche_margin": margin}
+        got = harness.TheoremReport.from_json(json.loads(json.dumps(obj)))
+        read = got.deltas[0].components[0].rouche_margin
+        assert type(read) is float
+        assert read == margin or np.isnan(read) and np.isnan(margin)
     obj["deltas"][0]["components"][0] = comp
     for bad in ({"verdict": "false"},
                 {"counts": {**obj["counts"], "crit_in_Keps": 4.9}}):

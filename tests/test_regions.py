@@ -257,15 +257,20 @@ def _grids(draw):
 # large m: 200 roots in the unit disk, 150 on radii 1.3 to 2
 @example((list(_spiral(200, 0.0, 1.0)), list(_spiral(150, 1.3, 2.0)),
           [1e-3, 1e-1], (-3.5, 3.5, -3.5, 3.5), 20.0))
+# 33 x 65 cells, one past a top block each way, and 5 x 7 cells, less
+# than one top block: settled blocks that the grid's edge cuts
+@example(([0.3 + 0.2j, -0.5, 0.1j], [1.6 - 0.4j], [1e-2, 3e-1],
+          (-4.0, 4.125, -2.0, 2.125), 8.0))
+@example(([0.4, -0.4], [2.5j], [0.5], (-0.875, 0.875, -0.625, 0.625), 4.0))
 def test_quadtree_matches_dense_grid(case):
     inside, outside, deltas, bbox, res = case
     split = poly.RootSplit(np.array(inside), outside)
     painted = []
     real_paint = regions._paint
 
-    def recording(gs, blocks, values):
-        painted.append(blocks)
-        real_paint(gs, blocks, values)
+    def recording(gs, i0, j0, size, values):
+        painted.extend((i, j, size) for i, j in zip(i0, j0))
+        real_paint(gs, i0, j0, size, values)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regions, "_paint", recording)
@@ -284,13 +289,14 @@ def test_quadtree_matches_dense_grid(case):
         return
     assert not isinstance(masks, GrowBBox)
     writes = np.zeros((ny, nx), dtype=int)
-    for blocks in painted:
-        for i0, i1, j0, j1 in blocks.T:
-            writes[i0:i1, j0:j1] += 1
+    for i0, j0, size in painted:    # slicing clips a block to the grid
+        writes[i0:i0 + size, j0:j0 + size] += 1
     # painted blocks never overlap, so no cell is painted twice
     assert writes.max(initial=0) <= 1
     settled = writes == 1
     for mask, (g, patched, labels, count) in zip(masks, oracle):
+        # the grid is its own exact-size array, not a view of a padded one
+        assert mask.shape == (ny, nx) and mask.indicator.base is None
         assert mask.n_components == count
         assert np.array_equal(mask.labels, labels)
         assert not np.isnan(mask.indicator).any()
@@ -632,9 +638,7 @@ def test_no_bridge_for_well_separated_far_root():
     split = poly.RootSplit(inside, [4.0 + 0j])
     bbox = regions.default_bbox(split, K, EPS)
     mask = regions.build_mask(split, 1e-4, bbox, 150.0)
-    res = regions.bridging_check(mask, K, EPS)
-    assert not res.bridged
-    assert res.path is None
+    assert regions.bridging_check(mask, K, EPS) is None
 
 
 def test_bridge_detected_when_lobe_reaches_K():
@@ -643,12 +647,15 @@ def test_bridge_detected_when_lobe_reaches_K():
     split = poly.RootSplit([-0.5, 0.5], [1.05])
     bbox = regions.default_bbox(split, K, EPS)
     mask = regions.build_mask(split, 1e-2, bbox, 100.0)
-    res = regions.bridging_check(mask, K, EPS)
-    assert res.bridged
-    assert res.component is not None
-    assert res.path is not None and res.path.size >= 2
-    assert geo.contains(K, res.path[0])
-    assert geo.distance(K, res.path[-1]) > EPS
+    path = regions.bridging_check(mask, K, EPS)
+    assert path is not None and path.size >= 2
+    assert geo.contains(K, path[0])
+    assert geo.distance(K, path[-1]) > EPS
+    # the path runs through the cells of one component
+    ij = regions._cells_of_points(mask.bbox, mask.cell_size, mask.shape,
+                                  path)
+    assert np.unique(mask.labels[ij[:, 0], ij[:, 1]]).size == 1
+    assert mask.labels[ij[0, 0], ij[0, 1]] >= 0
 
 
 @pytest.mark.parametrize("domain", [

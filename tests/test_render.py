@@ -10,12 +10,6 @@ from rootfield import geometry as geo
 from rootfield import harness, poly, regions, render
 
 K = geo.ConvexDomain.disk(0.0, 1.0)
-SPLIT = poly.RootSplit([-0.5, 0.5], [3.0])
-
-
-def _mask(res=120.0, delta=1e-2):
-    bbox = regions.default_bbox(SPLIT, K, 0.5)
-    return regions.build_mask(SPLIT, delta, bbox, res)
 
 
 def _report(**kw):
@@ -23,22 +17,6 @@ def _report(**kw):
                 resolution=120.0, seed=3)
     base.update(kw)
     return harness.run_theorem_experiment(harness.ExperimentConfig(**base))
-
-
-def test_minimal_mask_svg_is_well_formed(tmp_path):
-    path = tmp_path / "mask.svg"
-    render.emit_svg(_mask(res=60.0), path)
-    root = ET.parse(path).getroot()
-    assert root.tag.endswith("svg")
-    assert path.read_text().startswith('<?xml version="1.0"')
-
-
-def test_mask_svg_byte_identical(tmp_path):
-    mask = _mask()
-    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    render.emit_svg(mask, a, split=SPLIT, K=K, epsilon=0.5)
-    render.emit_svg(mask, b, split=SPLIT, K=K, epsilon=0.5)
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_report_svg_layers(tmp_path):
@@ -205,5 +183,9 @@ def test_negative_zero_formatting():
 
 
 def test_unsupported_object_rejected(tmp_path):
-    with pytest.raises(TypeError):
-        render.emit_svg({"not": "renderable"}, tmp_path / "x.svg")
+    # a bare mask too: a figure is drawn from a report alone
+    mask = regions.RegionMask((0.0, 1.0, 0.0, 1.0), 4.0, 1e-2,
+                              np.ones((4, 4)), np.full((4, 4), -1), ())
+    for obj in ({"not": "renderable"}, mask):
+        with pytest.raises(TypeError):
+            render.emit_svg(obj, tmp_path / "x.svg")
