@@ -1,5 +1,5 @@
 """Argument-principle root counting along contours, each held as its
-geometry: a circle or a closed set of directed segments.
+geometry.
 
 `count_roots_in` counts the roots of p inside a circle from its
 coefficients, over samples of the circle from its one sampler.  Winding
@@ -10,10 +10,10 @@ pi/2, or fewer than four samples per possible root, triggers a doubling
 of the sample density (up to MAX_REFINE doublings), which prevents
 branch-jump undercounting.  Coefficients are counted here, never solved.
 
-`count_critical_points_in` counts the zeros of p' inside a circle or a
-segment set from the roots of p alone: the roots inside plus the winding
-of p'/p, certified on each piece of the contour by a bound on the root
-sum, with no sample density to guess and no solved zero to read.
+`field_winding` gives the winding of p'/p around a circle or a closed
+set of directed segments from the roots of p alone, certified on each
+piece by a bound on the root sum: the zeros of p' inside are that
+winding plus the roots of p inside, which the caller counts.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .poly import Polynomial, majorant_logmag, phase_logmag
 
 WINDING_TOL = 0.2      # |winding - nearest integer| allowed after refinement
 MAX_REFINE = 6         # sample-density doublings before giving up
+_DENSITY = 64.0        # samples per unit arclength of a count's first pass
 _MAX_ARG_STEP = np.pi / 2
 _NOISE_LOG2 = -50.0    # |p| below 2^-50 * majorant means "on a root"
 _MAX_HALVINGS = 30     # halvings before a piece counts as meeting a zero or
@@ -36,40 +37,23 @@ _MAX_HALVINGS = 30     # halvings before a piece counts as meeting a zero or
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed contour: a circle traced once counterclockwise, with the
-    density (samples per unit arclength) a count first samples it at, or
-    a closed set of directed segments, (k, 2) rows (a, b) in any order."""
+    """Closed contour: a circle traced once counterclockwise."""
 
-    kind: str                       # circle | segments
-    center: complex = 0j
-    radius: float = 0.0
-    refinement: float = 0.0
-    segments: np.ndarray | None = None
+    center: complex
+    radius: float
 
 
-def circle(center, radius: float, refinement: float = 64.0) -> Contour:
+def circle(center, radius: float) -> Contour:
     if radius <= 0:
         raise ValueError("circle radius must be positive")
-    return Contour("circle", center=complex(center), radius=radius,
-                   refinement=refinement)
-
-
-def segment_set(segments) -> Contour:
-    """Contour over directed segments (a, b) that form closed loops: every
-    point starts as many segments as it ends.  Its zeros are counted from
-    roots (`count_critical_points_in`): loops counterclockwise count their
-    inside, clockwise ones (holes) subtract it."""
-    s = np.asarray(segments, dtype=np.complex128).reshape(-1, 2)
-    if not s.size or not np.array_equal(np.sort(s[:, 0]), np.sort(s[:, 1])):
-        raise ValueError("segments must form closed loops")
-    return Contour("segments", segments=s)
+    return Contour(complex(center), radius)
 
 
 def _circle_samples(c: Contour, level: int = 0) -> np.ndarray:
-    """The circle c at c.refinement * 2**level samples per unit arclength
-    (at least 16), one run with first == last."""
+    """The circle c at _DENSITY * 2**level samples per unit arclength (at
+    least 16), one run with first == last."""
     n = max(16, int(np.ceil(2 * np.pi * c.radius
-                            * (c.refinement * 2.0 ** level))))
+                            * (_DENSITY * 2.0 ** level))))
     t = np.arange(n) / n
     pts = c.center + c.radius * np.exp(2j * np.pi * t)
     return np.concatenate([pts, pts[:1]])
@@ -81,9 +65,8 @@ def _circle_samples(c: Contour, level: int = 0) -> np.ndarray:
 
 def count_roots_in(p: Polynomial, c: Contour) -> int:
     """Number of roots of p strictly inside the circle c (with
-    multiplicity), from the phase of p on its coefficients, first at c's
-    own refinement.  A segment set raises ValueError: its zeros are
-    counted from roots, by `count_critical_points_in`.
+    multiplicity), from the phase of p on its coefficients, first at
+    _DENSITY samples per unit arclength.
 
     The density doubles, up to MAX_REFINE times, while there are fewer
     than 2*pi*degree/_MAX_ARG_STEP samples (sparser, a phase winding once
@@ -93,8 +76,6 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
     closer than the clearance, raises RootOnContour; a count below zero
     or above the degree raises ImpossibleCount.
     """
-    if c.kind != "circle":
-        raise ValueError("coefficient counts run on circles only")
     degree = p.degree
     if degree < 1:
         return 0
@@ -103,7 +84,7 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
         if pts.size < 2 * np.pi * degree / _MAX_ARG_STEP \
                 and level < MAX_REFINE:
             continue
-        clearance = 2.0 / (c.refinement * 2.0 ** level)
+        clearance = 2.0 / (_DENSITY * 2.0 ** level)
         unit, logmag = phase_logmag(p.coeffs, pts)
         # |p| below the rounding floor: no phase, so "on a root"
         if np.any(logmag <= majorant_logmag(p.coeffs, pts) + _NOISE_LOG2) \
@@ -135,10 +116,13 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def count_critical_points_in(roots, c: Contour) -> int:
-    """Number of zeros of p' strictly inside the contour, p = prod (z - a_k)
-    over roots, from the roots alone: the roots inside plus the winding of
-    F = p'/p = sum_k 1/(z - a_k).
+def field_winding(roots, c) -> int:
+    """Winding number of F = p'/p = sum_k 1/(z - a_k) around the contour,
+    p = prod (z - a_k) over roots: the circle c, or c as (k, 2) rows of
+    directed segments (a, b) that form closed loops, every point starting
+    as many segments as it ends (ValueError otherwise).  The zeros of p'
+    inside are this winding plus the roots inside, clockwise loops
+    (holes) counting negatively.
 
     The winding is certified piece by piece.  On a piece within rho of its
     midpoint w, |F(z) - F(w)| <= rho S/(d - rho) with S = sum_k 1/|w - a_k|
@@ -151,21 +135,23 @@ def count_critical_points_in(roots, c: Contour) -> int:
     p on or next to the contour) raises RootOnContour, as an empty root
     list (p' = 0) does at once.
     """
+    on_circle = isinstance(c, Contour)
+    if on_circle:
+        pts = _circle_samples(c)
+        u, v = pts[:-1], pts[1:]
+    else:
+        u, v = np.asarray(c, dtype=np.complex128).reshape(-1, 2).T
+        if not u.size or not np.array_equal(np.sort(u), np.sort(v)):
+            raise ValueError("segments must form closed loops")
     a = np.asarray(roots, dtype=np.complex128).ravel()
     if not a.size:
         raise RootOnContour(0.0, np.inf)
-    if c.kind == "circle":
-        pts = _circle_samples(c)
-        f = field_sum(pts, a)
-        u, v, f0, f1 = pts[:-1], pts[1:], f[:-1], f[1:]
-    else:
-        u, v = c.segments[:, 0], c.segments[:, 1]
-        f0, f1 = field_sum(u, a), field_sum(v, a)
+    f0, f1 = field_sum(u, a), field_sum(v, a)
     margin = ROUNDING * (a.size + 2) * np.finfo(float).eps
     winding = 0.0
     for _ in range(_MAX_HALVINGS + 1):
         w = 0.5 * (u + v)
-        if c.kind == "circle":      # the arc's midpoint: arcs are < pi
+        if on_circle:               # the arc's midpoint: arcs are < pi
             w = c.center + c.radius * np.exp(1j * np.angle(w - c.center))
         rho = np.maximum(np.abs(u - w), np.abs(v - w))
         fw, sw, d = field_modulus_nearest(w, a)
@@ -181,11 +167,4 @@ def count_critical_points_in(roots, c: Contour) -> int:
                   np.concatenate([fw[bad], f1[bad]]))
     else:
         raise RootOnContour(0.0, float(rho[bad].max()))
-    if c.kind == "circle":
-        inside = int(np.count_nonzero(np.abs(a - c.center) < c.radius))
-    else:
-        # a root sees each segment (u, v) under the angle arg((v-a)/(u-a))
-        s = c.segments
-        seen = np.angle((s[:, 1, None] - a) / (s[:, 0, None] - a))
-        inside = int(round(seen.sum() / (2 * np.pi)))
-    return inside + int(round(winding / (2 * np.pi)))
+    return int(round(winding / (2 * np.pi)))

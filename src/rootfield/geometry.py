@@ -172,16 +172,18 @@ def bounding_box(domain: ConvexDomain) -> tuple[float, float, float, float]:
             float(v.imag.min()), float(v.imag.max()))
 
 
-def boundary_point(domain: ConvexDomain, s: float) -> complex:
-    """Point on the boundary at normalized arclength s in [0, 1)."""
-    s = s % 1.0
+def boundary_point(domain: ConvexDomain, s):
+    """Point on the boundary at normalized arclength s in [0, 1): a complex
+    for scalar s, else an array."""
+    ss = np.asarray(s, dtype=float) % 1.0
     if domain.kind == "disk":
-        return domain.center + domain.radius * np.exp(2j * np.pi * s)
-    v = domain.vertices
-    w = np.roll(v, -1)
-    lens = np.abs(w - v)
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    target = s * cum[-1]
-    i = min(int(np.searchsorted(cum, target, side="right")) - 1, len(v) - 1)
-    t = 0.0 if lens[i] == 0 else (target - cum[i]) / lens[i]
-    return complex(v[i] + t * (w[i] - v[i]))
+        out = domain.center + domain.radius * np.exp(2j * np.pi * ss)
+    else:
+        v = domain.vertices
+        w = np.roll(v, -1)
+        lens = np.abs(w - v)           # the hull's vertices are distinct
+        cum = np.concatenate([[0.0], np.cumsum(lens)])
+        target = ss * cum[-1]
+        i = np.searchsorted(cum[1:-1], target, side="right")
+        out = v[i] + (target - cum[i]) / lens[i] * (w[i] - v[i])
+    return complex(out) if ss.ndim == 0 else out

@@ -212,6 +212,14 @@ def _is_annulus(spec) -> bool:
 # samplers
 # ---------------------------------------------------------------------------
 
+def _uniform(rng, low, high, size: int, count: str) -> np.ndarray:
+    """rng.uniform(low, high, size), or a ConfigError naming count."""
+    try:
+        return rng.uniform(low, high, size=size)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot sample {count}: {exc}") from None
+
+
 def _sample_inside(K: ConvexDomain, n: int, kind, rng) -> np.ndarray:
     if not isinstance(kind, str):
         pts = np.asarray(kind, dtype=np.complex128)
@@ -225,15 +233,14 @@ def _sample_inside(K: ConvexDomain, n: int, kind, rng) -> np.ndarray:
         return pts
     if kind == "boundary":
         # shell between 70% and 98% of the way from the center out
-        s = rng.uniform(size=n)
-        b = np.array([boundary_point(K, float(t)) for t in s])
-        u = rng.uniform(0.70, 0.98, size=n)
+        b = boundary_point(K, _uniform(rng, 0.0, 1.0, n, f"n={n}"))
+        u = _uniform(rng, 0.70, 0.98, n, f"n={n}")
         return K.center + (b - K.center) * u
     x0, x1, y0, y1 = bounding_box(K)
     out = np.zeros(0, dtype=np.complex128)
     for _ in range(_SAMPLER_CAP):
-        cand = (rng.uniform(x0, x1, size=2 * n)
-                + 1j * rng.uniform(y0, y1, size=2 * n))
+        cand = (_uniform(rng, x0, x1, 2 * n, f"n={n}")
+                + 1j * _uniform(rng, y0, y1, 2 * n, f"n={n}"))
         out = np.concatenate([out, cand[contains(K, cand)]])
         if out.size >= n:
             return out[:n]
@@ -259,8 +266,8 @@ def _sample_outside(K: ConvexDomain, m: int, spec, rng) -> np.ndarray:
     d = diameter(K)
     out = np.zeros(0, dtype=np.complex128)
     for _ in range(_SAMPLER_CAP):
-        rho = d * rng.uniform(lo, hi, size=2 * m)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=2 * m)
+        rho = d * _uniform(rng, lo, hi, 2 * m, f"m={m}")
+        theta = _uniform(rng, 0.0, 2.0 * np.pi, 2 * m, f"m={m}")
         cand = K.center + rho * np.exp(1j * theta)
         out = np.concatenate([out, cand[distance(K, cand) > 0]])
         if out.size >= m:
@@ -399,7 +406,8 @@ def _delta_stage(split: RootSplit, cfg: ExperimentConfig):
         try:
             comps = regions.classify_components(mask, split, cfg.domain,
                                                 cfg.epsilon)
-            path = regions.bridging_check(mask, cfg.domain, cfg.epsilon)
+            path = regions.bridging_check(mask, comps, cfg.domain,
+                                          cfg.epsilon)
             out.append(DeltaReport(delta=mask.delta, components=tuple(comps),
                                    bridged=path is not None, witness=path))
         except RootfieldError as exc:

@@ -4,10 +4,11 @@ A_delta = {z : |q'/q| <= |r'/r| + delta/|r|} contains every critical point
 of p = q*r, because q'/q = -r'/r exactly at roots of p'.  The set is
 sampled at cell centers on a regular grid, labeled by 4-connected flood
 fill, and each component is certified by argument-principle counts of
-the zeros of p' and of q' over the boundary of a union of cells, each
-from the roots alone (`contours.count_critical_points_in`), together with
-a Rouché margin: the minimum of |q'/q| - |r'/r| on that boundary,
-positive exactly where |q'r| > |qr'|.
+the zeros of p' and of q' in a union of cells, each from the roots
+alone: the roots whose cells lie in the union plus the winding of p'/p
+or q'/q over its boundary (`contours.field_winding`), together with a
+Rouché margin: the minimum of |q'/q| - |r'/r| on that boundary, positive
+exactly where |q'r| > |qr'|.
 
 All three terms come from the roots alone: the two field sums and
 1/|r| = 1/prod |z - b_k| over the outside roots b_k, each one `kernels`
@@ -46,7 +47,8 @@ the moat; the Rouché count equality holds for any such union of cells, so
 absorption never invalidates a certificate.  The boundary is the moat's
 boundary edges merged into straight segments, with the moat on their
 left.  The winding over a union of cells is the sum of the argument
-increments over those segments in any order, so no loop is traced.
+increments over those segments in any order, so no loop is traced.  A
+root on the boundary makes that winding raise, so no count reads its cell.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from . import contours as _contours
+from .contours import field_winding
 from .errors import (GrowBBox, InvalidEpsilon, RootOnContour, SingularCell,
                      SingularPoint)
 from .geometry import ConvexDomain, bounding_box, contains, diameter, distance
@@ -478,9 +480,10 @@ def _cells_of_points(bbox, h: float, shape, pts: np.ndarray) -> np.ndarray:
 
 
 def _moat(mask: RegionMask, component: int, protect: np.ndarray):
-    """Dilated component footprint whose boundary clears the protect points.
+    """Dilated component footprint whose boundary clears the protect cells,
+    (i, j) rows as `_cells_of_points` gives them (-1 rows off-grid).
 
-    Grows one ring at a time into unlabeled cells; when a protect point
+    Grows one ring at a time into unlabeled cells; when a protect cell
     sits on the current boundary and the blocking cells belong to another
     component, that component is absorbed whole.  The moat lives on a
     window around the involved components — ring growth is bounded by
@@ -494,13 +497,12 @@ def _moat(mask: RegionMask, component: int, protect: np.ndarray):
     win = mask.window_of([component], margin)
     current = labels[win] == component
     absorbed: set[int] = set()
-    pcells = _cells_of_points(mask.bbox, mask.cell_size, mask.shape, protect)
     for _ in range(_RING_LIMIT):
         grown = ndimage.binary_dilation(current, structure=_EIGHT)
         current |= grown & (labels[win] < 0)
-        # a protect point is safe when its cell and the 8 surrounding
-        # cells are uniformly inside or uniformly outside the moat
-        trouble = [(i, j) for i, j in pcells
+        # a protect cell is safe when it and the 8 surrounding cells are
+        # uniformly inside or uniformly outside the moat
+        trouble = [(i, j) for i, j in protect
                    if i >= 0 and _straddles(current, win, i, j)]
         if not trouble:
             return current, win, tuple(sorted(absorbed)), None
@@ -542,23 +544,12 @@ def _count_on(cells: np.ndarray, win, ij: np.ndarray) -> int:
     return int(np.count_nonzero(cells[i[on], j[on]]))
 
 
-def component_boundaries(mask: RegionMask, component: int,
-                         protect: np.ndarray | None = None):
-    """Moat boundary: (contour, moat cells, window, absorbed ids, error or
-    None).
-
-    The moat cells are held on their window, a (rows, columns) slice pair
-    of the grid.  The contour is the set of the moat's boundary segments,
-    outer loops counterclockwise and holes clockwise, so its
-    argument-principle count is the number of roots inside the moat.
-    """
-    if protect is None:
-        protect = np.zeros(0, dtype=np.complex128)
-    cells, win, absorbed, err = _moat(mask, component, protect)
+def _plane_segments(mask: RegionMask, cells: np.ndarray, win) -> np.ndarray:
+    """`_boundary_segments` of the cell set held on window win, in the
+    plane."""
     shift = win[1].start + 1j * win[0].start
     origin = mask.bbox[0] + 1j * mask.bbox[2]
-    segments = origin + (_boundary_segments(cells) + shift) * mask.cell_size
-    return _contours.segment_set(segments), cells, win, absorbed, err
+    return origin + (_boundary_segments(cells) + shift) * mask.cell_size
 
 
 def _sample_segments(segments: np.ndarray, density: float) -> np.ndarray:
@@ -580,40 +571,40 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
                         epsilon: float) -> list[ComponentReport]:
     """Per-component geometry flags, root membership, and Rouché census.
 
-    The zeros of p' and of q' in each moat are both counted from the
-    roots over its boundary.  A counting failure is recorded on the
+    A root lies in a moat when its cell does.  The zeros of p' (of q')
+    in a moat are the roots of p (of q) in it plus the winding of p'/p
+    (of q'/q) over its boundary.  A counting failure is recorded on the
     report, with its count left at 0; the first failure is kept.
     """
     if not epsilon > 0:
         raise InvalidEpsilon("epsilon must be strictly positive")
-    crit = split.critical
-    r_cells = _cells_of_points(mask.bbox, mask.cell_size, mask.shape,
-                               split.outside)
+    crit_cells, q_cells, r_cells = (
+        _cells_of_points(mask.bbox, mask.cell_size, mask.shape, pts)
+        for pts in (split.critical, split.inside, split.outside))
 
     reports = []
     for cid, win in enumerate(mask.windows):
         cells, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
-        touches = bool(np.any(in_k))
-        escapes = bool(np.any(out_keps))
         r_inside = _count_on(cells, win, r_cells)
-        contour, moat, moat_win, absorbed, err = component_boundaries(
-            mask, cid, protect=crit)
+        moat, moat_win, absorbed, err = _moat(mask, cid, crit_cells)
+        segs = _plane_segments(mask, moat, moat_win)
+        q_enc = _count_on(moat, moat_win, q_cells)
+        r_enc = _count_on(moat, moat_win, r_cells)
         count = qp_enc = 0
         if err is None:
             try:
-                count = _contours.count_critical_points_in(split.roots,
-                                                           contour)
+                count = q_enc + r_enc + field_winding(split.roots, segs)
             except RootOnContour as exc:
                 err = f"{type(exc).__name__}: {exc}"
         try:
-            qp_enc = _contours.count_critical_points_in(split.inside, contour)
+            qp_enc = q_enc + field_winding(split.inside, segs)
         except RootOnContour as exc:
             err = err or f"{type(exc).__name__}: {exc}"
         margin = _rouche_margin(split, _sample_segments(
-            contour.segments, _REFINE_FACTOR * mask.resolution))
-        r_enc = _count_on(moat, moat_win, r_cells)
+            segs, _REFINE_FACTOR * mask.resolution))
         reports.append(ComponentReport(
-            component=cid, touches_K=touches, escapes_Keps=escapes,
+            component=cid, touches_K=bool(in_k.any()),
+            escapes_Keps=bool(out_keps.any()),
             r_roots_inside=r_inside, crit_points_inside=count,
             rouche_margin=margin, qprime_roots_enclosed=qp_enc,
             r_roots_enclosed=r_enc, absorbed=absorbed, count_error=err))
@@ -644,20 +635,22 @@ def _component_flags(mask: RegionMask, cid: int, win, K: ConvexDomain,
     return cells, in_k, out_keps
 
 
-def bridging_check(mask: RegionMask, K: ConvexDomain,
+def bridging_check(mask: RegionMask, reports, K: ConvexDomain,
                    epsilon: float) -> np.ndarray | None:
-    """The witness of a component crossing from K to outside K_eps, or
-    None when no component crosses.
+    """The witness of the first component of reports, the mask's
+    `classify_components` reports, that crosses from K to outside K_eps,
+    or None when none crosses.
 
     The witness is a 4-connected cell-center path inside the component
     from a cell in K to a cell beyond K_eps — the discrete version of the
-    path whose endpoints the theorem's field estimates contradict.  Each
-    component is searched inside its own window.
+    path whose endpoints the theorem's field estimates contradict —
+    searched inside the component's window.
     """
-    for cid, win in enumerate(mask.windows):
-        cells, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
-        if np.any(in_k) and np.any(out_keps):
-            path = _cell_path(cells, in_k, out_keps)
+    for rep in reports:
+        if rep.touches_K and rep.escapes_Keps:
+            win = mask.windows[rep.component]
+            path = _cell_path(*_component_flags(mask, rep.component, win,
+                                                K, epsilon))
             return mask.cell_centers(win)[path[:, 0], path[:, 1]]
     return None
 

@@ -10,7 +10,6 @@ point can never beat the torus ceiling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,6 @@ SEARCH_SAMPLES = 1_000    # coarse density used inside the optimizer
 PENALTY_BASE = 1_000.0    # penalty scale multiplier on the running best
 CEILING_SLACK = 1e-9      # one charge saturates the torus ceiling exactly
 _MARGIN_NUDGE = 1e-9      # projection lands this far outside the margin
-
-SWEEP_COLUMNS = ("m", "margin", "achieved", "ratio_linear",
-                 "ratio_logcorrected", "evals", "seed")
 
 
 @dataclass(frozen=True)
@@ -179,9 +175,11 @@ def optimize_charges(cfg: SearchConfig) -> SearchResult:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def conjecture_sweep(curve: Curve, ms, margins, path=None, restarts: int = 6,
+def conjecture_sweep(curve: Curve, ms, margins, restarts: int = 6,
                      budget: int = 12_000, seed: int = 0) -> list[dict]:
-    """One optimization per (m, margin); rows follow SWEEP_COLUMNS.
+    """One optimization per (m, margin); each row holds m, margin,
+    achieved, ratio_linear, ratio_logcorrected, evals and seed, in that
+    order.
 
     ratio_linear is achieved/m and ratio_logcorrected achieved/(m ln m),
     NaN at m = 1 where the log correction is vacuous.  Each row re-checks
@@ -212,9 +210,4 @@ def conjecture_sweep(curve: Curve, ms, margins, path=None, restarts: int = 6,
                 "ratio_logcorrected": log_ratio,
                 "evals": res.evals_used, "seed": row_seed,
             })
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
     return rows

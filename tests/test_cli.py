@@ -186,6 +186,9 @@ def test_config_error_exit_codes(tmp_path):
         "rouche_margin": 0.5, "qprime_roots_enclosed": 4,
         "r_roots_enclosed": 0, "absorbed": "ab", "count_error": None}],
         "bridged": False, "witness": None, "error": None}]}),
+    # sizes numpy refuses before it allocates a sample
+    ("theorem", {"n": 10 ** 400}),
+    ("theorem", {"m": 2 ** 62}),
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
     # each is rejected before its run starts, with no traceback; render

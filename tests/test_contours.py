@@ -15,10 +15,24 @@ from rootfield.errors import ImpossibleCount, NonIntegerWinding, RootOnContour
 CUBE_ROOTS_OF_UNITY = poly.Polynomial([-1.0, 0.0, 0.0, 1.0])
 
 
-def _polygon(vertices):
-    """The closed polygon through vertices as a set of its edges."""
-    v = np.asarray(vertices, dtype=complex)
-    return contours.segment_set(np.stack([v, np.roll(v, -1)], axis=1))
+# the square |x|, |y| <= 1 as (k, 2) rows of its edges, counterclockwise
+_CORNERS = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+SQUARE = np.stack([_CORNERS, np.roll(_CORNERS, -1)], axis=1)
+
+
+def _inside(roots, c):
+    """Roots strictly inside the circle c or the square |x|, |y| < 1."""
+    a = np.asarray(roots, dtype=complex)
+    if isinstance(c, contours.Contour):
+        return int(np.count_nonzero(np.abs(a - c.center) < c.radius))
+    assert c is SQUARE
+    return int(np.count_nonzero(np.maximum(np.abs(a.real), np.abs(a.imag))
+                                < 1.0))
+
+
+def _critical_count(roots, c):
+    """Zeros of p' inside c: the roots inside plus the winding of p'/p."""
+    return _inside(roots, c) + contours.field_winding(roots, c)
 
 
 # ---------------------------------------------------------------------------
@@ -26,8 +40,7 @@ def _polygon(vertices):
 # ---------------------------------------------------------------------------
 
 def test_circle_samples_are_closed_and_dense():
-    samples = contours._circle_samples(contours.circle(1 + 1j, 2.0,
-                                                       refinement=64.0))
+    samples = contours._circle_samples(contours.circle(1 + 1j, 2.0))
     assert samples[0] == samples[-1]
     gaps = np.abs(np.diff(samples))
     assert gaps.max() <= 1.0 / 64.0 + 1e-12
@@ -36,12 +49,10 @@ def test_circle_samples_are_closed_and_dense():
 def test_degenerate_contours_rejected():
     with pytest.raises(ValueError):
         contours.circle(0, 0.0)
-    with pytest.raises(ValueError):
-        contours.segment_set([(0, 1.0)])
-    with pytest.raises(ValueError):
-        contours.segment_set([(0, 1.0), (1.0, 1j), (1j, 0.5)])
-    with pytest.raises(ValueError):
-        contours.segment_set(np.zeros((0, 2)))
+    for open_set in ([(0, 1.0)], [(0, 1.0), (1.0, 1j), (1j, 0.5)],
+                     np.zeros((0, 2))):
+        with pytest.raises(ValueError):
+            contours.field_winding([0.5], open_set)
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +128,17 @@ def test_root_on_contour_raises():
 
 
 def test_root_within_clearance_raises():
-    # clearance at refinement 64 is 1/32; a root 0.01 away violates it
+    # clearance at 64 samples per unit length is 1/32; a root 0.01 away
+    # violates it
     p = poly.from_roots([1.99 + 0j, 0.0])
     with pytest.raises(RootOnContour):
-        contours.count_roots_in(p, contours.circle(0, 2.0, refinement=64.0))
+        contours.count_roots_in(p, contours.circle(0, 2.0))
 
 
-def test_finer_contour_resolves_near_root():
+def test_finer_contour_resolves_near_root(monkeypatch):
+    monkeypatch.setattr(contours, "_DENSITY", 256.0)
     p = poly.from_roots([1.99 + 0j, 0.0])
-    c = contours.circle(0, 2.0, refinement=256.0)
-    assert contours.count_roots_in(p, c) == 2
+    assert contours.count_roots_in(p, contours.circle(0, 2.0)) == 2
 
 
 def _harness_roots(seed):
@@ -161,13 +173,6 @@ def test_count_out_of_range_raises(monkeypatch):
     assert issubclass(ImpossibleCount, NonIntegerWinding)
 
 
-def test_coefficient_count_on_a_segment_set_raises():
-    # segment sets are counted from roots only
-    square = _polygon([-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j])
-    with pytest.raises(ValueError):
-        contours.count_roots_in(CUBE_ROOTS_OF_UNITY, square)
-
-
 def test_clearance_check_without_root_list():
     # same polynomial through the coefficient-only path: the Newton-step
     # bound proves the violation
@@ -192,14 +197,13 @@ def test_critical_counts_match_solved_critical_points():
             inside = np.abs(crit) < 1.2
             gap = np.abs(np.abs(crit) - 1.2)
         else:
-            c = _polygon([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+            c = SQUARE
             inside = np.maximum(np.abs(crit.real), np.abs(crit.imag)) < 1.0
             gap = np.abs(np.maximum(np.abs(crit.real), np.abs(crit.imag))
                          - 1.0)
         if gap.min() <= 0.05:
             continue
-        assert contours.count_critical_points_in(roots, c) \
-            == int(inside.sum())
+        assert _critical_count(roots, c) == int(inside.sum())
         tried += 1
         if tried >= 200:
             break
@@ -214,23 +218,21 @@ def test_n500_critical_counts_from_the_roots(seed):
     for radius in (1.25, 1.5):
         c = contours.circle(0.0, radius)
         assert int(np.sum(np.abs(crit) < radius)) == 499
-        assert contours.count_critical_points_in(roots, c) == 499
+        assert _critical_count(roots, c) == 499
 
 
 def test_critical_count_edge_cases():
     c = contours.circle(0.0, 1.0)
     # p of degree one has p' = 1
-    assert contours.count_critical_points_in([0.5], c) == 0
+    assert _critical_count([0.5], c) == 0
     # a double root of p is a zero of p'
-    assert contours.count_critical_points_in([0.2, 0.2, 3.0], c) == 1
+    assert _critical_count([0.2, 0.2, 3.0], c) == 1
     # p' of z(z - 2) vanishes at 1, on the circle
     with pytest.raises(RootOnContour):
-        contours.count_critical_points_in([0.0, 2.0],
-                                          contours.circle(0.0, 1.0))
+        contours.field_winding([0.0, 2.0], contours.circle(0.0, 1.0))
     # a root of p on a segment: F has a pole there
-    square = _polygon([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
     with pytest.raises(RootOnContour):
-        contours.count_critical_points_in([1.0, 3.0 + 3j], square)
+        contours.field_winding([1.0, 3.0 + 3j], SQUARE)
 
 
 def test_critical_count_certifies_a_zero_near_the_contour():
@@ -244,8 +246,7 @@ def test_critical_count_certifies_a_zero_near_the_contour():
     assert np.abs(np.abs(crit) - 1.2).min() == pytest.approx(0.0107,
                                                              abs=1e-4)
     c = contours.circle(0.0, 1.2)
-    assert contours.count_critical_points_in(roots, c) \
-        == int(np.sum(np.abs(crit) < 1.2))
+    assert _critical_count(roots, c) == int(np.sum(np.abs(crit) < 1.2))
 
 
 def test_critical_count_without_roots_raises_at_once(monkeypatch):
@@ -253,10 +254,9 @@ def test_critical_count_without_roots_raises_at_once(monkeypatch):
     calls = []
     monkeypatch.setattr(contours, "field_modulus_nearest",
                         lambda *args: calls.append(args))
-    square = _polygon([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
-    for c in (contours.circle(0.0, 1.0), square):
+    for c in (contours.circle(0.0, 1.0), SQUARE):
         with pytest.raises(RootOnContour):
-            contours.count_critical_points_in([], c)
+            contours.field_winding([], c)
     assert calls == []
 
 
@@ -308,7 +308,7 @@ def test_dominance_implies_equal_counts():
         q = poly.from_roots(fr)
         want = contours.count_roots_in(poly.derivative(q), c) \
             + contours.count_roots_in(poly.from_roots(gr), c)
-        assert contours.count_critical_points_in(roots, c) == want
+        assert _critical_count(roots, c) == want
     assert used >= 30
 
 

@@ -173,6 +173,54 @@ def test_boundary_point_on_circle():
     assert abs(z - (DISK.center - DISK.radius)) < 1e-12
 
 
+def _scalar_boundary_point(domain, s):
+    """One point at a time: the loop the array form of boundary_point
+    replaces, kept as its reference."""
+    s = s % 1.0
+    if domain.kind == "disk":
+        return domain.center + domain.radius * np.exp(2j * np.pi * s)
+    v = domain.vertices
+    w = np.roll(v, -1)
+    lens = np.abs(w - v)
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    target = s * cum[-1]
+    i = min(int(np.searchsorted(cum, target, side="right")) - 1, len(v) - 1)
+    t = 0.0 if lens[i] == 0 else (target - cum[i]) / lens[i]
+    return complex(v[i] + t * (w[i] - v[i]))
+
+
+_PENTAGON = geo.convex_hull([0, 2, 2 + 1j, 0.5 + 2j, -1 + 1j])
+
+
+def _bits(z):
+    return np.atleast_1d(np.asarray(z, dtype=complex)).view(np.uint64)
+
+
+@pytest.mark.parametrize("domain", [DISK, SQUARE, _PENTAGON])
+def test_boundary_point_arrays_match_the_scalar_loop(domain):
+    rng = np.random.default_rng(0)
+    s = np.concatenate([rng.uniform(size=5000),
+                        [0.0, 0.25, 0.5, 1 - 1e-17, -1e-20, 1 - 1e-12]])
+    want = np.array([_scalar_boundary_point(domain, float(t)) for t in s])
+    got = geo.boundary_point(domain, s)
+    assert np.array_equal(_bits(got), _bits(want))
+    one = geo.boundary_point(domain, float(s[0]))
+    assert type(one) is complex
+    assert np.array_equal(_bits(one), _bits(want[0]))
+
+
+@pytest.mark.parametrize("domain", [DISK, SQUARE, _PENTAGON])
+def test_boundary_sampler_matches_the_scalar_loop(domain):
+    got = harness._sample_inside(domain, 500, "boundary",
+                                 np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    s = rng.uniform(size=500)
+    b = np.array([_scalar_boundary_point(domain, float(t)) for t in s])
+    u = rng.uniform(0.70, 0.98, size=500)
+    want = domain.center + (b - domain.center) * u
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_bounding_box():
     assert geo.bounding_box(SQUARE) == (0.0, 1.0, 0.0, 1.0)
     assert geo.bounding_box(DISK) == (-1.0, 3.0, -1.0, 3.0)

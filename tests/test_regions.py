@@ -347,6 +347,21 @@ def _census_instance(seed):
     return poly.RootSplit(inside, outside), float(rng.choice([20., 30., 40.]))
 
 
+def _cells(mask, pts):
+    """The (i, j) cells of pts on the grid of mask, -1 rows off it."""
+    return regions._cells_of_points(mask.bbox, mask.cell_size, mask.shape,
+                                    np.asarray(pts, dtype=complex))
+
+
+def _moat_of(mask, component, protect):
+    """(boundary segments in the plane, moat cells, window, absorbed ids,
+    error or None) of the moat that clears the points protect."""
+    cells, win, absorbed, err = regions._moat(mask, component,
+                                              _cells(mask, protect))
+    return (regions._plane_segments(mask, cells, win), cells, win, absorbed,
+            err)
+
+
 def _dense_moat(mask, component, protect):
     """The moat grown on the whole grid: (cells, absorbed ids, error)."""
     labels = mask.labels
@@ -390,8 +405,8 @@ def test_windowed_labels_and_moats_match_the_whole_grid():
             assert np.array_equal(mask.labels, dense - 1)
             assert mask.windows == tuple(ndimage.find_objects(dense))
             for cid in range(count):
-                cells, win, absorbed, err = regions._moat(mask, cid,
-                                                          split.critical)
+                cells, win, absorbed, err = regions._moat(
+                    mask, cid, _cells(mask, split.critical))
                 want, want_absorbed, want_err = _dense_moat(mask, cid,
                                                             split.critical)
                 whole = np.zeros(mask.shape, dtype=bool)
@@ -415,10 +430,9 @@ def _segment_runs(segments, refinement):
 def test_sample_polyline_is_the_segment_loop_bit_for_bit():
     split, res = _census_instance(4)
     mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
-    sets = [(c.segments, regions._REFINE_FACTOR * res)
-            for c in (regions.component_boundaries(mask, cid,
-                                                   split.critical)[0]
-                      for cid in range(mask.n_components))]
+    sets = [(_moat_of(mask, cid, split.critical)[0],
+             regions._REFINE_FACTOR * res)
+            for cid in range(mask.n_components)]
     rng = np.random.default_rng(3)
     for k in range(20):
         s = rng.normal(size=(k + 3, 2)) + 1j * rng.normal(size=(k + 3, 2))
@@ -446,13 +460,41 @@ def test_qprime_counts_match_solved_zeros_in_the_moat():
                                              mask.shape, zeros)
             reports = regions.classify_components(mask, split, K, EPS)
             for rep in reports:
-                _, moat, win, _, err = regions.component_boundaries(
-                    mask, rep.component, split.critical)
+                _, moat, win, _, err = _moat_of(mask, rep.component,
+                                                split.critical)
                 assert err is None and rep.count_error is None
                 assert rep.qprime_roots_enclosed \
                     == regions._count_on(moat, win, cells)
                 compared += 1
     assert compared >= 30
+
+
+def _angle_sum_count(segments, roots):
+    """Roots inside closed loops of directed segments, by the angle each
+    root sees each segment (a, b) under: arg((b - a_k)/(a - a_k)) summed
+    over the segments is 2 pi times the winding around a_k."""
+    a = np.asarray(roots, dtype=complex)
+    seen = np.angle((segments[:, 1, None] - a) / (segments[:, 0, None] - a))
+    return int(round(seen.sum() / (2 * np.pi)))
+
+
+def test_cell_membership_matches_the_segment_angle_sum():
+    # the census counts the roots of p and of q in a moat by their cells;
+    # the angle sum over the moat's boundary segments is the reference
+    moats = 0
+    for seed in (0, 4, 10, 76, 1976):
+        split, res = _census_instance(seed)
+        masks = regions.build_masks(split, (1e-2, 1e-3, 1e-4), CENSUS_BOX,
+                                    res)
+        for mask in masks:
+            for cid in range(mask.n_components):
+                segments, moat, win, _, _ = _moat_of(mask, cid,
+                                                     split.critical)
+                for roots in (split.roots, split.inside):
+                    assert regions._count_on(moat, win, _cells(mask, roots)) \
+                        == _angle_sum_count(segments, roots)
+                moats += 1
+    assert moats >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +512,11 @@ def test_loop_area_matches_cell_count():
     mask = _masks()[1]
     crit = SPLIT.critical
     for cid in range(mask.n_components):
-        contour, cells, _, absorbed, err = regions.component_boundaries(
-            mask, cid, protect=crit)
+        segments, cells, _, absorbed, err = _moat_of(mask, cid, crit)
         assert err is None
         area = _shoelace(regions._boundary_segments(cells))
         assert area == float(cells.sum())
-        assert _shoelace(contour.segments) == pytest.approx(
+        assert _shoelace(segments) == pytest.approx(
             float(cells.sum()) * mask.cell_size ** 2)
 
 
@@ -483,11 +524,10 @@ def test_moat_keeps_protected_points_off_the_boundary():
     mask = _masks()[0]
     crit = SPLIT.critical
     for cid in range(mask.n_components):
-        c, cells, _, absorbed, err = regions.component_boundaries(
-            mask, cid, protect=crit)
+        segments, cells, _, absorbed, err = _moat_of(mask, cid, crit)
         assert err is None
         density = regions._REFINE_FACTOR * mask.resolution
-        samples = regions._sample_segments(c.segments, density)
+        samples = regions._sample_segments(segments, density)
         for w in crit:
             assert np.abs(samples - w).min() > 1.0 / density
 
@@ -552,19 +592,17 @@ def _ring_mask(res=10.0):
 
 def test_ring_moat_with_a_hole_counts_only_the_ring():
     mask = _ring_mask()
-    grid = (mask.bbox, mask.cell_size, mask.shape)
     for zero, want in ((0.1 - 0.05j, 0), (0.02 + 1.01j, 1)):
         roots = np.array([zero, 1.7 + 1.7j, -3.0])   # a corner; off-grid
-        contour, cells, win, _, err = regions.component_boundaries(
-            mask, 0, protect=roots)
+        segments, cells, win, _, err = _moat_of(mask, 0, roots)
         assert err is None
         # the moat keeps a hole, so the set has a clockwise loop
         assert ndimage.binary_fill_holes(cells).sum() > cells.sum()
-        assert regions._count_on(
-            cells, win, regions._cells_of_points(*grid, roots)) == want
-        # p = (z - zero)^2 has its one critical point at zero
-        assert contours.count_critical_points_in([zero, zero], contour) \
-            == want
+        assert regions._count_on(cells, win, _cells(mask, roots)) == want
+        # p = (z - zero)^2 has its one critical point at zero: the two
+        # roots in the moat plus the winding of p'/p
+        assert regions._count_on(cells, win, _cells(mask, [zero, zero])) \
+            + contours.field_winding([zero, zero], segments) == want
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +676,8 @@ def test_no_bridge_for_well_separated_far_root():
     split = poly.RootSplit(inside, [4.0 + 0j])
     bbox = regions.default_bbox(split, K, EPS)
     mask = regions.build_mask(split, 1e-4, bbox, 150.0)
-    assert regions.bridging_check(mask, K, EPS) is None
+    reports = regions.classify_components(mask, split, K, EPS)
+    assert regions.bridging_check(mask, reports, K, EPS) is None
 
 
 def test_bridge_detected_when_lobe_reaches_K():
@@ -647,7 +686,8 @@ def test_bridge_detected_when_lobe_reaches_K():
     split = poly.RootSplit([-0.5, 0.5], [1.05])
     bbox = regions.default_bbox(split, K, EPS)
     mask = regions.build_mask(split, 1e-2, bbox, 100.0)
-    path = regions.bridging_check(mask, K, EPS)
+    reports = regions.classify_components(mask, split, K, EPS)
+    path = regions.bridging_check(mask, reports, K, EPS)
     assert path is not None and path.size >= 2
     assert geo.contains(K, path[0])
     assert geo.distance(K, path[-1]) > EPS
