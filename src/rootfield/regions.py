@@ -23,11 +23,11 @@ block the field sums and 1/|r| are bounded from their values at the
 block's center (interval bounds in the style of Snyder, SIGGRAPH 1992)
 over its whole square, with a margin for the rounding of the values a
 cell-by-cell evaluation would compute.  A block whose bounds fix the sign
-of g for every delta is settled and its cells on the grid hold its bound
-nearest zero; the single cells left are evaluated exactly.  The labels
-are therefore those of the dense grid, cell for cell; `indicator`
-differs from the dense values only on settled cells, where it is a bound
-of the same sign and no larger modulus.
+of g for every delta is settled: its cells on the grid are marked in
+A_delta or out of it as a whole.  The single cells left are evaluated
+exactly, in float64, and marked by g <= EQUALITY_TOL.  The fill is
+therefore a boolean grid per delta that holds membership, not values of
+g, and the labels are those of the dense grid, cell for cell.
 
 Everything after the fill costs the size of the labeled region, not of
 the grid.  Labeling runs on the window of the cells with g <= EQUALITY_TOL
@@ -37,11 +37,11 @@ is -1 by construction.  The mask stores each component's window, and
 moats, flags and witness paths work inside those windows.
 
 Counts do not run along the raw component staircase: critical points hug
-the zero level of the indicator, so the contour is the boundary of the
-"moat" instead — the component dilated by one or more rings of cells that
-belong to no component.  On the moat the indicator is strictly positive,
-which is what makes the recorded Rouché margins positive and keeps the
-roots of p' off the boundary.  Rings grow (and nearby components are
+the zero level of g, so the contour is the boundary of the "moat" instead
+— the component dilated by one or more rings of cells that belong to no
+component.  On the moat g is strictly positive, which is what makes the
+recorded Rouché margins positive and keeps the roots of p' off the
+boundary.  Rings grow (and nearby components are
 absorbed) until every root of p' is either deep inside or well outside
 the moat; the Rouché count equality holds for any such union of cells, so
 absorption never invalidates a certificate.  The boundary is the moat's
@@ -78,29 +78,31 @@ _EIGHT = np.ones((3, 3), dtype=int)
 
 @dataclass(frozen=True)
 class RegionMask:
-    """Signed indicator and component labels on a regular cell grid.
+    """Membership of A_delta and its component labels on a regular cell
+    grid; no value of g is kept.
 
-    indicator[i, j] is g at the center of cell (i, j) where the cell was
-    evaluated; on a cell whose sign a quadtree block certified it is that
-    block's bound nearest zero over the block's whole square, which the
-    grid's edge may cut, of the same sign as g and no larger in modulus.
-    Either way indicator <= EQUALITY_TOL exactly where g <= EQUALITY_TOL.
-    labels hold a dense component id for those cells, numbered in raster
-    order of each component's first cell, and -1 elsewhere; labeling runs
-    only on the window of those cells, so every cell outside it is -1 by
-    construction.  windows[c] is the (rows, columns) slice pair of
-    component c's bounding box on the grid.  evaluations counts the cells
-    and block centers at which the field terms were evaluated, shared by
-    the masks of one `build_masks` call.
+    labels[i, j] is a dense component id for each cell whose center has
+    g <= EQUALITY_TOL, numbered in raster order of each component's first
+    cell, and -1 elsewhere; labeling runs only on the window of those
+    cells, so every cell outside it is -1 by construction.  windows[c] is
+    the (rows, columns) slice pair of component c's bounding box on the
+    grid.  evaluations counts the cells and block centers at which the
+    field terms were evaluated, shared by the masks of one `build_masks`
+    call.
     """
 
     bbox: tuple[float, float, float, float]   # xmin, xmax, ymin, ymax
     resolution: float                         # cells per unit length
     delta: float
-    indicator: np.ndarray
     labels: np.ndarray
     windows: tuple[tuple[slice, slice], ...]
     evaluations: int = 0
+
+    @property
+    def indicator(self) -> np.ndarray:
+        """Membership of A_delta per cell, labels >= 0: a new boolean
+        grid of the mask's shape on every read."""
+        return self.labels >= 0
 
     @property
     def n_components(self) -> int:
@@ -112,7 +114,7 @@ class RegionMask:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.indicator.shape
+        return self.labels.shape
 
     def window_of(self, ids, margin: int = 0) -> tuple[slice, slice]:
         """The (rows, columns) window holding the components ids, widened
@@ -128,7 +130,7 @@ class RegionMask:
 
     def cell_centers(self, window=(slice(None), slice(None))) -> np.ndarray:
         """Centers of the cells in window, a (rows, columns) slice pair."""
-        ny, nx = self.indicator.shape
+        ny, nx = self.labels.shape
         h = self.cell_size
         xs = (self.bbox[0] + (np.arange(nx) + 0.5) * h)[window[1]]
         ys = (self.bbox[2] + (np.arange(ny) + 0.5) * h)[window[0]]
@@ -210,7 +212,7 @@ def default_bbox(split: RootSplit, K: ConvexDomain, epsilon: float):
 
 def build_mask(split: RootSplit, delta: float, bbox, resolution: float,
                ) -> RegionMask:
-    """Evaluate the indicator on the grid and label its components."""
+    """Mark A_delta on the grid and label its components."""
     return build_masks(split, [delta], bbox, resolution)[0]
 
 
@@ -219,7 +221,7 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
     """One mask per delta, sharing the field terms (g = A - B - delta*C).
 
     The sign of g is settled by the quadtree of `_signed_fill`; cells
-    whose sign it cannot certify carry the exact cell-center value.
+    whose sign it cannot certify are evaluated exactly at their centers.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
@@ -234,37 +236,39 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
     xs = xmin + (np.arange(-(-nx // _BLOCK) * _BLOCK) + 0.5) * h
     ys = ymin + (np.arange(-(-ny // _BLOCK) * _BLOCK) + 0.5) * h
 
-    gs, reach, evaluations = _signed_fill(split, deltas, xs, ys, (ny, nx))
+    fills, reach, evaluations = _signed_fill(split, deltas, xs, ys,
+                                             (ny, nx))
     # a center within SINGULAR_GUARD of a root lies in that root's cell.
-    # Only these cells can hold nan: g is nan only as inf - inf or 0*inf,
-    # and A, B or C is infinite only at such a center (a distance product
-    # that underflows gives C = inf, but then g = -inf); a nan block bound
-    # settles nothing, so no painted cell holds nan
+    # Only these cells can have g nan: g is nan only as inf - inf or
+    # 0*inf, and A, B or C is infinite only at such a center (a distance
+    # product that underflows gives C = inf, but then g = -inf); a nan
+    # block bound settles nothing, so no painted cell comes from nan
     cells = _cells_of_points((xmin, xmax, ymin, ymax), h, (ny, nx),
                              split.roots)
     cells = cells[cells[:, 0] >= 0]
     near = cells[_near_root(split, xs[cells[:, 1]] + 1j * ys[cells[:, 0]])]
 
     masks = []
-    for delta, g, win in zip(deltas, gs, reach):
-        _patch_singular_cells(split, delta, g, near, xs, ys, h)
-        _far_field_check(g, (xmin, xmax, ymin, ymax))
-        labels, windows = _label(g, win)
+    for delta, inside, win in zip(deltas, fills, reach):
+        _patch_singular_cells(split, delta, inside, near, xs, ys, h)
+        _far_field_check(inside, (xmin, xmax, ymin, ymax))
+        labels, windows = _label(inside, win)
         masks.append(RegionMask((xmin, xmax, ymin, ymax), float(resolution),
-                                delta, g, labels, windows, evaluations))
+                                delta, labels, windows, evaluations))
     return masks
 
 
-def _label(g: np.ndarray, reach):
-    """(labels, windows) of the 4-connected components of g <= EQUALITY_TOL.
+def _label(inside: np.ndarray, reach):
+    """(labels, windows) of the 4-connected components of the True cells
+    of inside, the cells with g <= EQUALITY_TOL.
 
     Every such cell lies in the window reach.  Labeling runs on the
     smallest window holding them; ndimage.label numbers components in
     raster order of their first cell, so the ids are those of a labeling
     of the whole grid.  Cells outside the window are -1 by construction.
     """
-    labels = np.full(g.shape, -1, dtype=np.int32)
-    inside = g[reach] <= EQUALITY_TOL
+    labels = np.full(inside.shape, -1, dtype=np.int32)
+    inside = inside[reach]
     rows = np.flatnonzero(inside.any(axis=1))
     if not rows.size:
         return labels, ()
@@ -283,23 +287,25 @@ def _label(g: np.ndarray, reach):
 
 
 def _signed_fill(split: RootSplit, deltas, xs, ys, shape):
-    """(g grid of the given shape per delta, reach window per delta,
-    evaluation count) on the cell centers xs x ys, which run on to whole
-    _BLOCK x _BLOCK top blocks past the grid.
+    """(boolean grid of the given shape per delta, True where
+    g <= EQUALITY_TOL; reach window per delta; evaluation count) on the
+    cell centers xs x ys, which run on to whole _BLOCK x _BLOCK top blocks
+    past the grid.
 
     A block is its corner (i0, j0); each level has one side, and a
     block's quarters are equal squares.  A block whose bounds from
     `_block_bounds` fix the sign of g for every delta is settled and
-    painted with the bound nearest zero; any other block splits into
-    its quarters that reach the grid, down to single cells, which are
-    evaluated exactly as on a dense grid (the same points and arithmetic,
-    hence the same bits).  The blocks of one level partition what the
-    coarser levels left unsettled, so every cell is written once.  A
-    delta's reach is the window of the top blocks not certified positive
-    for it; every cell with g <= EQUALITY_TOL lies inside it.
+    painted True where its upper bound is negative, False where its lower
+    bound exceeds EQUALITY_TOL; any other block splits into its quarters
+    that reach the grid, down to single cells, where g is evaluated
+    exactly as on a dense grid (the same points and arithmetic, hence the
+    same bits) and compared with EQUALITY_TOL.  The blocks of one level
+    partition what the coarser levels left unsettled, so every cell is
+    written once.  A delta's reach is the window of the top blocks not
+    certified positive for it; every True cell lies inside it.
     """
     ny, nx = shape
-    gs = [np.empty(shape) for _ in deltas]
+    fills = [np.empty(shape, dtype=bool) for _ in deltas]
     dl = np.array(deltas)[:, None]
     i0, j0 = (a.ravel() for a in np.meshgrid(np.arange(0, ny, _BLOCK),
                                              np.arange(0, nx, _BLOCK),
@@ -316,8 +322,7 @@ def _signed_fill(split: RootSplit, deltas, xs, ys, shape):
         settled = np.all(positive | (hi < 0.0), axis=0)
         if reach is None:
             reach = [_hull(i0[~p], j0[~p], size, shape) for p in positive]
-        _paint(gs, i0[settled], j0[settled], size,
-               np.where(positive, lo, hi)[:, settled])
+        _paint(fills, i0[settled], j0[settled], size, ~positive[:, settled])
         evaluations += zc.size
         size //= 2
         i0, j0 = i0[~settled], j0[~settled]
@@ -326,10 +331,10 @@ def _signed_fill(split: RootSplit, deltas, xs, ys, shape):
         on = (i0 < ny) & (j0 < nx)
         i0, j0 = i0[on], j0[on]
     a, b, c = _indicator_terms(split, xs[j0] + 1j * ys[i0])
-    for delta, g in zip(deltas, gs):
+    for delta, inside in zip(deltas, fills):
         with np.errstate(invalid="ignore"):
-            g[i0, j0] = a - b - delta * c
-    return gs, reach, evaluations + i0.size
+            inside[i0, j0] = a - b - delta * c <= EQUALITY_TOL
+    return fills, reach, evaluations + i0.size
 
 
 def _hull(i0: np.ndarray, j0: np.ndarray, size: int, shape):
@@ -376,33 +381,36 @@ def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
     return np.where(valid, lo, -np.inf), np.where(valid, hi, np.inf)
 
 
-def _paint(gs, i0: np.ndarray, j0: np.ndarray, size: int,
-           values: np.ndarray) -> None:
-    """gs[k][i:i + size, j:j + size] = values[k, b] for every block corner
-    (i, j) = (i0[b], j0[b]), clipped to the grid.
+def _paint(fills, i0: np.ndarray, j0: np.ndarray, size: int,
+           inside: np.ndarray) -> None:
+    """fills[k][i:i + size, j:j + size] = inside[k, b], the membership of
+    settled block b for delta k, for every block corner (i, j) =
+    (i0[b], j0[b]), clipped to the grid.
 
     The corners sit on multiples of size, so the blocks inside the grid
     are written through one block view of it, a contiguous run per block
     row; the few that the grid's edge cuts, as clipped slices.
     """
-    ny, nx = gs[0].shape
+    ny, nx = fills[0].shape
     inner = (i0 + size <= ny) & (j0 + size <= nx)
     cut = list(zip(i0[~inner].tolist(), j0[~inner].tolist()))
-    for g, v in zip(gs, values):
-        view = g[:ny - ny % size, :nx - nx % size].reshape(
+    for fill, v in zip(fills, inside):
+        view = fill[:ny - ny % size, :nx - nx % size].reshape(
             ny // size, size, nx // size, size)
         view[i0[inner] // size, :, j0[inner] // size, :] = \
             v[inner, None, None]
         for (i, j), w in zip(cut, v[~inner]):
-            g[i:i + size, j:j + size] = w
+            fill[i:i + size, j:j + size] = w
 
 
-def _patch_singular_cells(split, delta, g, cells, xs, ys, h) -> None:
-    """Re-evaluate, in place, the cells (i, j) whose center sits on a root.
+def _patch_singular_cells(split, delta, inside, cells, xs, ys, h) -> None:
+    """Re-mark, in place on the boolean grid inside, the cells (i, j)
+    whose center sits on a root.
 
-    Each such cell is subdivided once; the cell takes the value of the
-    nearest non-singular quarter point.  If all four quarter points are
-    singular too the configuration is degenerate beyond repair.
+    Each such cell is subdivided once; the cell takes the membership,
+    g <= EQUALITY_TOL, of the nearest non-singular quarter point.  If all
+    four quarter points are singular too the configuration is degenerate
+    beyond repair.
     """
     offsets = np.array([-0.25 - 0.25j, 0.25 - 0.25j,
                         -0.25 + 0.25j, 0.25 + 0.25j]) * h
@@ -416,12 +424,15 @@ def _patch_singular_cells(split, delta, g, cells, xs, ys, h) -> None:
             raise SingularCell(center)
         order = np.argsort(np.abs(pts - center), kind="stable")
         pick = order[good[order]][0]
-        g[i, j] = vals[pick]
+        inside[i, j] = vals[pick] <= EQUALITY_TOL
 
 
-def _far_field_check(g: np.ndarray, bbox):
-    border = np.concatenate([g[0, :], g[-1, :], g[1:-1, 0], g[1:-1, -1]])
-    if np.all(border > 0):
+def _far_field_check(inside: np.ndarray, bbox):
+    """Raise GrowBBox when a border cell of the boolean grid inside is in
+    A_delta, suggesting the box grown 1.5 times about its center."""
+    border = np.concatenate([inside[0, :], inside[-1, :],
+                             inside[1:-1, 0], inside[1:-1, -1]])
+    if not border.any():
         return
     xmin, xmax, ymin, ymax = bbox
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)

@@ -1,4 +1,7 @@
-"""Region masks: indicator values, labeling, moats, and the Rouché census."""
+"""Region masks: indicator values, membership and labeling, moats, and the
+Rouché census."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,7 +113,8 @@ def test_default_bbox_pads_by_twice_eps_plus_diam():
 def test_mask_labels_two_components():
     masks = _masks()
     for mask in masks:
-        inside = mask.indicator <= regions.EQUALITY_TOL
+        inside = mask.indicator
+        assert inside.dtype == bool and inside.shape == mask.shape
         assert (mask.labels >= 0).sum() == inside.sum()
         assert mask.n_components == 2
     # the blob around the interior critical point and the lobe around the
@@ -127,8 +131,7 @@ def test_mask_labels_two_components():
 def test_masks_nest_with_delta():
     masks = _masks()
     for small, big in zip(masks, masks[1:]):
-        a = small.indicator <= regions.EQUALITY_TOL
-        b = big.indicator <= regions.EQUALITY_TOL
+        a, b = small.indicator, big.indicator
         assert bool(np.all(~a | b))
 
 
@@ -153,28 +156,54 @@ def test_far_field_check_rejects_tight_bbox():
     assert x0 < -4.0 and x1 > 5.0 and y0 < -4.0 and y1 > 4.0
 
 
+@pytest.mark.parametrize("edge", ["bottom", "top", "left", "right"])
+def test_far_field_check_on_membership(edge):
+    bbox = (-1.0, 3.0, -2.0, 2.0)
+    inside = np.zeros((6, 9), dtype=bool)
+    inside[2:4, 3:6] = True                  # inside cells off the border
+    regions._far_field_check(inside, bbox)
+    row, col = {"bottom": (0, 4), "top": (-1, 4), "left": (3, 0),
+                "right": (3, -1)}[edge]
+    inside[row, col] = True
+    with pytest.raises(GrowBBox) as exc:
+        regions._far_field_check(inside, bbox)
+    # the box grown 1.5 times about its center (1, 0)
+    assert exc.value.suggested == (-2.0, 4.0, -3.0, 3.0)
+
+
 def test_no_outside_roots_blobs_shrink_with_delta():
     split = poly.RootSplit(np.array([-0.5, 0.5, 0.3j]), [])
     bbox = (-2.0, 2.0, -2.0, 2.0)
     sizes = []
     for d in (0.5, 0.1, 0.01):
         mask = regions.build_mask(split, d, bbox, 100.0)
-        sizes.append(int((mask.indicator <= regions.EQUALITY_TOL).sum()))
+        sizes.append(int(mask.indicator.sum()))
     assert sizes[0] >= sizes[1] >= sizes[2]
     assert sizes[0] > 0
 
 
 def test_root_on_cell_center_is_patched():
-    for inside, outside, bbox in (
+    for inside, outside, bbox, root in (
             # h = 0.1 grid over (-1,1)^2 has a center at 0.05 + 0.05j
-            ([0.05 + 0.05j, -0.3], [5.0], (-1.0, 1.0, -1.0, 1.0)),
+            ([0.05 + 0.05j, -0.3], [5.0], (-1.0, 1.0, -1.0, 1.0),
+             0.05 + 0.05j),
             # a root of r on the center 1.25 + 0.05j of the grid on (-3,3)^2
-            ([0.05, -0.3], [1.25 + 0.05j], (-3.0, 3.0, -3.0, 3.0))):
+            ([0.05, -0.3], [1.25 + 0.05j], (-3.0, 3.0, -3.0, 3.0),
+             1.25 + 0.05j)):
         split = poly.RootSplit(np.array(inside), outside)
         mask = regions.build_mask(split, 1e-2, bbox, 10.0)
-        assert np.all(np.isfinite(mask.indicator))
-        # unpatched, the root's own cell would read about 1e16
-        assert np.abs(mask.indicator).max() < 1e3
+        (i, j), = _cells(mask, [root])
+        center = mask.cell_centers()[i, j]
+        # the root sits on its cell's center, so the cell is patched ...
+        assert regions._near_root(split, np.array([center]))[0]
+        # ... from its nearest non-singular quarter point; all four are
+        # equally near here and agree, so whichever is picked, the cell
+        # has its membership
+        quarters = center + 0.025 * np.array([-1 - 1j, 1 - 1j, -1 + 1j,
+                                              1 + 1j])
+        member = {regions.adelta_indicator(split, 1e-2, w)
+                  <= regions.EQUALITY_TOL for w in quarters}
+        assert member == {bool(mask.indicator[i, j])}
 
 
 def test_roots_on_a_center_and_its_quarter_points_raise_singular_cell():
@@ -191,9 +220,9 @@ def test_roots_on_a_center_and_its_quarter_points_raise_singular_cell():
 # ---------------------------------------------------------------------------
 
 def _dense_oracle(split, deltas, bbox, resolution, centers):
-    """Every cell center evaluated, then patched, checked and labelled
-    as build_masks does: (g, patched cells, labels, count) per delta, or
-    the GrowBBox."""
+    """Every cell center evaluated, its membership g <= EQUALITY_TOL
+    patched, checked and labelled as build_masks does: (membership,
+    labels, count) per delta, or the GrowBBox."""
     h = 1.0 / resolution
     xs, ys = centers[0].real, centers[:, 0].imag
     a, b, c = regions._indicator_terms(split, centers)
@@ -202,16 +231,16 @@ def _dense_oracle(split, deltas, bbox, resolution, centers):
     for delta in deltas:
         with np.errstate(invalid="ignore"):
             g = a - b - delta * c
-        bad = near | np.isnan(g)
-        regions._patch_singular_cells(split, delta, g, np.argwhere(bad),
+        inside = g <= regions.EQUALITY_TOL
+        regions._patch_singular_cells(split, delta, inside,
+                                      np.argwhere(near | np.isnan(g)),
                                       xs, ys, h)
         try:
-            regions._far_field_check(g, bbox)
+            regions._far_field_check(inside, bbox)
         except GrowBBox as exc:
             return exc
-        labels, count = ndimage.label(g <= regions.EQUALITY_TOL,
-                                      structure=regions._FOUR)
-        out.append((g, bad, labels - 1, count))
+        labels, count = ndimage.label(inside, structure=regions._FOUR)
+        out.append((inside, labels - 1, count))
     return out
 
 
@@ -268,9 +297,9 @@ def test_quadtree_matches_dense_grid(case):
     painted = []
     real_paint = regions._paint
 
-    def recording(gs, i0, j0, size, values):
+    def recording(fills, i0, j0, size, inside):
         painted.extend((i, j, size) for i, j in zip(i0, j0))
-        real_paint(gs, i0, j0, size, values)
+        real_paint(fills, i0, j0, size, inside)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regions, "_paint", recording)
@@ -280,7 +309,7 @@ def test_quadtree_matches_dense_grid(case):
             masks = exc
     ny = max(4, int(np.ceil((bbox[3] - bbox[2]) * res)))
     nx = max(4, int(np.ceil((bbox[1] - bbox[0]) * res)))
-    probe = regions.RegionMask(bbox, res, deltas[0], np.zeros((ny, nx)),
+    probe = regions.RegionMask(bbox, res, deltas[0],
                                np.zeros((ny, nx), dtype=np.int32), ())
     oracle = _dense_oracle(split, deltas, bbox, res, probe.cell_centers())
     if isinstance(oracle, GrowBBox):
@@ -294,21 +323,14 @@ def test_quadtree_matches_dense_grid(case):
     # painted blocks never overlap, so no cell is painted twice
     assert writes.max(initial=0) <= 1
     settled = writes == 1
-    for mask, (g, patched, labels, count) in zip(masks, oracle):
-        # the grid is its own exact-size array, not a view of a padded one
-        assert mask.shape == (ny, nx) and mask.indicator.base is None
+    for mask, (inside, labels, count) in zip(masks, oracle):
+        # the labels are their own exact-size array, not a view of a
+        # padded one
+        assert mask.shape == (ny, nx) and mask.labels.base is None
         assert mask.n_components == count
         assert np.array_equal(mask.labels, labels)
-        assert not np.isnan(mask.indicator).any()
-        assert np.array_equal(mask.indicator <= regions.EQUALITY_TOL,
-                              g <= regions.EQUALITY_TOL)
-        # every cell no block painted holds the exact dense value, so the
-        # painted blocks and the exactly evaluated cells cover the grid
-        exact = ~settled | patched
-        assert np.array_equal(mask.indicator[exact], g[exact])
-        got, want = mask.indicator[~exact], g[~exact]
-        assert np.all(np.sign(got) == np.sign(want))
-        assert np.all(np.abs(got) <= np.abs(want))
+        # membership is the dense g <= EQUALITY_TOL, cell for cell
+        assert np.array_equal(mask.indicator, inside)
         assert mask.evaluations >= np.count_nonzero(~settled)
 
 
@@ -398,9 +420,8 @@ def test_windowed_labels_and_moats_match_the_whole_grid():
         masks = regions.build_masks(split, (1e-2, 1e-3, 1e-4), CENSUS_BOX,
                                     res)
         for mask in masks:
-            dense, count = ndimage.label(
-                mask.indicator <= regions.EQUALITY_TOL,
-                structure=regions._FOUR)
+            dense, count = ndimage.label(mask.indicator,
+                                         structure=regions._FOUR)
             assert mask.n_components == count
             assert np.array_equal(mask.labels, dense - 1)
             assert mask.windows == tuple(ndimage.find_objects(dense))
@@ -416,6 +437,27 @@ def test_windowed_labels_and_moats_match_the_whole_grid():
                 assert (err is None) == (want_err is None)
                 absorbing += bool(absorbed)
     assert absorbing >= 5
+
+
+def test_census_masks_hold_only_their_labels():
+    # the census benchmark's box, resolution and deltas: 1860^2 cells per
+    # mask.  A mask keeps no grid of g, so what the masks hold is their
+    # int32 labels, and the fill's boolean grids and labeling keep the
+    # peak under 8 bytes per cell per delta (a float64 grid per delta
+    # alone is 8)
+    split, _ = _census_instance(0)
+    deltas = (1e-2, 1e-3, 1e-4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        masks = regions.build_masks(split, deltas, CENSUS_BOX, 300.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = masks[0].labels.size
+    assert cells == 1860 ** 2
+    assert held - base <= sum(m.labels.nbytes for m in masks) + 2 ** 20
+    assert (peak - base) / (cells * len(deltas)) < 8.0
 
 
 def _segment_runs(segments, refinement):
@@ -586,7 +628,7 @@ def _ring_mask(res=10.0):
     labels = np.where(ring, 0, -1)
     return regions.RegionMask(
         bbox=(-2.0, 2.0, -2.0, 2.0), resolution=res, delta=1e-3,
-        indicator=np.where(ring, -1.0, 1.0), labels=labels,
+        labels=labels,
         windows=tuple(ndimage.find_objects(labels + 1)))
 
 

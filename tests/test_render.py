@@ -148,8 +148,7 @@ def test_component_rects_match_the_cell_walk(seed):
     # dense ids, as build_masks numbers components
     present = np.unique(labels[labels >= 0])
     labels = np.where(labels >= 0, np.searchsorted(present, labels), -1)
-    mask = regions.RegionMask(bbox, 10.0, 1e-2, np.zeros((ny, nx)),
-                              labels.astype(np.int32),
+    mask = regions.RegionMask(bbox, 10.0, 1e-2, labels.astype(np.int32),
                               tuple(ndimage.find_objects(labels + 1)))
     frame = render._Frame(bbox)
     assert render._component_rects(frame, mask) \
@@ -185,7 +184,7 @@ def test_negative_zero_formatting():
 def test_unsupported_object_rejected(tmp_path):
     # a bare mask too: a figure is drawn from a report alone
     mask = regions.RegionMask((0.0, 1.0, 0.0, 1.0), 4.0, 1e-2,
-                              np.ones((4, 4)), np.full((4, 4), -1), ())
+                              np.full((4, 4), -1), ())
     for obj in ({"not": "renderable"}, mask):
         with pytest.raises(TypeError):
             render.emit_svg(obj, tmp_path / "x.svg")
