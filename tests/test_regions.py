@@ -182,28 +182,56 @@ def test_no_outside_roots_blobs_shrink_with_delta():
     assert sizes[0] > 0
 
 
+# the center of cell (10, 10) of the h = 0.1 grid on (-1, 1)^2, to the bit;
+# 0.05 + 0.05j misses it by a rounding error
+_C = -1.0 + (10 + 0.5) * (1.0 / 10.0)
+ON_CENTER = complex(_C, _C)
+
+
 def test_root_on_cell_center_is_patched():
-    for inside, outside, bbox, root in (
-            # h = 0.1 grid over (-1,1)^2 has a center at 0.05 + 0.05j
-            ([0.05 + 0.05j, -0.3], [5.0], (-1.0, 1.0, -1.0, 1.0),
+    z = ON_CENTER
+    for inside, outside, bbox, delta, root in (
+            # roots a rounding error off a center: unpatched, g there is
+            # about +1e16 (a root of q) or -1e16 (a root of r)
+            ([0.05 + 0.05j, -0.3], [5.0], (-1.0, 1.0, -1.0, 1.0), 1e-2,
              0.05 + 0.05j),
-            # a root of r on the center 1.25 + 0.05j of the grid on (-3,3)^2
-            ([0.05, -0.3], [1.25 + 0.05j], (-3.0, 3.0, -3.0, 3.0),
-             1.25 + 0.05j)):
+            ([0.05, -0.3], [1.25 + 0.05j], (-3.0, 3.0, -3.0, 3.0), 1e-2,
+             1.25 + 0.05j),
+            # a root of q and of r on the center itself: g = inf - inf is
+            # nan there, which reads as outside A_delta, while g < 0 at
+            # all four quarter points
+            ([z, z + 1.02, z - 1.02], [z, z + 5.0], (-1.0, 1.0, -1.0, 1.0),
+             0.1, z)):
         split = poly.RootSplit(np.array(inside), outside)
-        mask = regions.build_mask(split, 1e-2, bbox, 10.0)
-        (i, j), = _cells(mask, [root])
+        patched = []
+        real_patch = regions._patch_singular_cells
+
+        def recording(split, delta, inside, cells, *rest):
+            patched.extend(map(tuple, np.asarray(cells).tolist()))
+            real_patch(split, delta, inside, cells, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "_patch_singular_cells", recording)
+            mask = regions.build_mask(split, delta, bbox, 10.0)
+        (i, j), = _cells(mask, [root]).tolist()
         center = mask.cell_centers()[i, j]
         # the root sits on its cell's center, so the cell is patched ...
         assert regions._near_root(split, np.array([center]))[0]
+        assert (i, j) in patched
         # ... from its nearest non-singular quarter point; all four are
         # equally near here and agree, so whichever is picked, the cell
         # has its membership
         quarters = center + 0.025 * np.array([-1 - 1j, 1 - 1j, -1 + 1j,
                                               1 + 1j])
-        member = {regions.adelta_indicator(split, 1e-2, w)
+        member = {regions.adelta_indicator(split, delta, w)
                   <= regions.EQUALITY_TOL for w in quarters}
         assert member == {bool(mask.indicator[i, j])}
+    # in the last case the patch decides the membership
+    assert center == root
+    a, b, c = regions._indicator_terms(split, np.array([center]))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(a - b - delta * c)[0]
+    assert mask.indicator[i, j]
 
 
 def test_roots_on_a_center_and_its_quarter_points_raise_singular_cell():
@@ -275,6 +303,9 @@ def _grids(draw):
           10.0))
 @example(([0.05, -0.3], [1.25 + 0.05j], [1e-2, 1e-3],
           (-3.0, 3.0, -3.0, 3.0), 10.0))
+@example(([ON_CENTER, ON_CENTER + 1.02, ON_CENTER - 1.02],
+          [ON_CENTER, ON_CENTER + 5.0], [0.1, 1e-2], (-1.0, 1.0, -1.0, 1.0),
+          10.0))
 # roots on the corners shared by four 32 x 32 blocks
 @example(([-0.2 - 0.2j, 0.3], [-0.2 + 0.6j], [1e-3, 1e-1],
           (-1.0, 1.4, -1.0, 1.4), 40.0))
@@ -294,21 +325,33 @@ def _grids(draw):
 def test_quadtree_matches_dense_grid(case):
     inside, outside, deltas, bbox, res = case
     split = poly.RootSplit(np.array(inside), outside)
-    painted = []
-    real_paint = regions._paint
+    ny = max(4, int(np.ceil((bbox[3] - bbox[2]) * res)))
+    nx = max(4, int(np.ceil((bbox[1] - bbox[0]) * res)))
+    painted, evaluated = [], []
+    reached = [np.zeros((ny, nx), dtype=bool)]
+    real_paint, real_terms = regions._paint, regions._indicator_terms
 
     def recording(fills, i0, j0, size, inside):
         painted.extend((i, j, size) for i, j in zip(i0, j0))
         real_paint(fills, i0, j0, size, inside)
+        # the same blocks painted True on a grid that starts all False:
+        # the cells that _paint really writes
+        real_paint(reached, i0, j0, size, np.ones((1, i0.size), dtype=bool))
+
+    def terms(split, zs):
+        # the first call evaluates the single cells no block settled;
+        # later ones are the quarter points of singular cells
+        if not evaluated:
+            evaluated.append(zs)
+        return real_terms(split, zs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regions, "_paint", recording)
+        mp.setattr(regions, "_indicator_terms", terms)
         try:
             masks = regions.build_masks(split, deltas, bbox, res)
         except GrowBBox as exc:
             masks = exc
-    ny = max(4, int(np.ceil((bbox[3] - bbox[2]) * res)))
-    nx = max(4, int(np.ceil((bbox[1] - bbox[0]) * res)))
     probe = regions.RegionMask(bbox, res, deltas[0],
                                np.zeros((ny, nx), dtype=np.int32), ())
     oracle = _dense_oracle(split, deltas, bbox, res, probe.cell_centers())
@@ -323,6 +366,14 @@ def test_quadtree_matches_dense_grid(case):
     # painted blocks never overlap, so no cell is painted twice
     assert writes.max(initial=0) <= 1
     settled = writes == 1
+    assert np.array_equal(reached[0], settled)
+    # the painted blocks and the exactly evaluated cells cover the grid,
+    # each cell once: a cell the fill never wrote would hold whatever the
+    # unwritten grid held
+    exact = regions._cells_of_points(bbox, 1.0 / res, (ny, nx), evaluated[0])
+    assert (exact >= 0).all()
+    np.add.at(writes, (exact[:, 0], exact[:, 1]), 1)
+    assert (writes == 1).all()
     for mask, (inside, labels, count) in zip(masks, oracle):
         # the labels are their own exact-size array, not a view of a
         # padded one
