@@ -30,6 +30,8 @@ DIST_FLOOR = 10.0         # torus point keeps distance >= 1/(10m)
 KERNEL_CAP = 20.0         # f_m plateau height 20m inside |x| < 1/(20m)
 _FIRST_INTERVALS = 64     # curve_min's first partition, at least 2m
 _TORUS_BLOCK = 64         # torus grid points bounded together
+_POLISH_POINTS = 33       # curve_min polish: points per round
+_POLISH_ROUNDS = 16       # curve_min polish: rounds, each ~16x narrower
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +157,11 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
     margin.  `samples` sets the budget, (1 + CERT_FACTOR) * samples * m
     point-charge pairs; when it runs out, or no open interval can be
     halved in floating point, the open bracket [lowest bound, value]
-    must lie within CERT_REL_TOL of value, else CertificateError.
-    Returns (t*, value) with value attained at the node t*; exact ties go
-    to the smaller t.
+    must lie within CERT_REL_TOL of value, else CertificateError, and
+    the least node is returned.  A closed bracket's least node is polished
+    (`_polish`) outside the budget; that can only lower value, so the
+    bracket still holds.  Returns (t*, value) with value attained at t*;
+    exact ties between nodes go to the smaller t.
     """
     if mode not in ("field", "modulus"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -194,12 +198,13 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
     best_t, best = float(nodes[0][i]), float(nodes[1][i])
     left = [x[:-1] for x in nodes]        # interval k runs from left[.][k]
     right = [x[1:] for x in nodes]        # to right[.][k]
+    ts = [nodes[0]]
     while True:
         h = right[0] - left[0]
         lo = np.minimum(lower(left, h), lower(right, h))
         keep = lo < best * (1.0 - BRACKET_REL_TOL)
         if not keep.any():
-            return best_t, best
+            break
         lo = lo[keep]
         left = [x[keep] for x in left]
         right = [x[keep] for x in right]
@@ -213,6 +218,7 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
                 "curve minimum bracket did not close within the budget",
                 {"samples": samples, "value": best, "lower": float(lo.min())})
         new = evaluate(mid[split])
+        ts.append(new[0])
         used += n_new * C.m
         v = new[1].min()
         t = float(new[0][new[1] == v].min())
@@ -223,6 +229,32 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
                 for a, b in zip(left, new)]
         right = [np.concatenate([a[whole], b, a[split]])
                  for a, b in zip(right, new)]
+    return _polish(lambda t: evaluate(t)[1], np.sort(np.concatenate(ts)),
+                   best_t, best)
+
+
+def _polish(values, nodes: np.ndarray, t: float, value: float):
+    """(t, value) moved to the least value found near t.
+
+    The interval between the nodes next to t is sampled at _POLISH_POINTS
+    even points, then the interval between the points next to the least
+    value so far, and so on, until it is a few rounding units wide.  A
+    point replaces t only when its value is lower, so the value can only
+    fall.  The bracket leaves value within BRACKET_REL_TOL of the minimum,
+    not at it; the polish brings it to the local minimum near t.
+    """
+    eps = np.finfo(float).eps
+    for _ in range(_POLISH_ROUNDS):
+        k = int(np.searchsorted(nodes, t))
+        lo, hi = nodes[max(k - 1, 0)], nodes[min(k + 1, nodes.size - 1)]
+        if not hi - lo > 8.0 * eps:
+            break
+        nodes = np.linspace(lo, hi, _POLISH_POINTS)
+        v = values(nodes)
+        i = int(np.argmin(v))
+        if v[i] < value:
+            t, value = float(nodes[i]), float(v[i])
+    return t, value
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 A_delta = {z : |q'/q| <= |r'/r| + delta/|r|} contains every critical point
 of p = q*r, because q'/q = -r'/r exactly at roots of p'.  The set is
-sampled at cell centers on a regular grid, labeled by 4-connected flood
-fill, and each component is certified by argument-principle counts of
+sampled at cell centers on a regular grid, split into 4-connected
+components, and each component is certified by argument-principle counts of
 the zeros of p' and of q' in a union of cells, each from the roots
 alone: the roots whose cells lie in the union plus the winding of p'/p
 or q'/q over its boundary (`contours.field_winding`), together with a
@@ -57,7 +57,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .contours import field_winding
 from .errors import (GrowBBox, InvalidEpsilon, RootOnContour, SingularCell,
@@ -71,9 +70,6 @@ EQUALITY_TOL = 1e-14   # |g| at or below this counts as inside (closed set)
 _RING_LIMIT = 6        # moat growth rings before a component count gives up
 _REFINE_FACTOR = 4.0   # Rouché margin samples per cell edge of the moat
 _BLOCK = 32            # side, in cells, of the quadtree's top blocks
-
-_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
-_EIGHT = np.ones((3, 3), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -262,28 +258,70 @@ def _label(inside: np.ndarray, reach):
     """(labels, windows) of the 4-connected components of the True cells
     of inside, the cells with g <= EQUALITY_TOL.
 
-    Every such cell lies in the window reach.  Labeling runs on the
-    smallest window holding them; ndimage.label numbers components in
-    raster order of their first cell, so the ids are those of a labeling
-    of the whole grid.  Cells outside the window are -1 by construction.
+    Every such cell lies in the window reach, and labeling runs on the
+    row runs of True cells there (`_runs`).  Runs in adjacent rows join
+    when their column intervals overlap, which is 4-connectivity: runs
+    that touch only at a corner stay apart.  A min-label union with
+    pointer jumping leads every run to the first run of its component.
+    The runs come in raster order, so numbering the components by their
+    first runs gives the ids of a raster-order labeling of the whole grid
+    (those of `scipy.ndimage.label`).  Cells outside reach are -1 by
+    construction.
+
+    The cost grows with the number of runs, not of cells.  A_delta is a
+    level set whose components have few runs per row, so the run count
+    grows with their height, not their area.
     """
     labels = np.full(inside.shape, -1, dtype=np.int32)
-    inside = inside[reach]
-    rows = np.flatnonzero(inside.any(axis=1))
-    if not rows.size:
+    row, start, stop = _runs(inside[reach])
+    if not row.size:
         return labels, ()
-    r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    cols = np.flatnonzero(inside[r0:r1].any(axis=0))
-    c0, c1 = int(cols[0]), int(cols[-1]) + 1
-    sub, _ = ndimage.label(inside[r0:r1, c0:c1], structure=_FOUR)
-    i0, j0 = reach[0].start + r0, reach[1].start + c0
-    win = (slice(i0, i0 + r1 - r0), slice(j0, j0 + c1 - c0))
-    windows = tuple((slice(a.start + i0, a.stop + i0),
-                     slice(b.start + j0, b.stop + j0))
-                    for a, b in ndimage.find_objects(sub))
-    sub -= 1
-    labels[win] = sub
+    comp, first = _run_components(row, start, stop)
+    k = first.size
+    last, c0, c1 = np.zeros(k, int), np.full(k, stop.max()), np.zeros(k, int)
+    np.maximum.at(last, comp, row)
+    np.minimum.at(c0, comp, start)
+    np.maximum.at(c1, comp, stop)
+    # the True cells in raster order are the runs' cells, run after run
+    labels[reach][inside[reach]] = np.repeat(comp.astype(np.int32),
+                                             stop - start)
+    i0, j0 = reach[0].start, reach[1].start
+    windows = tuple((slice(i0 + r0, i0 + r1 + 1), slice(j0 + a0, j0 + a1))
+                    for r0, r1, a0, a1 in zip(row[first].tolist(),
+                                              last.tolist(), c0.tolist(),
+                                              c1.tolist()))
     return labels, windows
+
+
+def _run_components(row, start, stop):
+    """(component id of each run, index of each component's first run) for
+    runs (row, start, stop) in raster order, `_runs` of one array; ids
+    count components in the order of their first runs."""
+    # run b overlaps the runs lo[b] to hi[b] - 1 of the row above; the
+    # keys order runs by row, then column, as _runs gives them
+    width = int(stop.max()) + 1
+    above = (row - 1) * width
+    lo = np.searchsorted(row * width + stop, above + start, side="right")
+    hi = np.searchsorted(row * width + start, above + stop, side="left")
+    joins = np.maximum(hi - lo, 0)
+    b = np.repeat(np.arange(row.size), joins)
+    a = np.repeat(lo - np.cumsum(joins) + joins, joins) + np.arange(b.size)
+    # every run points at the least run it is joined to so far
+    parent = np.arange(row.size)
+    while True:
+        pa, pb = parent[a], parent[b]
+        cross = pa != pb
+        if not cross.any():
+            break
+        pa, pb = pa[cross], pb[cross]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while True:   # pointer jumping, until every run points at a root
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    first = np.flatnonzero(parent == np.arange(row.size))
+    return np.searchsorted(first, parent), first
 
 
 def _signed_fill(split: RootSplit, deltas, xs, ys, shape):
@@ -449,9 +487,10 @@ def _runs(edges: np.ndarray):
     """(row, start, stop) of each maximal run of True cells in the rows of
     a boolean array, rows in order."""
     ny, nx = edges.shape
-    padded = np.zeros((ny, nx + 2), dtype=np.int8)
+    padded = np.zeros((ny, nx + 2), dtype=bool)
     padded[:, 1:-1] = edges
-    ii, kk = np.nonzero(np.diff(padded, axis=1))
+    ii, kk = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]),
+                       nx + 1)
     return ii[0::2], kk[0::2], kk[1::2]
 
 
@@ -509,8 +548,7 @@ def _moat(mask: RegionMask, component: int, protect: np.ndarray):
     current = labels[win] == component
     absorbed: set[int] = set()
     for _ in range(_RING_LIMIT):
-        grown = ndimage.binary_dilation(current, structure=_EIGHT)
-        current |= grown & (labels[win] < 0)
+        current |= _dilate(current) & (labels[win] < 0)
         # a protect cell is safe when it and the 8 surrounding cells are
         # uniformly inside or uniformly outside the moat
         trouble = [(i, j) for i, j in protect
@@ -535,6 +573,17 @@ def _moat(mask: RegionMask, component: int, protect: np.ndarray):
             current |= labels[win] == cid
     err = "moat growth exhausted with p' roots on the boundary"
     return current, win, tuple(sorted(absorbed)), err
+
+
+def _dilate(cells: np.ndarray) -> np.ndarray:
+    """The cells of the window that are in cells or share a side or a
+    corner with one: the OR of the set's 9 shifts by at most one row and
+    one column, cells beyond the window's edges counted outside."""
+    ny, nx = cells.shape
+    pad = np.zeros((ny + 2, nx + 2), dtype=bool)
+    pad[1:-1, 1:-1] = cells
+    rows = pad[:, :-2] | pad[:, 1:-1] | pad[:, 2:]
+    return rows[:-2] | rows[1:-1] | rows[2:]
 
 
 def _straddles(cells: np.ndarray, win, i: int, j: int) -> bool:

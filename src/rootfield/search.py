@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .charges import (ChargeSet, Curve, SINGULAR_GUARD, curve_min,
                       lemma1_curve_bound)
@@ -125,6 +124,9 @@ def optimize_charges(cfg: SearchConfig) -> SearchResult:
     curve_min.  Raises BudgetExhausted (result attached)
     when the evaluation budget dies before the last restart.
     """
+    # scipy is imported here, not with the module: no other path needs it
+    from scipy import optimize
+
     rng = np.random.default_rng(cfg.seed)
     points = _search_points(cfg)
     per_restart = max(300, 150 * cfg.m)   # guard; convergence usually wins

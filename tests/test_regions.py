@@ -21,6 +21,11 @@ SPLIT = poly.RootSplit([-0.5, 0.5], [3.0])
 K = geo.ConvexDomain.disk(0.0, 1.0)
 EPS = 0.5
 
+# scipy.ndimage is the independent oracle for labeling and moat growth:
+# components are 4-connected, and a ring grows by the 3 x 3 square
+FOUR = ndimage.generate_binary_structure(2, 1)
+EIGHT = np.ones((3, 3), dtype=bool)
+
 
 def _masks():
     bbox = regions.default_bbox(SPLIT, K, EPS)
@@ -267,7 +272,7 @@ def _dense_oracle(split, deltas, bbox, resolution, centers):
             regions._far_field_check(inside, bbox)
         except GrowBBox as exc:
             return exc
-        labels, count = ndimage.label(inside, structure=regions._FOUR)
+        labels, count = ndimage.label(inside, structure=FOUR)
         out.append((inside, labels - 1, count))
     return out
 
@@ -443,7 +448,7 @@ def _dense_moat(mask, component, protect):
     pcells = regions._cells_of_points(mask.bbox, mask.cell_size, mask.shape,
                                       protect)
     for _ in range(regions._RING_LIMIT):
-        grown = ndimage.binary_dilation(current, structure=regions._EIGHT)
+        grown = ndimage.binary_dilation(current, structure=EIGHT)
         current |= grown & (labels < 0)
         trouble = []
         for i, j in pcells:
@@ -471,8 +476,7 @@ def test_windowed_labels_and_moats_match_the_whole_grid():
         masks = regions.build_masks(split, (1e-2, 1e-3, 1e-4), CENSUS_BOX,
                                     res)
         for mask in masks:
-            dense, count = ndimage.label(mask.indicator,
-                                         structure=regions._FOUR)
+            dense, count = ndimage.label(mask.indicator, structure=FOUR)
             assert mask.n_components == count
             assert np.array_equal(mask.labels, dense - 1)
             assert mask.windows == tuple(ndimage.find_objects(dense))
@@ -488,6 +492,144 @@ def test_windowed_labels_and_moats_match_the_whole_grid():
                 assert (err is None) == (want_err is None)
                 absorbing += bool(absorbed)
     assert absorbing >= 5
+
+
+def _ndimage_label(inside, reach):
+    """What `_label` should return, from scipy.ndimage on the window
+    reach of the boolean grid inside."""
+    labels = np.full(inside.shape, -1, dtype=np.int32)
+    sub, count = ndimage.label(inside[reach], structure=FOUR)
+    if not count:
+        return labels, ()
+    labels[reach] = sub - 1
+    i0, j0 = reach[0].start, reach[1].start
+    return labels, tuple((slice(a.start + i0, a.stop + i0),
+                          slice(b.start + j0, b.stop + j0))
+                         for a, b in ndimage.find_objects(sub))
+
+
+def _assert_labels_match_ndimage(cells):
+    """`_label` equals the oracle on cells, labeled whole and embedded in
+    a larger grid with a window reach that starts off the origin."""
+    ny, nx = cells.shape
+    cases = [(cells, (slice(0, ny), slice(0, nx)))]
+    grid = np.zeros((ny + 5, nx + 7), dtype=bool)
+    grid[3:3 + ny, 4:4 + nx] = cells
+    cases.append((grid, (slice(2, 4 + ny), slice(1, 4 + nx))))
+    for inside, reach in cases:
+        labels, windows = regions._label(inside, reach)
+        want_labels, want_windows = _ndimage_label(inside, reach)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, want_labels)
+        assert windows == want_windows
+        assert all(isinstance(v, int) for w in windows for s in w
+                   for v in (s.start, s.stop))
+
+
+def _spiral_cells(n):
+    """A square spiral of width 1 walked in from the corner of n x n: it
+    turns right where it would come within one cell of itself head on,
+    so a free cell separates its turns.  A single long component."""
+    cells = np.zeros((n, n), dtype=bool)
+    i = j = turns = 0
+    di, dj = 0, 1
+    cells[0, 0] = True
+
+    def free(a, b):
+        return 0 <= a < n and 0 <= b < n and not cells[a, b]
+
+    while turns < 2:
+        if free(i + di, j + dj) and (free(i + 2 * di, j + 2 * dj)
+                                     or not 0 <= i + 2 * di < n
+                                     or not 0 <= j + 2 * dj < n):
+            i, j, turns = i + di, j + dj, 0
+            cells[i, j] = True
+        else:
+            di, dj, turns = dj, -di, turns + 1
+    return cells
+
+
+def _serpentine_cells(ny, nx):
+    """Full rows on even rows, joined at alternate ends: one path whose
+    runs meet their neighbours only at the far end of each row."""
+    cells = np.zeros((ny, nx), dtype=bool)
+    cells[::2] = True
+    cells[1::4, -1] = True
+    cells[3::4, 0] = True
+    return cells
+
+
+def _comb_cells(ny, nx, spine_top):
+    """Teeth on every fourth column joined by a spine row, stopping two
+    rows short of the far edge; dots, apart from the comb, sit between
+    the teeth and in the far edge row."""
+    cells = np.zeros((ny, nx), dtype=bool)
+    teeth = slice(0, ny - 2) if spine_top else slice(2, ny)
+    cells[teeth, ::4] = True
+    cells[0 if spine_top else -1] = True
+    cells[ny // 2, 2::4] = True
+    cells[-1 if spine_top else 0, 2::4] = True
+    return cells
+
+
+LABEL_SHAPES = {
+    "empty": np.zeros((6, 9), dtype=bool),
+    "single cell": np.eye(1, dtype=bool),
+    "one cell of many": np.eye(7, 5, 3, dtype=bool)[::-1],
+    "full": np.ones((5, 8), dtype=bool),
+    "diagonal": np.eye(9, dtype=bool),
+    "antidiagonal": np.eye(9, dtype=bool)[:, ::-1],
+    "diagonal ladder": np.eye(8, dtype=bool) | np.eye(8, k=2, dtype=bool),
+    "checkerboard": np.indices((9, 12)).sum(axis=0) % 2 == 0,
+    "spiral": _spiral_cells(31),
+    "serpentine": _serpentine_cells(41, 13),
+    "comb, spine on top": _comb_cells(17, 29, True),
+    "comb, spine below": _comb_cells(17, 29, False),
+}
+
+
+@pytest.mark.parametrize("name", LABEL_SHAPES)
+def test_label_matches_ndimage_on_shapes(name):
+    _assert_labels_match_ndimage(LABEL_SHAPES[name])
+
+
+def test_label_shapes_are_what_they_say():
+    # the oracle's counts: corner contacts keep cells apart, and the
+    # spiral, the serpentine and each comb are single components
+    def count(name):
+        return ndimage.label(LABEL_SHAPES[name], structure=FOUR)[1]
+    assert count("diagonal") == count("antidiagonal") == 9
+    assert count("checkerboard") == LABEL_SHAPES["checkerboard"].sum()
+    assert count("spiral") == count("serpentine") == 1
+    assert LABEL_SHAPES["spiral"].sum() > 31 * 31 // 3
+    for name in ("comb, spine on top", "comb, spine below"):
+        dots = 2 * LABEL_SHAPES[name][:, 2::4].shape[1]   # two rows
+        assert count(name) == 1 + dots
+
+
+@pytest.mark.parametrize("density", [0.2, 0.35, 0.5, 0.65, 0.8])
+def test_label_matches_ndimage_on_random_fills(density):
+    rng = np.random.default_rng(int(density * 100))
+    for _ in range(40):
+        ny, nx = rng.integers(1, 40, size=2)
+        _assert_labels_match_ndimage(rng.uniform(size=(ny, nx)) < density)
+
+
+def test_ring_growth_is_the_square_dilation():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        ny, nx = rng.integers(1, 16, size=2)
+        cells = rng.uniform(size=(ny, nx)) < rng.uniform(0.02, 0.5)
+        # a cell on each edge of the window
+        cells[rng.integers(ny), [0, -1]] = True
+        cells[[0, -1], rng.integers(nx)] = True
+        want = ndimage.binary_dilation(cells, structure=EIGHT)
+        assert np.array_equal(regions._dilate(cells), want)
+    for cells in (np.zeros((1, 1), bool), np.ones((1, 1), bool),
+                  np.zeros((4, 6), bool)):
+        assert np.array_equal(regions._dilate(cells),
+                              ndimage.binary_dilation(cells,
+                                                      structure=EIGHT))
 
 
 def test_census_masks_hold_only_their_labels():
