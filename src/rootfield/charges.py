@@ -282,7 +282,7 @@ def sharp_example(m: int) -> SharpExample:
         raise CertificateError(
             "sharp-example minimum fell below its harmonic floor",
             {"m": m, "value": value, "floor": floor})
-    return SharpExample(C, t, value, value / (m * np.log(m)))
+    return SharpExample(C, t, value, float(value / (m * np.log(m))))
 
 
 # ---------------------------------------------------------------------------

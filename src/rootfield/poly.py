@@ -208,27 +208,45 @@ def majorant_logmag(coeffs, z):
 # critical points (simultaneous Aberth-Ehrlich iteration on the root sum)
 # ---------------------------------------------------------------------------
 
-def _aberth(ratio, x: np.ndarray) -> tuple[np.ndarray, int]:
+def _aberth(ratio, x: np.ndarray, certified) -> tuple[np.ndarray, int]:
     """(zeros, iterations) of the Aberth-Ehrlich iteration from x, where
-    ratio(z) is the Newton ratio f/f' at the points z.  Uncertified."""
+    ratio(z) is the Newton ratio f/f' at the points z and certified(z)
+    tells which points z pass the caller's residual test.
+
+    Converged points are locked (Bini & Fiorentino, Numer. Algorithms 23,
+    2000): a point is frozen once its relative step has been below
+    _STEP_TOL in two successive iterations and it passes certified, which
+    is asked of those candidates only.  A step-only lock freezes points of
+    ill-conditioned clusters that the certificate then rejects.  Only the
+    active points get a Newton ratio and a self sum, against all points as
+    sources, and a frozen point never moves again.  The loop ends once
+    every active step was tiny twice in a row, or on the plateau rule, with
+    the step taken over the active points.  The result is not certified.
+    """
+    x = np.array(x, dtype=np.complex128)
+    active = np.arange(x.size)
+    calm = np.zeros(x.size, dtype=int)    # successive tiny steps per point
     tiny = 0
     best_step = np.inf
     since_improve = 0
     it = 0
     for it in range(_MAX_ITERS):
         # split exact collisions so the pairwise sum stays finite
-        x = _separate_duplicates(x)
-        n_ratio = ratio(x)
+        x = _separate_duplicates(x, active)
+        xa = x[active]
+        n_ratio = ratio(xa)
         bad = ~np.isfinite(n_ratio)
-        denom = 1.0 - n_ratio * self_field(x)
+        denom = 1.0 - n_ratio * self_field(x, rows=active)
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = n_ratio / denom
         delta = np.where(np.isfinite(delta), delta, n_ratio)
         # stalled points (f' = 0 away from a zero): nudge deterministically
-        delta = np.where(bad, 1e-6 * (1.0 + np.abs(x)) * np.exp(1j * 0.618 * it),
-                         delta)
-        x = x - delta
-        step = float(np.max(np.abs(delta) / (1.0 + np.abs(x))))
+        delta = np.where(bad, 1e-6 * (1.0 + np.abs(xa))
+                         * np.exp(1j * 0.618 * it), delta)
+        xa = xa - delta
+        x[active] = xa
+        moved = np.abs(delta) / (1.0 + np.abs(xa))
+        step = float(np.max(moved))
         tiny = tiny + 1 if step < _STEP_TOL else 0
         if tiny >= 2:
             break
@@ -242,13 +260,23 @@ def _aberth(ratio, x: np.ndarray) -> tuple[np.ndarray, int]:
             since_improve += 1
         if since_improve >= 25 and step < 1e-6:
             break
+        calm[active] = np.where(moved < _STEP_TOL, calm[active] + 1, 0)
+        ready = calm[active] >= 2
+        if np.any(ready):
+            keep = ~ready
+            keep[ready] = ~certified(x[active[ready]])
+            active = active[keep]
+            if not active.size:
+                break
     return x, it + 1
 
 
-def _separate_duplicates(x: np.ndarray) -> np.ndarray:
+def _separate_duplicates(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x with every one of the given rows that repeats another point
+    exactly nudged apart; the other rows are not moved."""
     # sorting finds exact repeats in O(n log n); inf and nan never repeat
     _, inv, counts = np.unique(x, return_inverse=True, return_counts=True)
-    dup_rows = np.where((counts[inv] > 1) & np.isfinite(x))[0]
+    dup_rows = rows[(counts[inv[rows]] > 1) & np.isfinite(x[rows])]
     if dup_rows.size:
         x = x.copy()
         bump = 1e-9 * (1.0 + np.abs(x[dup_rows]))
@@ -301,10 +329,13 @@ def _field_zeros(a: np.ndarray, m: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return r / (r * s - minus_dr)
 
-    w, iters = _aberth(ratio, x)
-    r, near, far = field_majorant(w, a, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        worst = float(np.max(np.abs(r) / (np.abs(w) * near + far)))
+    def residual(w):
+        r, near, far = field_majorant(w, a, m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.abs(r) / (np.abs(w) * near + far)
+
+    w, iters = _aberth(ratio, x, lambda z: residual(z) <= ROOT_TOL)
+    worst = float(np.max(residual(w)))
     if not worst <= ROOT_TOL:
         raise NoConvergence(worst, iters)
     return w

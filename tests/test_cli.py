@@ -125,6 +125,11 @@ def test_sharp_table(tmp_path, capsys):
     lines = (out / "sharp.csv").read_text().strip().split("\n")
     assert lines[0] == "m,t,value,ratio"
     assert len(lines) == 3
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 4
+        for cell in cells:
+            float(cell)     # a numpy scalar repr like np.float64(...) fails
     assert "value/(m ln m)" in capsys.readouterr().out
 
 

@@ -183,9 +183,9 @@ def test_run_solves_each_critical_point_set_once(monkeypatch):
     sizes = []
     real = poly._aberth
 
-    def counting(ratio, x):
+    def counting(ratio, x, certified):
         sizes.append(len(x))
-        return real(ratio, x)
+        return real(ratio, x, certified)
 
     monkeypatch.setattr(poly, "_aberth", counting)
     cfg = _cfg(n=30, delta_sweep=(1e-3, 1e-2), resolution=60.0)
@@ -201,9 +201,9 @@ def test_run_without_components_solves_only_p_prime(monkeypatch):
     sizes = []
     real = poly._aberth
 
-    def counting(ratio, x):
+    def counting(ratio, x, certified):
         sizes.append(len(x))
-        return real(ratio, x)
+        return real(ratio, x, certified)
 
     monkeypatch.setattr(poly, "_aberth", counting)
     cfg = harness.ExperimentConfig(domain=K, epsilon=0.25, n=100, m=2,

@@ -4,6 +4,8 @@ The oracle is the unblocked numpy expression over the full points x
 sources table; a tiny block size forces many blocks and a partial last one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,44 @@ def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, shape,
         for weights in (1.0, rng.integers(1, 4, size=x.size).astype(float)):
             assert np.array_equal(kernels.self_field(x, weights),
                                   _unblocked_self(x, weights))
+
+
+@pytest.mark.parametrize("n", [3, 23])
+def test_self_field_rows_match_unblocked_bit_for_bit(monkeypatch, n):
+    # 7 pairs per block: 2 rows per block for 3 points, 1 for 23, so block
+    # boundaries cut the column each row skips
+    monkeypatch.setattr(kernels, "_PAIRS", 7)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    picks = [np.arange(n), np.array([0, n - 1]), np.array([n - 1, 0, 1]),
+             rng.permutation(n)[: n // 2 + 1], np.array([1]),
+             np.zeros(0, dtype=int)]
+    for weights in (1.0, rng.integers(1, 4, size=n).astype(float)):
+        full = _unblocked_self(x, weights)
+        for rows in picks:
+            got = kernels.self_field(x, weights, rows)
+            assert got.shape == rows.shape and got.dtype == np.complex128
+            assert np.array_equal(got, full[rows])
+        assert np.array_equal(kernels.self_field(x, weights), full)
+
+
+def test_kernel_blocks_stay_small():
+    # the evaluation table is sized for a core's L2 cache, not for the
+    # input: on 20k points x 500 sources the peak traced allocation is the
+    # three outputs plus a few MiB (a 2^20-pair table alone is 16 MiB)
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=20_000) + 1j * rng.normal(size=20_000)
+    a = rng.normal(size=500) + 1j * rng.normal(size=500)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        outs = kernels.field_modulus_nearest(z, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(v.nbytes for v in outs)
+    assert held == 20_000 * (16 + 8 + 8)
+    assert peak - held < 3 * 2 ** 20
 
 
 def test_kernels_without_sources_or_points():

@@ -291,6 +291,63 @@ def test_critical_points_do_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
+def test_aberth_stops_reducing_locked_points(monkeypatch):
+    # a certified point is frozen: the Newton ratio is evaluated on ever
+    # fewer points, and the last iterations touch only a few of them
+    sizes = []
+    real = poly.weighted_field
+
+    def counting(z, a, m):
+        sizes.append(len(z))
+        return real(z, a, m)
+
+    monkeypatch.setattr(poly, "weighted_field", counting)
+    rng = np.random.default_rng(2)
+    roots = rng.normal(size=300) + 1j * rng.normal(size=300)
+    w = poly.critical_points(roots)
+    assert len(w) == 299 and sizes[0] == 299
+    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] < 0.1 * 299
+    res, scale = np.abs(field_sum(w, roots)), modulus_sum(w, roots)
+    assert np.all(res <= 1e-9 * scale)
+
+
+def test_separating_duplicates_moves_only_the_given_rows():
+    # the rows not given are locked points: a repeat of one moves the
+    # other, active copy, and repeats among locked points stay
+    x = np.array([1.0, 1.0, 2j, 2j, 3.0, 3.0, np.inf, np.inf])
+    rows = np.array([1, 2, 6])
+    y = poly._separate_duplicates(x, rows)
+    moved = np.flatnonzero(y != x)
+    assert list(moved) == [1, 2]
+    assert y[1] != y[0] and y[2] != y[3]
+    assert np.array_equal(x[[0, 3, 4, 5]], y[[0, 3, 4, 5]])
+    every = poly._separate_duplicates(x, np.arange(x.size))
+    assert list(np.flatnonzero(every != x)) == [0, 1, 2, 3, 4, 5]
+
+
+def _ulp_pair(seed):
+    # 80 roots in the unit disk, a pair b, b (1 + 3e-16) at |b| = 1.001
+    # and 6 roots at radius 1.3
+    rng = np.random.default_rng(seed)
+    inner = np.sqrt(rng.uniform(size=80)) \
+        * np.exp(2j * np.pi * rng.uniform(size=80))
+    b = 1.001 * np.exp(2j * np.pi * rng.uniform())
+    outer = 1.3 * np.exp(2j * np.pi * rng.uniform(size=6))
+    return np.concatenate([inner, [b, b * (1 + 3e-16)], outer])
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_locking_keeps_ulp_apart_pairs_solvable(seed):
+    # a step-only lock freezes points near the pair whose residual the
+    # certificate rejects; the lock asks the certificate first
+    roots = _ulp_pair(seed)
+    assert np.unique(roots).size == roots.size
+    w = poly.critical_points(roots)
+    assert len(w) == roots.size - 1
+    assert np.all(np.isfinite(w))
+
+
 def test_split_keeps_solved_critical_points_but_not_failures(monkeypatch):
     degrees = []
     real = poly.critical_points
