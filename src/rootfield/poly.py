@@ -208,10 +208,11 @@ def majorant_logmag(coeffs, z):
 # critical points (simultaneous Aberth-Ehrlich iteration on the root sum)
 # ---------------------------------------------------------------------------
 
-def _aberth(ratio, x: np.ndarray, certified) -> tuple[np.ndarray, int]:
-    """(zeros, iterations) of the Aberth-Ehrlich iteration from x, where
-    ratio(z) is the Newton ratio f/f' at the points z and certified(z)
-    tells which points z pass the caller's residual test.
+def _aberth(ratio, x: np.ndarray,
+            certified) -> tuple[np.ndarray, int, np.ndarray]:
+    """(zeros, iterations, active rows) of the Aberth-Ehrlich iteration
+    from x, where ratio(z) is the Newton ratio f/f' at the points z and
+    certified(z) tells which points z pass the caller's residual test.
 
     Converged points are locked (Bini & Fiorentino, Numer. Algorithms 23,
     2000): a point is frozen once its relative step has been below
@@ -221,7 +222,8 @@ def _aberth(ratio, x: np.ndarray, certified) -> tuple[np.ndarray, int]:
     active points get a Newton ratio and a self sum, against all points as
     sources, and a frozen point never moves again.  The loop ends once
     every active step was tiny twice in a row, or on the plateau rule, with
-    the step taken over the active points.  The result is not certified.
+    the step taken over the active points.  The active rows, those never
+    frozen, are not certified.
     """
     x = np.array(x, dtype=np.complex128)
     active = np.arange(x.size)
@@ -268,7 +270,7 @@ def _aberth(ratio, x: np.ndarray, certified) -> tuple[np.ndarray, int]:
             active = active[keep]
             if not active.size:
                 break
-    return x, it + 1
+    return x, it + 1, active
 
 
 def _separate_duplicates(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -334,8 +336,9 @@ def _field_zeros(a: np.ndarray, m: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.abs(r) / (np.abs(w) * near + far)
 
-    w, iters = _aberth(ratio, x, lambda z: residual(z) <= ROOT_TOL)
-    worst = float(np.max(residual(w)))
+    w, iters, active = _aberth(ratio, x, lambda z: residual(z) <= ROOT_TOL)
+    # a frozen point passed the certificate at the value it still holds
+    worst = float(np.max(residual(w[active]), initial=0.0))
     if not worst <= ROOT_TOL:
         raise NoConvergence(worst, iters)
     return w

@@ -6,6 +6,13 @@ scores a configuration by the field modulus at fixed curve points; the
 reported value is the winner's certified curve minimum, a bracket closed
 by branch and bound, and the modulus potential at the certified low
 point can never beat the torus ceiling.
+
+The search runs on numpy alone.  `_nelder_mead` takes the iterates of
+scipy 1.17's Nelder-Mead step for step, so a search gives the same bits
+with or without scipy installed.  `_Objective` builds the curve points,
+the segment tables and a charges x points buffer once per search; each
+call adds the buffer's rows in numpy's pairwise order, so its field
+values are `kernels.field_sum`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +24,13 @@ import numpy as np
 from .charges import (ChargeSet, Curve, SINGULAR_GUARD, curve_min,
                       lemma1_curve_bound)
 from .errors import BudgetExhausted, ConfigError
-from .kernels import field_sum
 
 SEARCH_SAMPLES = 1_000    # coarse density used inside the optimizer
 PENALTY_BASE = 1_000.0    # penalty scale multiplier on the running best
 CEILING_SLACK = 1e-9      # one charge saturates the torus ceiling exactly
 _MARGIN_NUDGE = 1e-9      # projection lands this far outside the margin
+_XATOL = 1e-10            # Nelder-Mead stops once the simplex spans this
+_FATOL = 1e-12            # ... and its values differ by at most this
 
 
 @dataclass(frozen=True)
@@ -64,18 +72,81 @@ def _search_points(cfg: SearchConfig) -> np.ndarray:
                                        max(SEARCH_SAMPLES, 50 * cfg.m)))
 
 
-def _penalized(C: ChargeSet, cfg: SearchConfig, scale_ref: float,
-               points: np.ndarray) -> float:
-    """Least field modulus over points, penalized inside the margin."""
-    clearance = cfg.curve.clearance(C.charges)
-    viol = max(0.0, cfg.exclusion_margin - clearance)
-    if clearance < SINGULAR_GUARD:
-        # a charge sits on the curve; keep the penalty finite
-        return -PENALTY_BASE * max(1.0, scale_ref) * (1.0 + viol)
-    value = float(np.abs(field_sum(points, C.charges)).min())
-    if viol > 0.0:
-        value -= PENALTY_BASE * max(1.0, scale_ref, abs(value)) * viol
-    return value
+def _sum_rows(t: np.ndarray, lo: int, hi: int) -> None:
+    """Add rows lo..hi-1 of t into row lo, in the order numpy's pairwise
+    sum adds a contiguous row of hi - lo values: in sequence below 4,
+    four accumulators over blocks of four up to 64 (the first block
+    seeds them), else the two halves split at a multiple of 4."""
+    n = hi - lo
+    if n < 4:
+        for k in range(lo + 1, hi):
+            t[lo] += t[k]
+    elif n <= 64:
+        end = hi - n % 4
+        for k in range(lo + 4, end, 4):
+            t[lo:lo + 4] += t[k:k + 4]
+        t[lo] += t[lo + 1]
+        t[lo + 2] += t[lo + 3]
+        t[lo] += t[lo + 2]
+        for k in range(end, hi):
+            t[lo] += t[k]
+    else:
+        mid = lo + n // 8 * 4
+        _sum_rows(t, lo, mid)
+        _sum_rows(t, mid, hi)
+        t[lo] += t[mid]
+
+
+class _Objective:
+    """The penalized least field modulus over the search points, with
+    what is fixed for a search built once.
+
+    Called on the 2m real coordinates (real parts first) and the penalty
+    scale.  The clearance repeats `Curve.nearest_points` operation for
+    operation, and the field `kernels.field_sum`: the differences p - z
+    of points and charges fill a charges x points table, are inverted in
+    place and their rows summed by `_sum_rows`, so both give the same
+    bits.
+    """
+
+    def __init__(self, cfg: SearchConfig):
+        self.m = cfg.m
+        self.margin = cfg.exclusion_margin
+        self.points = _search_points(cfg)
+        v = cfg.curve.vertices
+        self._start = v[:-1][:, None]
+        self._dir = np.diff(v)[:, None]
+        self._dir_conj = np.conj(self._dir)
+        self._dir_sq = np.abs(self._dir) ** 2
+        self._table = np.empty((cfg.m, self.points.size),
+                               dtype=np.complex128)
+
+    def clearance(self, z: np.ndarray) -> float:
+        """Smallest distance from the charges z to the curve."""
+        frac = np.clip(((z - self._start) * self._dir_conj).real
+                       / self._dir_sq, 0.0, 1.0)
+        near = self._start + frac * self._dir
+        return float(np.abs(z - near).min())
+
+    def field(self, z: np.ndarray) -> np.ndarray:
+        """sum_k 1/(p - z_k) at the search points p, for charges off the
+        curve; a view of the table, valid until the next call."""
+        t = np.subtract(self.points, z[:, None], out=self._table)
+        np.divide(1.0, t, out=t)
+        _sum_rows(t, 0, self.m)
+        return t[0]
+
+    def __call__(self, x: np.ndarray, scale_ref: float) -> float:
+        z = x[:self.m] + 1j * x[self.m:]
+        clearance = self.clearance(z)
+        viol = max(0.0, self.margin - clearance)
+        if clearance < SINGULAR_GUARD:
+            # a charge sits on the curve; keep the penalty finite
+            return -PENALTY_BASE * max(1.0, scale_ref) * (1.0 + viol)
+        value = float(np.abs(self.field(z)).min())
+        if viol > 0.0:
+            value -= PENALTY_BASE * max(1.0, scale_ref, abs(value)) * viol
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +187,95 @@ def _project_to_margin(curve: Curve, charges: np.ndarray,
     return np.where(dist >= margin, charges, pushed)
 
 
+class _OutOfCalls(Exception):
+    """One more call to the objective would exceed the budget."""
+
+
+def _nelder_mead(fun, x0: np.ndarray, maxfev: int, adaptive: bool):
+    """(x, f, calls): the least vertex of the final simplex, its value
+    and the number of calls to fun.
+
+    This is scipy 1.17's `_minimize_neldermead` without bounds or
+    callbacks, operation for operation, so that it takes the same
+    iterates: the same start simplex, the adaptive coefficients of Gao &
+    Han (Comput. Optim. Appl. 51, 2012), and the same reflect, expand,
+    contract and shrink arithmetic and unstable re-sorts (tied values
+    keep scipy's order).  It stops once the simplex spans at most _XATOL
+    and its values differ by at most _FATOL, or when a call would exceed
+    maxfev: that step is abandoned and the simplex still sorted.
+    """
+    x0 = np.asarray(x0, dtype=np.float64).ravel()
+    n = x0.size
+    if adaptive:
+        dim = float(n)
+        rho, chi = 1, 1 + 2 / dim
+        psi, sigma = 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _OutOfCalls
+        calls += 1
+        return fun(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _OutOfCalls:
+        pass
+    # scipy sorts the first simplex twice; an unstable sort may move ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:      # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:                   # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _OutOfCalls:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim)), calls
+
+
 def optimize_charges(cfg: SearchConfig) -> SearchResult:
     """Multi-restart ascent of the curve-minimum field modulus.
 
@@ -124,11 +284,8 @@ def optimize_charges(cfg: SearchConfig) -> SearchResult:
     curve_min.  Raises BudgetExhausted (result attached)
     when the evaluation budget dies before the last restart.
     """
-    # scipy is imported here, not with the module: no other path needs it
-    from scipy import optimize
-
     rng = np.random.default_rng(cfg.seed)
-    points = _search_points(cfg)
+    objective = _Objective(cfg)
     per_restart = max(300, 150 * cfg.m)   # guard; convergence usually wins
     min_viable = 2 * cfg.m + 2            # one full starting simplex
     evals = 0
@@ -143,22 +300,13 @@ def optimize_charges(cfg: SearchConfig) -> SearchResult:
             break
         x0 = _shell_init(cfg, rng)
         scale_ref = max(1.0, best_val)
-        counter = [0]
-
-        def neg(x):
-            counter[0] += 1
-            C = ChargeSet(x[:cfg.m] + 1j * x[cfg.m:])
-            return -_penalized(C, cfg, scale_ref, points)
-
-        res = optimize.minimize(
-            neg, x0, method="Nelder-Mead",
-            options={"maxfev": int(allowed), "xatol": 1e-10,
-                     "fatol": 1e-12, "adaptive": cfg.m > 2})
-        evals += counter[0]
-        history.append(-float(res.fun))
-        if -res.fun > best_val:
-            best_val = -float(res.fun)
-            best_x = res.x
+        x, f, calls = _nelder_mead(lambda x: -objective(x, scale_ref), x0,
+                                   int(allowed), cfg.m > 2)
+        evals += calls
+        history.append(-f)
+        if -f > best_val:
+            best_val = -f
+            best_x = x
     if best_x is None:
         raise ConfigError("budget too small to run a single restart")
 

@@ -312,6 +312,32 @@ def test_aberth_stops_reducing_locked_points(monkeypatch):
     assert np.all(res <= 1e-9 * scale)
 
 
+def test_final_certificate_checks_only_unlocked_points(monkeypatch):
+    # a locked point passed the certificate at its frozen value; the last
+    # majorant call after the solve checks the rows still active only
+    solves, checked = [], []
+    real_aberth, real_majorant = poly._aberth, poly.field_majorant
+
+    def aberth(ratio, x, certified):
+        solves.append(real_aberth(ratio, x, certified))
+        return solves[-1]
+
+    def majorant(z, a, m):
+        checked.append(np.array(z))
+        return real_majorant(z, a, m)
+
+    monkeypatch.setattr(poly, "_aberth", aberth)
+    monkeypatch.setattr(poly, "field_majorant", majorant)
+    rng = np.random.default_rng(2)
+    roots = rng.normal(size=300) + 1j * rng.normal(size=300)
+    w = poly.critical_points(roots)
+    x, _, active = solves[0]
+    assert len(solves) == 1 and 0 < active.size < 0.1 * x.size
+    assert np.array_equal(checked[-1], x[active])
+    res, scale = np.abs(field_sum(w, roots)), modulus_sum(w, roots)
+    assert np.all(res <= 1e-9 * scale)
+
+
 def test_separating_duplicates_moves_only_the_given_rows():
     # the rows not given are locked points: a repeat of one moves the
     # other, active copy, and repeats among locked points stay

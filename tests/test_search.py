@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from rootfield import charges as ch
 from rootfield import search
 from rootfield.errors import BudgetExhausted, ConfigError
+from rootfield.kernels import field_sum
 
 SEGMENT = ch.Curve([0.0 + 0.0j, 1.0 + 0.0j])
 CFG1 = search.SearchConfig(SEGMENT, 1, exclusion_margin=0.05, seed=42)
@@ -26,8 +28,63 @@ def result_m2():
 # objective
 # ---------------------------------------------------------------------------
 
-def _penalized(C, cfg):
-    return search._penalized(C, cfg, 1.0, search._search_points(cfg))
+def _penalized(C, cfg, scale_ref=1.0):
+    z = C.charges
+    return search._Objective(cfg)(np.concatenate([z.real, z.imag]),
+                                  scale_ref)
+
+
+def _penalized_per_call(C, cfg, scale_ref):
+    # the objective as computed before its tables were built once per search
+    clearance = cfg.curve.clearance(C.charges)
+    viol = max(0.0, cfg.exclusion_margin - clearance)
+    if clearance < ch.SINGULAR_GUARD:
+        return -search.PENALTY_BASE * max(1.0, scale_ref) * (1.0 + viol)
+    points = search._search_points(cfg)
+    value = float(np.abs(field_sum(points, C.charges)).min())
+    if viol > 0.0:
+        value -= search.PENALTY_BASE * max(1.0, scale_ref, abs(value)) * viol
+    return value
+
+
+CURVES = (SEGMENT, ch.Curve([0.0, 0.35 + 0.25j, 1.0]),
+          ch.Curve([0.0, 0.2 - 0.3j, 0.8 + 0.3j, 1.0]))
+
+
+def _charges(rng, m, spread=1.0):
+    return (rng.uniform(-0.5, 1.5, m)
+            + 1j * spread * rng.uniform(-1.0, 1.0, m))
+
+
+def test_objective_field_is_field_sum_bit_for_bit():
+    # m = 1..150 crosses numpy's pairwise-sum edges at 4, 64 and 128
+    rng = np.random.default_rng(24)
+    for m in range(1, 151):
+        cfg = search.SearchConfig(CURVES[m % 3], m, seed=0)
+        objective = search._Objective(cfg)
+        z = _charges(rng, m)
+        want = field_sum(objective.points, z)
+        assert objective.field(z).tobytes() == want.tobytes(), m
+
+
+def test_objective_is_the_per_call_formula():
+    # charges on the curve, in the exclusion shell and clear of it, at
+    # two penalty scales
+    rng = np.random.default_rng(25)
+    for trial in range(60):
+        m = int(rng.integers(1, 40))
+        curve = CURVES[trial % 3]
+        cfg = search.SearchConfig(curve, m, exclusion_margin=0.05, seed=0)
+        z = _charges(rng, m)
+        kind = trial % 3
+        if kind == 0:          # one charge on the curve
+            z[0] = curve.point(rng.uniform())
+        elif kind == 1:        # one charge inside the shell
+            z[0] = curve.point(rng.uniform()) + 0.02j
+        C = ch.ChargeSet(z)
+        for scale_ref in (1.0, 37.5):
+            want = _penalized_per_call(C, cfg, scale_ref)
+            assert _penalized(C, cfg, scale_ref) == want
 
 
 def test_objective_single_charge_hand_value():
@@ -61,6 +118,75 @@ def test_objective_within_one_percent_of_certificate():
         # the certified minimum is below every sample
         assert cert <= obj + 1e-12
         assert obj <= cert * 1.01 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead against scipy
+# ---------------------------------------------------------------------------
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+def _plateau(x):
+    # flat near its start: every vertex of a small simplex there ties
+    return float(np.floor(8.0 * np.sum((x - 0.3) ** 2)) / 8.0)
+
+
+def _staircase(x):
+    # piecewise constant: vertices tie at several levels, so the order
+    # an unstable sort gives ties decides which vertex comes first
+    return float(np.floor(20.0 * np.sum(x)))
+
+
+def _same_as_scipy(fun, x0, maxfev, adaptive):
+    x, f, calls = search._nelder_mead(fun, x0, maxfev, adaptive)
+    want = optimize.minimize(fun, x0, method="Nelder-Mead",
+                             options={"maxfev": maxfev,
+                                      "xatol": search._XATOL,
+                                      "fatol": search._FATOL,
+                                      "adaptive": adaptive})
+    assert x.tobytes() == want.x.tobytes()
+    assert np.float64(f).tobytes() == np.float64(want.fun).tobytes()
+    assert calls == want.nfev
+    return calls
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_nelder_mead_stops_on_tolerances_as_scipy(adaptive):
+    x0 = np.array([-1.2, 1.0, 0.5, 0.0])
+    calls = _same_as_scipy(_rosenbrock, x0, 20_000, adaptive)
+    assert calls < 20_000
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_nelder_mead_budget_runs_out_as_scipy(adaptive):
+    x0 = np.array([0.7, -0.2, 0.0, 1.3, 0.4])
+    # inside the first simplex (6 vertices), then at every later step
+    for maxfev in range(1, 160):
+        assert _same_as_scipy(_rosenbrock, x0, maxfev, adaptive) == maxfev
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_nelder_mead_shrinks_as_scipy(adaptive):
+    # 21 tied vertices: every reflection and contraction ties, so each
+    # step shrinks.  The first simplex takes 21 calls, the first step a
+    # reflection, a contraction and 20 shrink calls, so a budget of 30
+    # runs out inside the first shrink
+    x0 = np.full(20, 0.3)
+    assert _same_as_scipy(_plateau, x0, 30, adaptive) == 30
+    assert _same_as_scipy(_plateau, x0, 20_000, adaptive) < 20_000
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_nelder_mead_orders_ties_as_scipy(adaptive):
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        dim = int(rng.integers(2, 12))
+        x0 = rng.uniform(-1.0, 1.0, dim)
+        for maxfev in (dim + 1, 3 * dim, 100, 1_000):
+            _same_as_scipy(_staircase, x0, maxfev, adaptive)
 
 
 # ---------------------------------------------------------------------------
