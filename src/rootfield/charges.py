@@ -76,6 +76,11 @@ class Curve:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_cum", np.concatenate(
             [[0.0], np.cumsum(np.abs(np.diff(v)))]))
+        d = np.diff(v)[:, None]     # the segment table of nearest_points
+        object.__setattr__(self, "_start", v[:-1][:, None])
+        object.__setattr__(self, "_dir", d)
+        object.__setattr__(self, "_dir_conj", np.conj(d))
+        object.__setattr__(self, "_dir_sq", np.abs(d) ** 2)
 
     @property
     def length(self) -> float:
@@ -96,12 +101,10 @@ class Curve:
     def nearest_points(self, charges):
         """(segments, charges) arrays: nearest segment points, distances."""
         z = np.atleast_1d(np.asarray(charges, dtype=np.complex128))
-        a = self.vertices[:-1][:, None]
-        d = np.diff(self.vertices)[:, None]
-        frac = np.clip(((z[None, :] - a) * np.conj(d)).real / np.abs(d) ** 2,
-                       0.0, 1.0)
-        near = a + frac * d
-        return near, np.abs(z[None, :] - near)
+        frac = np.clip(((z - self._start) * self._dir_conj).real
+                       / self._dir_sq, 0.0, 1.0)
+        near = self._start + frac * self._dir
+        return near, np.abs(z - near)
 
     def clearance(self, charges) -> float:
         """Smallest distance from any charge to the polyline."""

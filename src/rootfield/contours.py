@@ -10,10 +10,9 @@ pi/2, or fewer than four samples per possible root, triggers a doubling
 of the sample density (up to MAX_REFINE doublings), which prevents
 branch-jump undercounting.  Coefficients are counted here, never solved.
 
-`field_winding` gives the winding of p'/p around a circle or a closed
-set of directed segments from the roots of p alone, certified on each
-piece by a bound on the root sum: the zeros of p' inside are that
-winding plus the roots of p inside, which the caller counts.
+`rouche_pass` certifies, in one halving pass over closed segments, the
+windings of p'/p and q'/q and a lower bound on the Rouché margin
+|q'/q| - |r'/r| for p = q r, from the roots of q and of r alone.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ MAX_REFINE = 6         # sample-density doublings before giving up
 _DENSITY = 64.0        # samples per unit arclength of a count's first pass
 _MAX_ARG_STEP = np.pi / 2
 _NOISE_LOG2 = -50.0    # |p| below 2^-50 * majorant means "on a root"
-_MAX_HALVINGS = 30     # halvings before a piece counts as meeting a zero or
-                       # a pole of p'/p
+_MAX_HALVINGS = 30     # halvings before a piece holds a zero or a pole
 
 
 @dataclass(frozen=True)
@@ -116,55 +114,69 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def field_winding(roots, c) -> int:
-    """Winding number of F = p'/p = sum_k 1/(z - a_k) around the contour,
-    p = prod (z - a_k) over roots: the circle c, or c as (k, 2) rows of
-    directed segments (a, b) that form closed loops, every point starting
-    as many segments as it ends (ValueError otherwise).  The zeros of p'
-    inside are this winding plus the roots inside, clockwise loops
-    (holes) counting negatively.
+def _excess(rho, s, d, k: int):
+    """rho s/(d - rho) >= |F(z) - F(w)| for |z - w| <= rho, plus the
+    rounding of F(w), for F a sum of 1/(z - a) over k sources with
+    modulus sum s and nearest distance d at w; inf unless rho < d."""
+    return (np.where(rho < d, rho * s / (d - rho), np.inf)
+            + ROUNDING * (k + 2) * np.finfo(float).eps * s)
 
-    The winding is certified piece by piece.  On a piece within rho of its
-    midpoint w, |F(z) - F(w)| <= rho S/(d - rho) with S = sum_k 1/|w - a_k|
-    and d = min_k |w - a_k|.  When rho < d and that bound plus the rounding
-    of F(w) is below |F(w)|, F has no zero on the piece and arg F stays
-    within pi/2 of arg F(w), so the principal increment between the
-    piece's ends is exact.  Pieces start as the arcs between a circle's
-    samples or as whole segments, and one that fails is halved.  A piece
-    still failing after _MAX_HALVINGS halvings (a zero of p' or a root of
-    p on or next to the contour) raises RootOnContour, as an empty root
-    list (p' = 0) does at once.
+
+def rouche_pass(inside, outside, segments):
+    """(winding of p'/p, winding of q'/q, margin) over segments, (k, 2)
+    rows (start, end) of directed segments forming closed loops
+    (ValueError otherwise), for q and r the products of z - a over the
+    inside and the outside roots a and p = q r.  The zeros of p' (of q') inside are
+    its winding plus the roots of p (of q) inside, holes counting
+    negatively.  margin is a lower bound on |q'/q| - |r'/r| along the
+    segments; where it is positive, p' has as many zeros inside as q'r.
+
+    On a piece within rho of its midpoint w, F_q = q'/q stays within e_q
+    of F_q(w) and F_r = r'/r within e_r (`_excess` over the inside and
+    the outside roots).  While no midpoint has |F_q| <= |F_r|, a piece is
+    done once gap = |F_q(w)| - |F_r(w)| exceeds e_q + e_r: then neither
+    F_q nor F_p = F_q + F_r vanishes on it or turns by pi/2 from its
+    value at w, so the principal increments between its ends are exact,
+    and gap - e_q - e_r bounds the margin on it.  Afterwards a piece is
+    done once e_q + e_r < |F_p(w)| and e_q < |F_q(w)|.  margin is the
+    least gap - e_q - e_r of the done pieces.  Other pieces are halved;
+    one open after _MAX_HALVINGS halvings (a zero or a pole on or next
+    to the segments) raises RootOnContour, as no inside root does at once.
     """
-    on_circle = isinstance(c, Contour)
-    if on_circle:
-        pts = _circle_samples(c)
-        u, v = pts[:-1], pts[1:]
-    else:
-        u, v = np.asarray(c, dtype=np.complex128).reshape(-1, 2).T
-        if not u.size or not np.array_equal(np.sort(u), np.sort(v)):
-            raise ValueError("segments must form closed loops")
-    a = np.asarray(roots, dtype=np.complex128).ravel()
+    u, v = np.asarray(segments, dtype=np.complex128).reshape(-1, 2).T
+    if not u.size or not np.array_equal(np.sort(u), np.sort(v)):
+        raise ValueError("segments must form closed loops")
+    a, b = (np.asarray(x, dtype=np.complex128).ravel()
+            for x in (inside, outside))
     if not a.size:
         raise RootOnContour(0.0, np.inf)
-    f0, f1 = field_sum(u, a), field_sum(v, a)
-    margin = ROUNDING * (a.size + 2) * np.finfo(float).eps
-    winding = 0.0
-    for _ in range(_MAX_HALVINGS + 1):
-        w = 0.5 * (u + v)
-        if on_circle:               # the arc's midpoint: arcs are < pi
-            w = c.center + c.radius * np.exp(1j * np.angle(w - c.center))
-        rho = np.maximum(np.abs(u - w), np.abs(v - w))
-        fw, sw, d = field_modulus_nearest(w, a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (rho < d) & (rho * sw / (d - rho) + margin * sw < np.abs(fw))
-        winding += float(np.angle(f1[ok] * np.conj(f0[ok])).sum())
-        bad = ~ok
-        if not bad.any():
-            break
-        u, v = (np.concatenate([u[bad], w[bad]]),
-                np.concatenate([w[bad], v[bad]]))
-        f0, f1 = (np.concatenate([f0[bad], fw[bad]]),
-                  np.concatenate([fw[bad], f1[bad]]))
-    else:
-        raise RootOnContour(0.0, float(rho[bad].max()))
-    return int(round(winding / (2 * np.pi)))
+    winding, margin, rouche = np.zeros(2), np.inf, True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = np.concatenate([u, v])
+        fq = field_sum(ends, a)     # rows F_p, F_q at the ends
+        f0, f1 = np.split(np.stack([fq + field_sum(ends, b), fq]), 2, axis=1)
+        for _ in range(_MAX_HALVINGS + 1):
+            w = 0.5 * (u + v)
+            rho = np.maximum(np.abs(u - w), np.abs(v - w))
+            fq, sq, dq = field_modulus_nearest(w, a)
+            fr, sr, dr = field_modulus_nearest(w, b)
+            mq, mr = np.abs(fq), np.abs(fr)
+            eq = _excess(rho, sq, dq, a.size)
+            e = eq + _excess(rho, sr, dr, b.size)
+            low = mq - mr - e
+            rouche = rouche and not np.any(mq <= mr)
+            fw = np.stack([fq + fr, fq])
+            ok = low > 0 if rouche else (e < np.abs(fw[0])) & (eq < mq)
+            margin = min(margin, np.min(low[ok], initial=np.inf))
+            winding += np.angle(f1[:, ok] * np.conj(f0[:, ok])).sum(axis=1)
+            bad = ~ok
+            if not bad.any():
+                break
+            u, v = (np.concatenate([u[bad], w[bad]]),
+                    np.concatenate([w[bad], v[bad]]))
+            f0, f1 = (np.concatenate([f0[:, bad], fw[:, bad]], axis=1),
+                      np.concatenate([fw[:, bad], f1[:, bad]], axis=1))
+        else:
+            raise RootOnContour(0.0, float(rho[bad].max()))
+    wp, wq = np.round(winding / (2 * np.pi)).astype(int).tolist()
+    return wp, wq, float(margin)

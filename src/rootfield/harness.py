@@ -356,7 +356,7 @@ def _delta(obj) -> DeltaReport:
 _COMPONENT_READERS = {
     "component": read_int, "touches_K": _bool, "escapes_Keps": _bool,
     "r_roots_inside": read_int, "crit_points_inside": read_int,
-    # a margin sampled on a root is inf or nan, which json writes
+    # a failed pass leaves the margin -inf, which json writes
     "rouche_margin": lambda v: float(_exactly(float, int)(v)),
     "qprime_roots_enclosed": read_int, "r_roots_enclosed": read_int,
     "absorbed": read_ints, "count_error": _exactly(str, type(None))}

@@ -25,6 +25,7 @@ ROOT_TOL = 1e-10          # |p'/p| <= ROOT_TOL * its rounding majorant
 SINGULAR_GUARD = 1e-12    # minimum distance from a pole for evaluation
 _STEP_TOL = 1e-14
 _MAX_ITERS = 500
+_MERGE_ULPS = 4.0         # roots this many ulps apart are one root
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,8 @@ def critical_points(p) -> np.ndarray:
     sorted by (real, imag).
 
     A root of multiplicity k is returned k-1 times and the other critical
-    points are solved on the root sum p'/p (`_field_zeros`).  Coefficients
+    points are solved on the root sum p'/p (`_field_zeros`).  Roots a few
+    ulps apart count as one repeated root (`_merge_close`).  Coefficients
     are never solved: a Polynomial without its roots raises ValueError.
     Raises NoConvergence.
     """
@@ -301,11 +303,27 @@ def critical_points(p) -> np.ndarray:
             raise ValueError("critical points are solved from the roots: "
                              "build the polynomial with from_roots")
         p = p.roots
-    a, m = np.unique(_root_array(p), return_counts=True)
+    a, m = _merge_close(*np.unique(_root_array(p), return_counts=True))
     w = np.repeat(a, m - 1)
     if a.size > 1:
         w = np.concatenate([w, _field_zeros(a, m.astype(float))])
     return w[np.lexsort((w.imag, w.real))]
+
+
+def _merge_close(a: np.ndarray, m: np.ndarray):
+    """(roots, multiplicities) with each root of a within _MERGE_ULPS ulps
+    of the modulus of an earlier kept root folded into it, multiplicities
+    summed; a is sorted by real part, as np.unique sorts it.  The root
+    sum cannot resolve the zero of p' between such roots in doubles."""
+    tol = _MERGE_ULPS * np.finfo(float).eps * np.abs(a)
+    last = np.searchsorted(a.real, a.real + tol, side="right")
+    keep, m = np.ones(a.size, dtype=bool), m.copy()
+    for i in np.flatnonzero(last > np.arange(a.size) + 1):
+        j = np.arange(i + 1, last[i])
+        j = j[keep[i] & keep[j] & (np.abs(a[j] - a[i]) <= tol[i])]
+        keep[j] = False
+        m[i] += m[j].sum()
+    return (a, m) if keep.all() else (a[keep], m[keep])
 
 
 def _field_zeros(a: np.ndarray, m: np.ndarray) -> np.ndarray:

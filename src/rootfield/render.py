@@ -87,24 +87,19 @@ def _domain_layers(frame, K, epsilon):
 
 
 def _component_rects(frame, mask: regions.RegionMask):
-    """One rect per run of equal labels in a row, rows bottom-up; only the
-    window of the labeled cells is scanned."""
+    """One rect per row run of labeled cells, rows bottom-up; only the
+    window of the labeled cells is scanned.  Cells side by side in a row
+    are 4-connected, so a run holds one label."""
     out = ['<g shape-rendering="crispEdges">']
     rows, cols = mask.window_of(range(mask.n_components))
     labels = mask.labels[rows, cols]
     h = mask.cell_size
-    ny, nx = labels.shape
     x0, _, y0, _ = mask.bbox
-    padded = np.full((ny, nx + 2), -1, dtype=labels.dtype)
-    padded[:, 1:-1] = labels
-    # row-major change points; a labelled run ends at the next one, which
-    # lies in the same row because the -1 pad closes every row
-    ii, kk = np.nonzero(padded[:, 1:] != padded[:, :-1])
-    start = np.flatnonzero(padded[ii, kk + 1] >= 0)
-    for i, j, k, lab in zip((ii[start] + rows.start).tolist(),
-                            (kk[start] + cols.start).tolist(),
-                            (kk[start + 1] + cols.start).tolist(),
-                            labels[ii[start], kk[start]].tolist()):
+    ii, start, stop = regions._runs(labels >= 0)
+    for i, j, k, lab in zip((ii + rows.start).tolist(),
+                            (start + cols.start).tolist(),
+                            (stop + cols.start).tolist(),
+                            labels[ii, start].tolist()):
         out.append(
             f'<rect x="{frame.x(x0 + j * h)}" '
             f'y="{frame.y(y0 + (i + 1) * h)}" '

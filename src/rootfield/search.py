@@ -9,10 +9,10 @@ point can never beat the torus ceiling.
 
 The search runs on numpy alone.  `_nelder_mead` takes the iterates of
 scipy 1.17's Nelder-Mead step for step, so a search gives the same bits
-with or without scipy installed.  `_Objective` builds the curve points,
-the segment tables and a charges x points buffer once per search; each
-call adds the buffer's rows in numpy's pairwise order, so its field
-values are `kernels.field_sum`'s bit for bit.
+with or without scipy installed.  `_Objective` builds the curve points
+and a charges x points buffer once per search, and the curve holds its
+segment table; each call adds the buffer's rows in numpy's pairwise
+order, so its field values are `kernels.field_sum`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -102,31 +102,19 @@ class _Objective:
     what is fixed for a search built once.
 
     Called on the 2m real coordinates (real parts first) and the penalty
-    scale.  The clearance repeats `Curve.nearest_points` operation for
-    operation, and the field `kernels.field_sum`: the differences p - z
+    scale.  The field repeats `kernels.field_sum`: the differences p - z
     of points and charges fill a charges x points table, are inverted in
-    place and their rows summed by `_sum_rows`, so both give the same
+    place and their rows summed by `_sum_rows`, so it gives the same
     bits.
     """
 
     def __init__(self, cfg: SearchConfig):
         self.m = cfg.m
         self.margin = cfg.exclusion_margin
+        self.curve = cfg.curve
         self.points = _search_points(cfg)
-        v = cfg.curve.vertices
-        self._start = v[:-1][:, None]
-        self._dir = np.diff(v)[:, None]
-        self._dir_conj = np.conj(self._dir)
-        self._dir_sq = np.abs(self._dir) ** 2
         self._table = np.empty((cfg.m, self.points.size),
                                dtype=np.complex128)
-
-    def clearance(self, z: np.ndarray) -> float:
-        """Smallest distance from the charges z to the curve."""
-        frac = np.clip(((z - self._start) * self._dir_conj).real
-                       / self._dir_sq, 0.0, 1.0)
-        near = self._start + frac * self._dir
-        return float(np.abs(z - near).min())
 
     def field(self, z: np.ndarray) -> np.ndarray:
         """sum_k 1/(p - z_k) at the search points p, for charges off the
@@ -138,7 +126,7 @@ class _Objective:
 
     def __call__(self, x: np.ndarray, scale_ref: float) -> float:
         z = x[:self.m] + 1j * x[self.m:]
-        clearance = self.clearance(z)
+        clearance = self.curve.clearance(z)
         viol = max(0.0, self.margin - clearance)
         if clearance < SINGULAR_GUARD:
             # a charge sits on the curve; keep the penalty finite
@@ -160,7 +148,7 @@ def _shell_init(cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
     cum = cfg.curve._cum
     k = np.clip(np.searchsorted(cum, ts * cum[-1], side="right") - 1,
                 0, cfg.curve.vertices.size - 2)
-    seg = np.diff(cfg.curve.vertices)[k]
+    seg = cfg.curve._dir[k, 0]
     normal = 1j * seg / np.abs(seg)
     side = rng.choice([-1.0, 1.0], size=cfg.m)
     dist = cfg.exclusion_margin * (1.0 + rng.uniform(size=cfg.m))
@@ -179,7 +167,7 @@ def _project_to_margin(curve: Curve, charges: np.ndarray,
     k = np.argmin(dist, axis=0)            # first segment on ties
     cols = np.arange(charges.size)
     near, dist = near[k, cols], dist[k, cols]
-    d = np.diff(curve.vertices)[k]
+    d = curve._dir[k, 0]
     normal = 1j * d / np.hypot(d.real, d.imag)   # hypot: as the scalar abs
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(dist < SINGULAR_GUARD, normal, (charges - near) / dist)

@@ -2,37 +2,47 @@
 
 The membership oracle is the known root list of from_roots polynomials,
 and for counts of p' zeros the solved critical points; Rouché margins
-(`regions._rouche_margin`, min |q'/q| - |r'/r|) are cross-validated by
-counting the zeros of p' = q'r + qr' against those of q' and r.
+(`contours.rouche_pass`, a lower bound on |q'/q| - |r'/r|) are checked
+against dense samples and cross-validated by counting the zeros of
+p' = q'r + qr' against those of q' and r.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rootfield import contours, geometry, harness, poly, regions
 from rootfield.errors import ImpossibleCount, NonIntegerWinding, RootOnContour
+from rootfield.kernels import field_sum
 
 CUBE_ROOTS_OF_UNITY = poly.Polynomial([-1.0, 0.0, 0.0, 1.0])
 
 
-# the square |x|, |y| <= 1 as (k, 2) rows of its edges, counterclockwise
-_CORNERS = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
-SQUARE = np.stack([_CORNERS, np.roll(_CORNERS, -1)], axis=1)
+def _edges(corners):
+    """The closed polygon through corners as (k, 2) rows of its edges."""
+    return np.stack([corners, np.roll(corners, -1)], axis=1)
+
+
+def _gon(center, radius, k=256):
+    """The regular k-gon inscribed in a circle, one vertex at angle 0, as
+    (k, 2) rows of its edges, counterclockwise; it lies within
+    radius * pi^2 / (2 k^2) of the circle."""
+    return _edges(center + radius * np.exp(2j * np.pi * np.arange(k) / k))
+
+
+# the square |x|, |y| <= 1, counterclockwise
+SQUARE = _edges(np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j]))
 
 
 def _inside(roots, c):
-    """Roots strictly inside the circle c or the square |x|, |y| < 1."""
-    a = np.asarray(roots, dtype=complex)
-    if isinstance(c, contours.Contour):
-        return int(np.count_nonzero(np.abs(a - c.center) < c.radius))
-    assert c is SQUARE
-    return int(np.count_nonzero(np.maximum(np.abs(a.real), np.abs(a.imag))
-                                < 1.0))
+    """Points of roots in the convex polygon of the segments c."""
+    K = geometry.ConvexDomain("polygon", vertices=c[:, 0])
+    return int(np.count_nonzero(geometry.contains(K, np.asarray(roots))))
 
 
 def _critical_count(roots, c):
     """Zeros of p' inside c: the roots inside plus the winding of p'/p."""
-    return _inside(roots, c) + contours.field_winding(roots, c)
+    return _inside(roots, c) + contours.rouche_pass(roots, [], c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +62,7 @@ def test_degenerate_contours_rejected():
     for open_set in ([(0, 1.0)], [(0, 1.0), (1.0, 1j), (1j, 0.5)],
                      np.zeros((0, 2))):
         with pytest.raises(ValueError):
-            contours.field_winding([0.5], open_set)
+            contours.rouche_pass([0.5], [], open_set)
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +203,15 @@ def test_critical_counts_match_solved_critical_points():
         roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
         crit = poly.critical_points(poly.from_roots(roots))
         if seed % 2:
-            c = contours.circle(0.0, 1.2)
-            inside = np.abs(crit) < 1.2
+            c = _gon(0.0, 1.2)
             gap = np.abs(np.abs(crit) - 1.2)
         else:
             c = SQUARE
-            inside = np.maximum(np.abs(crit.real), np.abs(crit.imag)) < 1.0
             gap = np.abs(np.maximum(np.abs(crit.real), np.abs(crit.imag))
                          - 1.0)
         if gap.min() <= 0.05:
             continue
-        assert _critical_count(roots, c) == int(inside.sum())
+        assert _critical_count(roots, c) == _inside(crit, c)
         tried += 1
         if tried >= 200:
             break
@@ -216,23 +224,28 @@ def test_n500_critical_counts_from_the_roots(seed):
     roots = _harness_roots(seed)
     crit = poly.critical_points(poly.from_roots(roots))
     for radius in (1.25, 1.5):
-        c = contours.circle(0.0, radius)
-        assert int(np.sum(np.abs(crit) < radius)) == 499
+        c = _gon(0.0, radius)
+        assert _inside(crit, c) == 499
         assert _critical_count(roots, c) == 499
 
 
 def test_critical_count_edge_cases():
-    c = contours.circle(0.0, 1.0)
+    c = _gon(0.0, 1.0)
     # p of degree one has p' = 1
     assert _critical_count([0.5], c) == 0
     # a double root of p is a zero of p'
     assert _critical_count([0.2, 0.2, 3.0], c) == 1
-    # p' of z(z - 2) vanishes at 1, on the circle
+    # p' of z(z - 2) vanishes at 1, a vertex of the polygon
     with pytest.raises(RootOnContour):
-        contours.field_winding([0.0, 2.0], contours.circle(0.0, 1.0))
+        contours.rouche_pass([0.0, 2.0], [], c)
+    # ... the same p split as q = z, r = z - 2
+    with pytest.raises(RootOnContour):
+        contours.rouche_pass([0.0], [2.0], c)
     # a root of p on a segment: F has a pole there
     with pytest.raises(RootOnContour):
-        contours.field_winding([1.0, 3.0 + 3j], SQUARE)
+        contours.rouche_pass([1.0, 3.0 + 3j], [], SQUARE)
+    with pytest.raises(RootOnContour):
+        contours.rouche_pass([3.0 + 3j], [1.0], SQUARE)
 
 
 def test_critical_count_certifies_a_zero_near_the_contour():
@@ -245,18 +258,19 @@ def test_critical_count_certifies_a_zero_near_the_contour():
     crit = poly.critical_points(roots)
     assert np.abs(np.abs(crit) - 1.2).min() == pytest.approx(0.0107,
                                                              abs=1e-4)
-    c = contours.circle(0.0, 1.2)
-    assert _critical_count(roots, c) == int(np.sum(np.abs(crit) < 1.2))
+    c = _gon(0.0, 1.2)
+    assert _critical_count(roots, c) == _inside(crit, c)
 
 
 def test_critical_count_without_roots_raises_at_once(monkeypatch):
-    # p = 1 has p' = 0: F = 0 certifies no piece, so halving never ends
+    # q = 1 has q' = 0: F_q = 0 certifies no piece, so halving never ends
     calls = []
     monkeypatch.setattr(contours, "field_modulus_nearest",
                         lambda *args: calls.append(args))
-    for c in (contours.circle(0.0, 1.0), SQUARE):
-        with pytest.raises(RootOnContour):
-            contours.field_winding([], c)
+    for c in (_gon(0.0, 1.0), SQUARE):
+        for outside in ([], [0.5]):
+            with pytest.raises(RootOnContour):
+                contours.rouche_pass([], outside, c)
     assert calls == []
 
 
@@ -265,24 +279,25 @@ def test_critical_count_without_roots_raises_at_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _margin(inside, outside, c):
-    return regions._rouche_margin(poly.RootSplit(inside, outside),
-                                  contours._circle_samples(c))
+    return contours.rouche_pass(inside, outside, c)[2]
 
 
 def test_z_squared_dominates_one_on_radius_two():
-    # q = z^2, r = 1: |q'/q| = 2/|z| = 1 on |z| = 2
-    margin = _margin([0.0, 0.0], [], contours.circle(0, 2.0))
-    assert margin == pytest.approx(1.0, rel=1e-12)
+    # q = z^2, r = 1: |q'/q| = 2/|z| >= 1 on the polygon inside |z| = 2,
+    # with equality at its vertices
+    margin = _margin([0.0, 0.0], [], _gon(0, 2.0))
+    assert 0.0 < margin <= 1.0
 
 
 def test_z_does_not_dominate_z_squared():
-    # q = z, r = z^2: |q'/q| - |r'/r| = 1/2 - 1 on |z| = 2
-    margin = _margin([0.0], [0.0, 0.0], contours.circle(0, 2.0))
-    assert margin == pytest.approx(-0.5, rel=1e-12)
+    # q = z, r = z^2: |q'/q| - |r'/r| = -1/|z| on the polygon
+    margin = _margin([0.0], [0.0, 0.0], _gon(0, 2.0))
+    assert margin < -0.5
 
 
 def test_equal_magnitudes_yield_zero_margin():
-    assert _margin([0.0], [0.0], contours.circle(0, 1.0)) == 0.0
+    # |q'/q| = |r'/r| everywhere: no positive bound exists
+    assert _margin([0.0], [0.0], _gon(0, 1.0)) <= 0.0
 
 
 def test_dominance_implies_equal_counts():
@@ -294,21 +309,22 @@ def test_dominance_implies_equal_counts():
         fr = rng.normal(size=8) + 1j * rng.normal(size=8)
         gr = 3.0 * np.exp(2j * np.pi * rng.uniform(size=2)) \
             * rng.uniform(0.8, 1.6, size=2)
-        split = poly.RootSplit(fr, gr)
         roots = np.concatenate([fr, gr])
         crit = poly.critical_points(poly.from_roots(roots))
-        c = contours.circle(0, 2.5)
+        c, circle = _gon(0, 2.5), contours.circle(0, 2.5)
         if np.min(np.abs(np.abs(np.concatenate([roots, crit])) - 2.5)) \
                 < 0.08:
             continue
-        if not regions._rouche_margin(split,
-                                      contours._circle_samples(c)) > 0:
+        winding, q_winding, margin = contours.rouche_pass(fr, gr, c)
+        assert _inside(roots, c) + winding == _inside(crit, c)
+        if not margin > 0:
             continue
         used += 1
-        q = poly.from_roots(fr)
-        want = contours.count_roots_in(poly.derivative(q), c) \
-            + contours.count_roots_in(poly.from_roots(gr), c)
-        assert _critical_count(roots, c) == want
+        q_zeros = contours.count_roots_in(
+            poly.derivative(poly.from_roots(fr)), circle)
+        assert _inside(fr, c) + q_winding == q_zeros
+        assert _critical_count(roots, c) \
+            == q_zeros + contours.count_roots_in(poly.from_roots(gr), circle)
     assert used >= 30
 
 
@@ -316,6 +332,42 @@ def test_margin_survives_high_degree_scales():
     # |q| ~ 2^900 on this contour; the margin never forms it
     rng = np.random.default_rng(9)
     roots = rng.normal(size=300) * 0.3 + 1j * rng.normal(size=300) * 0.3
-    margin = _margin(roots, [20.0, -20.0j], contours.circle(0, 8.0))
+    margin = _margin(roots, [20.0, -20.0j], _gon(0, 8.0))
     assert np.isfinite(margin)
     assert margin > 0
+
+
+def _dense(segments, per_cell, h):
+    """per_cell samples per length h along each segment, ends included."""
+    return np.concatenate([
+        a + np.linspace(0.0, 1.0, int(round(abs(b - a) / h)) * per_cell + 1)
+        * (b - a) for a, b in segments])
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_margin_never_exceeds_a_dense_sample(seed):
+    # a random moat: a cell set's boundary, holes included, with roots
+    # scattered over and around it; the certified margin is a lower bound
+    # on |q'/q| - |r'/r| along the boundary, so no sample lies below it
+    rng = np.random.default_rng(seed)
+    ny, nx = rng.integers(1, 7, size=2)
+    cells = rng.uniform(size=(ny, nx)) < rng.uniform(0.3, 1.0)
+    assume(cells.any())
+    h = 0.25
+    segments = regions._boundary_segments(cells) * h
+    span = (nx + 1j * ny) * h
+
+    def scatter(k, pad):
+        return (rng.uniform(-pad, 1 + pad, k) * span.real
+                + 1j * rng.uniform(-pad, 1 + pad, k) * span.imag)
+
+    inside = scatter(int(rng.integers(1, 9)), 0.2)
+    outside = scatter(int(rng.integers(0, 4)), 1.0)
+    try:
+        margin = _margin(inside, outside, segments)
+    except RootOnContour:
+        assume(False)
+    z = _dense(segments, 64, h)
+    sampled = np.abs(field_sum(z, inside)) - np.abs(field_sum(z, outside))
+    assert margin <= sampled.min()

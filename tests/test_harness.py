@@ -359,8 +359,9 @@ def test_report_components_round_trip_and_reject_other_keys():
         obj["deltas"][0]["components"][0] = bad
         with pytest.raises(ConfigError):
             harness.TheoremReport.from_json(obj)
-    # a margin sampled on a root is inf or nan; json writes and reads both
-    for margin in (float("inf"), float("nan"), 2):
+    # a failed pass leaves the margin -inf, and a margin once sampled on a
+    # root was inf or nan; json writes and reads each
+    for margin in (-float("inf"), float("inf"), float("nan"), 2):
         obj["deltas"][0]["components"][0] = {**comp, "rouche_margin": margin}
         got = harness.TheoremReport.from_json(json.loads(json.dumps(obj)))
         read = got.deltas[0].components[0].rouche_margin

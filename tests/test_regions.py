@@ -10,7 +10,8 @@ from scipy import ndimage
 
 from rootfield import geometry as geo
 from rootfield import contours, harness, poly, regions
-from rootfield.errors import GrowBBox, SingularCell, SingularPoint
+from rootfield.errors import (GrowBBox, RootOnContour, SingularCell,
+                              SingularPoint)
 
 RES = 200.0
 DELTAS = (1e-4, 1e-3, 1e-2)
@@ -653,32 +654,6 @@ def test_census_masks_hold_only_their_labels():
     assert (peak - base) / (cells * len(deltas)) < 8.0
 
 
-def _segment_runs(segments, refinement):
-    """The per-segment sampling that _sample_segments vectorizes."""
-    chunks = []
-    for a, b in segments:
-        n = max(1, int(np.ceil(abs(b - a) * refinement)))
-        chunks.append(a + np.arange(n + 1) / n * (b - a))
-    return np.concatenate(chunks)
-
-
-def test_sample_polyline_is_the_segment_loop_bit_for_bit():
-    split, res = _census_instance(4)
-    mask = regions.build_mask(split, 1e-3, CENSUS_BOX, res)
-    sets = [(_moat_of(mask, cid, split.critical)[0],
-             regions._REFINE_FACTOR * res)
-            for cid in range(mask.n_components)]
-    rng = np.random.default_rng(3)
-    for k in range(20):
-        s = rng.normal(size=(k + 3, 2)) + 1j * rng.normal(size=(k + 3, 2))
-        s[rng.uniform(size=s.shape) < 0.2] = 0.0     # zeros and repeats
-        sets.append((s, float(rng.uniform(1.0, 100.0))))
-    for s, refinement in sets:
-        got = regions._sample_segments(s, refinement)
-        want = _segment_runs(s, refinement)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 def test_qprime_counts_match_solved_zeros_in_the_moat():
     # the census counts q' zeros from the roots of q; the solved zeros of
     # q' whose cells lie in the moat are the independent reference
@@ -761,10 +736,12 @@ def test_moat_keeps_protected_points_off_the_boundary():
     for cid in range(mask.n_components):
         segments, cells, _, absorbed, err = _moat_of(mask, cid, crit)
         assert err is None
-        density = regions._REFINE_FACTOR * mask.resolution
-        samples = regions._sample_segments(segments, density)
+        # a protected point's cell and its 8 neighbours lie on one side of
+        # the boundary, so the point is a cell width or more from it
+        a, d = segments[:, 0], segments[:, 1] - segments[:, 0]
         for w in crit:
-            assert np.abs(samples - w).min() > 1.0 / density
+            t = np.clip(((w - a) * np.conj(d)).real / np.abs(d) ** 2, 0, 1)
+            assert np.abs(w - (a + t * d)).min() >= mask.cell_size * 0.999
 
 
 def _unit_edges(cells):
@@ -801,15 +778,10 @@ def test_boundary_segments_of_random_cell_sets():
         assert _shoelace(seg) == cells.sum()
         # every vertex starts as many segments as it ends
         assert np.array_equal(np.sort(a), np.sort(b))
-        # the segments are the boundary edges, merged ...
-        step = (b - a) / np.abs(b - a)
-        unit = [(z.real, z.imag, z.real + u.real, z.imag + u.imag)
-                for s, u, n in zip(a, step, np.abs(b - a).astype(int))
-                for z in s + np.arange(n) * u]
-        assert sorted(unit) == _unit_edges(cells)
-        # ... into maximal runs: no segment continues straight into another
-        starts = set(zip(a.tolist(), step.tolist()))
-        assert not any(e in starts for e in zip(b.tolist(), step.tolist()))
+        # the segments are the boundary edges, one per cell side
+        assert np.all(np.abs(b - a) == 1.0)
+        assert sorted(zip(a.real.tolist(), a.imag.tolist(), b.real.tolist(),
+                          b.imag.tolist())) == _unit_edges(cells)
 
 
 def _ring_mask(res=10.0):
@@ -837,7 +809,7 @@ def test_ring_moat_with_a_hole_counts_only_the_ring():
         # p = (z - zero)^2 has its one critical point at zero: the two
         # roots in the moat plus the winding of p'/p
         assert regions._count_on(cells, win, _cells(mask, [zero, zero])) \
-            + contours.field_winding([zero, zero], segments) == want
+            + contours.rouche_pass([zero, zero], [], segments)[0] == want
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +830,54 @@ def test_worked_example_census():
         assert rep.rouche_margin > 0.0
         assert rep.crit_points_inside == (rep.qprime_roots_enclosed
                                           + rep.r_roots_enclosed)
+
+
+def test_classify_makes_one_pass_per_component(monkeypatch):
+    # both windings and the margin of a moat come from one certified pass
+    calls, real = [], regions.rouche_pass
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(regions, "rouche_pass", spy)
+    for mask in _masks():
+        calls.clear()
+        reports = regions.classify_components(mask, SPLIT, K, EPS)
+        assert len(calls) == len(reports) == mask.n_components > 0
+        for (inside, outside, _), rep in zip(calls, reports):
+            assert inside is SPLIT.inside and outside is SPLIT.outside
+            assert rep.rouche_margin > 0.0
+
+
+def test_a_failed_pass_leaves_no_count_and_no_margin(monkeypatch):
+    # a pass that raises flags the component: both counts 0, margin -inf
+    def fail(*args):
+        raise RootOnContour(0.0, 1e-9)
+
+    monkeypatch.setattr(regions, "rouche_pass", fail)
+    reports = regions.classify_components(_masks()[1], SPLIT, K, EPS)
+    assert reports
+    for rep in reports:
+        assert rep.count_error.startswith("RootOnContour")
+        assert rep.crit_points_inside == rep.qprime_roots_enclosed == 0
+        assert rep.rouche_margin == -np.inf
+
+
+def test_a_stalled_moat_keeps_the_q_count_and_the_margin(monkeypatch):
+    # a moat that stopped growing may hold roots of p' on its boundary, so
+    # its p' count is 0; the pass still gives the q' count and the margin
+    mask = _masks()[1]
+    want = regions.classify_components(mask, SPLIT, K, EPS)
+    real = regions._moat
+    monkeypatch.setattr(regions, "_moat",
+                        lambda *args: real(*args)[:3] + ("stalled",))
+    got = regions.classify_components(mask, SPLIT, K, EPS)
+    assert len(got) == len(want) > 0
+    for rep, ref in zip(got, want):
+        assert rep.count_error == "stalled" and rep.crit_points_inside == 0
+        assert rep.qprime_roots_enclosed == ref.qprime_roots_enclosed
+        assert rep.rouche_margin == ref.rouche_margin > 0.0
 
 
 def test_census_random_small_instances():

@@ -132,22 +132,22 @@ def _component_rects_by_cell(frame, mask):
 def test_component_rects_match_the_cell_walk(seed):
     rng = np.random.default_rng(seed)
     ny, nx = (int(v) for v in rng.integers(1, 40, size=2))
-    # short runs of labels -1 .. 2*len(_PALETTE): adjacent runs of
-    # different labels, and labels past the palette
-    runs = rng.integers(-1, 2 * len(render._PALETTE), size=ny * nx)
+    # short runs of cells in and out of the set: many components, and
+    # labels past the palette
+    runs = rng.uniform(size=ny * nx) < 0.5
     lengths = rng.integers(1, 6, size=ny * nx)
-    labels = np.repeat(runs, lengths)[:ny * nx].reshape(ny, nx)
-    labels[rng.integers(ny), :] = int(rng.integers(0, 20))  # a whole row
-    labels[:, 0][rng.uniform(size=ny) < 0.5] = 7    # runs at both ends
-    labels[:, -1][rng.uniform(size=ny) < 0.5] = 7
+    cells = np.repeat(runs, lengths)[:ny * nx].reshape(ny, nx)
+    cells[rng.integers(ny), :] = True                 # a whole row
+    cells[:, 0][rng.uniform(size=ny) < 0.5] = True    # runs at both ends
+    cells[:, -1][rng.uniform(size=ny) < 0.5] = True
     # an unlabeled margin, so the scanned window sits inside the grid
-    labels = np.pad(labels, rng.integers(0, 5, size=(2, 2)),
-                    constant_values=-1)
-    ny, nx = labels.shape
+    cells = np.pad(cells, rng.integers(0, 5, size=(2, 2)))
+    ny, nx = cells.shape
     bbox = (-1.5, -1.5 + nx / 10.0, 0.25, 0.25 + ny / 10.0)
-    # dense ids, as build_masks numbers components
-    present = np.unique(labels[labels >= 0])
-    labels = np.where(labels >= 0, np.searchsorted(present, labels), -1)
+    # 4-connected components with ids in raster order, as build_masks
+    # numbers them: cells side by side in a row share a label
+    labels = ndimage.label(cells, ndimage.generate_binary_structure(2, 1)
+                           )[0] - 1
     mask = regions.RegionMask(bbox, 10.0, 1e-2, labels.astype(np.int32),
                               tuple(ndimage.find_objects(labels + 1)))
     frame = render._Frame(bbox)
