@@ -4,10 +4,10 @@ Curve minima of the complex field and modulus-sum potentials (the
 `kernels` reductions), certified by a branch-and-bound bracket, the
 truncated torus kernel, and the constructive search for a certified
 low-potential point on the torus and on a curve.
-Both searches prune with one bound (Piyavskii 1972, Shubert 1972): within
-rho of a point at distance d from its nearest charge, every distance to a
-charge changes by at most rho, so the potentials cannot fall below values
-computed from that point alone.
+Both searches prune with bounds from one point (Piyavskii 1972, Shubert
+1972): within rho of it a field moves by at most `kernels.ball_bound`, and
+each modulus-sum term stays at least 1/(d_k + rho), which the torus scan
+sums and `curve_min` bounds by S/(1 + rho/d), above the ball bound's.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, SearchExhausted, SingularCurve
-from .kernels import ROUNDING, field_modulus_nearest, modulus_sum
+from .kernels import (ROUNDING, ball_bound, field_modulus_nearest,
+                      modulus_sum)
 from .poly import SINGULAR_GUARD
 
 MIN_SAMPLES = 10_000      # curve_min budget floor, in points per pass
@@ -153,11 +154,11 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
     below best * (1 - BRACKET_REL_TOL) is halved at a new node, until
     none is left, so the true minimum lies in
     [value * (1 - BRACKET_REL_TOL), value].  An interval of width h lies
-    within rho = length * h / 2 of one of its end nodes, and from a node
-    with modulus sum S, field F and nearest charge at d, with t = rho/d,
-    every point within rho has modulus sum >= S/(1+t) and field modulus
-    >= |F| - t*S/(1-t); both bounds give up an (m + 2) eps rounding
-    margin.  `samples` sets the budget, (1 + CERT_FACTOR) * samples * m
+    within rho = length * h / 2 of one of its end nodes; from a node with
+    modulus sum S, field F and nearest charge at d, points within rho have
+    modulus sum >= S/(1 + rho/d), less an (m + 2) eps rounding margin, and
+    field modulus >= |F| less `kernels.ball_bound`.
+    `samples` sets the budget, (1 + CERT_FACTOR) * samples * m
     point-charge pairs; when it runs out, or no open interval can be
     halved in floating point, the open bracket [lowest bound, value]
     must lie within CERT_REL_TOL of value, else CertificateError, and
@@ -180,17 +181,15 @@ def curve_min(C: ChargeSet, curve: Curve, mode: str = "modulus",
                          + curve.vertices.size * curve.length)
 
     def evaluate(ts):
-        f, s, d = field_modulus_nearest(curve.point(ts), C.charges)
-        return [ts, s if mode == "modulus" else np.abs(f), s, d]
+        f, s, *rest = field_modulus_nearest(curve.point(ts), C.charges)
+        return [ts, s if mode == "modulus" else np.abs(f), s, *rest]
 
     def lower(node, h):
-        _, v, s, d = node
-        t = (0.5 * (1.0 + 4.0 * eps) * curve.length * h + reach) / d
+        _, v, *terms = node
+        rho = 0.5 * (1.0 + 4.0 * eps) * curve.length * h + reach
         if mode == "modulus":
-            return s / (1.0 + t) * (1.0 - margin)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(t < 1.0, v - (t + margin) * s / (1.0 - t),
-                            -np.inf)
+            return terms[0] / (1.0 + rho / terms[1]) * (1.0 - margin)
+        return v - ball_bound(rho, *terms, C.m)
 
     # the vertices are nodes too: a minimum at a corner is evaluated there
     nodes = evaluate(np.union1d(

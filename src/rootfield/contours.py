@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImpossibleCount, NonIntegerWinding, RootOnContour
-from .kernels import ROUNDING, field_modulus_nearest, field_sum, min_distance
+from .kernels import ball_bound, field_modulus_nearest, field_sum, min_distance
 from .poly import Polynomial, majorant_logmag, phase_logmag
 
 WINDING_TOL = 0.2      # |winding - nearest integer| allowed after refinement
@@ -114,34 +114,26 @@ def count_roots_in(p: Polynomial, c: Contour) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _excess(rho, s, d, k: int):
-    """rho s/(d - rho) >= |F(z) - F(w)| for |z - w| <= rho, plus the
-    rounding of F(w), for F a sum of 1/(z - a) over k sources with
-    modulus sum s and nearest distance d at w; inf unless rho < d."""
-    return (np.where(rho < d, rho * s / (d - rho), np.inf)
-            + ROUNDING * (k + 2) * np.finfo(float).eps * s)
-
-
 def rouche_pass(inside, outside, segments):
     """(winding of p'/p, winding of q'/q, margin) over segments, (k, 2)
     rows (start, end) of directed segments forming closed loops
     (ValueError otherwise), for q and r the products of z - a over the
-    inside and the outside roots a and p = q r.  The zeros of p' (of q') inside are
-    its winding plus the roots of p (of q) inside, holes counting
-    negatively.  margin is a lower bound on |q'/q| - |r'/r| along the
-    segments; where it is positive, p' has as many zeros inside as q'r.
+    inside and the outside roots a and p = q r.  The zeros of p' (of q')
+    inside are its winding plus the roots of p (of q) inside, holes
+    counting negatively.  margin is a lower bound on |q'/q| - |r'/r| along
+    the segments; where it is positive, p' has as many zeros inside as q'r.
 
     On a piece within rho of its midpoint w, F_q = q'/q stays within e_q
-    of F_q(w) and F_r = r'/r within e_r (`_excess` over the inside and
-    the outside roots).  While no midpoint has |F_q| <= |F_r|, a piece is
-    done once gap = |F_q(w)| - |F_r(w)| exceeds e_q + e_r: then neither
-    F_q nor F_p = F_q + F_r vanishes on it or turns by pi/2 from its
-    value at w, so the principal increments between its ends are exact,
-    and gap - e_q - e_r bounds the margin on it.  Afterwards a piece is
-    done once e_q + e_r < |F_p(w)| and e_q < |F_q(w)|.  margin is the
-    least gap - e_q - e_r of the done pieces.  Other pieces are halved;
-    one open after _MAX_HALVINGS halvings (a zero or a pole on or next
-    to the segments) raises RootOnContour, as no inside root does at once.
+    of F_q(w) and F_r = r'/r within e_r, the `kernels.ball_bound` of the
+    inside and of the outside roots.  While no midpoint has |F_q| <=
+    |F_r|, a piece is done once gap = |F_q(w)| - |F_r(w)| exceeds e_q +
+    e_r: then neither F_q nor F_p = F_q + F_r vanishes on it or turns by
+    pi/2 from its value at w, so the principal increments between its ends
+    are exact, and gap - e_q - e_r bounds the margin on it.  Afterwards a
+    piece is done once e_q + e_r < |F_p(w)| and e_q < |F_q(w)|.  margin is
+    the least gap - e_q - e_r of the done pieces.  Other pieces are halved;
+    one open after _MAX_HALVINGS halvings (a zero or a pole on or next to
+    the segments) raises RootOnContour, as no inside root does at once.
     """
     u, v = np.asarray(segments, dtype=np.complex128).reshape(-1, 2).T
     if not u.size or not np.array_equal(np.sort(u), np.sort(v)):
@@ -158,11 +150,11 @@ def rouche_pass(inside, outside, segments):
         for _ in range(_MAX_HALVINGS + 1):
             w = 0.5 * (u + v)
             rho = np.maximum(np.abs(u - w), np.abs(v - w))
-            fq, sq, dq = field_modulus_nearest(w, a)
-            fr, sr, dr = field_modulus_nearest(w, b)
+            fq, *q = field_modulus_nearest(w, a)
+            fr, *r = field_modulus_nearest(w, b)
             mq, mr = np.abs(fq), np.abs(fr)
-            eq = _excess(rho, sq, dq, a.size)
-            e = eq + _excess(rho, sr, dr, b.size)
+            eq = ball_bound(rho, *q, a.size)
+            e = eq + ball_bound(rho, *r, b.size)
             low = mq - mr - e
             rouche = rouche and not np.any(mq <= mr)
             fw = np.stack([fq + fr, fq])

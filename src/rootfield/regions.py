@@ -13,17 +13,17 @@ boundary (`contours.rouche_pass`) gives all three.
 
 The indicator's three terms come from the roots alone: the two field
 sums and 1/|r| = 1/prod |z - b_k| over the outside roots b_k, each one
-`kernels` reduction, so each rounds at order (k + 2) eps for k sources.
+`kernels` reduction.
 
 The grid is filled by a region quadtree of power-of-two squares (Samet,
 ACM Comput. Surv. 1984), not cell by cell.  The top blocks are 32-cell
 squares tiling the grid from its first cell, the last ones reaching past
 its far edges; each level has one side, 32 down to 2, and a block splits
 into four equal quarters, dropping those wholly off the grid.  On a
-block the field sums and 1/|r| are bounded from their values at the
-block's center (interval bounds in the style of Snyder, SIGGRAPH 1992)
-over its whole square, with a margin for the rounding of the values a
-cell-by-cell evaluation would compute.  A block whose bounds fix the sign
+block, g is bounded from the block's center (interval bounds in the style
+of Snyder, SIGGRAPH 1992): each field sum by its `kernels.ball_bound`,
+1/|r| by factors (1 -+ t)^-m, the cells' rounding included
+(`_block_bounds`).  A block whose bounds fix the sign
 of g for every delta is settled: its cells on the grid are marked in
 A_delta or out of it as a whole.  The single cells left are evaluated
 exactly, in float64, and marked by g <= EQUALITY_TOL.  The fill is
@@ -63,8 +63,8 @@ from .contours import rouche_pass
 from .errors import (GrowBBox, InvalidEpsilon, RootOnContour, SingularCell,
                      SingularPoint)
 from .geometry import ConvexDomain, bounding_box, contains, diameter, distance
-from .kernels import (ROUNDING, distance_product, field_modulus_nearest,
-                      field_sum, min_distance)
+from .kernels import (ROUNDING, ball_bound, distance_product,
+                      field_modulus_nearest, field_sum, min_distance)
 from .poly import RootSplit, SINGULAR_GUARD
 
 EQUALITY_TOL = 1e-14   # |g| at or below this counts as inside (closed set)
@@ -387,36 +387,25 @@ def _hull(i0: np.ndarray, j0: np.ndarray, size: int, shape):
 def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
                   rho: np.ndarray):
     """(lo, hi), one row per delta: lo <= g <= hi at every cell center
-    within rho of zc, for g as a dense grid computes it.
-
-    With t = rho/d for d the distance from zc to the nearest root of a
-    set, |1/(z-a) - 1/(zc-a)| <= |z-zc|/(|z-a||zc-a|) moves the field of
-    that set by at most t*S/(1-t), S = sum 1/|zc-a|, and 1/|r| lies within
-    the factors (1 -+ t)^-m of its value at zc.  The margin covers the
-    rounding of the dense value and of the bound itself, ROUNDING times
-    (k + 2) eps for a reduction over k roots: times the modulus sum
-    S/(1-t) for each field sum, and times the upper bound on 1/|r|, a
-    product of m distances.  Blocks with t >= 1 get (-inf, inf).
-    """
-    n, m = split.n, split.m
-    eps = np.finfo(float).eps
+    within rho of zc, for g as a dense grid computes it: each field sum
+    within its `kernels.ball_bound`, and 1/|r| within the factors
+    (1 -+ t)^-m of its value at zc, t = rho/d for d the distance to the
+    nearest outside root, with a rounding margin of ROUNDING (m + 2) eps
+    times the upper one.  Bounds reaching a root are infinite or nan and
+    settle nothing."""
+    m = split.m
+    f_in, *a = field_modulus_nearest(zc, split.inside)
+    f_out, *b = field_modulus_nearest(zc, split.outside)
+    e_ab = ball_bound(rho, *a, split.n) + ball_bound(rho, *b, m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f_in, s_in, d_in = field_modulus_nearest(zc, split.inside)
-        f_out, s_out, d_out = field_modulus_nearest(zc, split.outside)
         c = _inverse_r(split, zc)
-        t_in, t_out = rho / d_in, rho / d_out
-        s_in = s_in / (1.0 - t_in)
-        s_out = s_out / (1.0 - t_out)
-        e_ab = t_in * s_in + t_out * s_out
-        c_lo = c * (1.0 + t_out) ** -m
-        c_hi = c * (1.0 - t_out) ** -m
+        t = rho / b[1]
+        c_lo = c * (1.0 + t) ** -m
+        c_hi = c * (1.0 - t) ** -m
+        margin = ROUNDING * (m + 2) * np.finfo(float).eps * deltas * c_hi
         centre = np.abs(f_in) - np.abs(f_out)
-        margin = ROUNDING * eps * ((n + 2) * s_in + e_ab
-                                   + (m + 2) * (s_out + deltas * c_hi))
-        lo = centre - e_ab - deltas * c_hi - margin
-        hi = centre + e_ab - deltas * c_lo + margin
-    valid = (t_in < 1.0) & (t_out < 1.0)
-    return np.where(valid, lo, -np.inf), np.where(valid, hi, np.inf)
+        return (centre - e_ab - deltas * c_hi - margin,
+                centre + e_ab - deltas * c_lo + margin)
 
 
 def _paint(fills, i0: np.ndarray, j0: np.ndarray, size: int,
@@ -542,26 +531,24 @@ def _moat(mask: RegionMask, component: int, protect: np.ndarray):
     Returns (cells on the window, window, absorbed ids, error or None).
     """
     labels = mask.labels
-    ny, nx = mask.shape
     margin = _RING_LIMIT + 2
     win = mask.window_of([component], margin)
     current = labels[win] == component
     absorbed: set[int] = set()
     for _ in range(_RING_LIMIT):
         current |= _dilate(current) & (labels[win] < 0)
-        # a protect cell is safe when it and the 8 surrounding cells are
-        # uniformly inside or uniformly outside the moat
-        trouble = [(i, j) for i, j in protect
-                   if i >= 0 and _straddles(current, win, i, j)]
-        if not trouble:
+        # a protect cell is in trouble when its 3 x 3 block on the window
+        # is partly in the moat; no cell off the window is (see `_on`)
+        trouble = protect[_on(_dilate(current) & _dilate(~current), win,
+                              protect)]
+        if not trouble.size:
             return current, win, tuple(sorted(absorbed)), None
-        # absorb whole neighbouring components that block clean growth
-        for i, j in trouble:
-            i0, i1 = max(0, i - 1), min(ny, i + 2)
-            j0, j1 = max(0, j - 1), min(nx, j + 2)
-            for cid in np.unique(labels[i0:i1, j0:j1]):
-                if cid >= 0 and cid != component:
-                    absorbed.add(int(cid))
+        # absorb the components that block clean growth; a trouble cell is
+        # next to the moat, so its 3 x 3 block on the grid is on the window
+        near = np.zeros(current.shape, dtype=bool)
+        near[trouble[:, 0] - win[0].start, trouble[:, 1] - win[1].start] = True
+        absorbed.update(int(c) for c in np.unique(labels[win][_dilate(near)])
+                        if c >= 0 and c != component)
         # the wider window holds the old one: move the moat onto it
         wider = mask.window_of([component, *absorbed], margin)
         moved = np.zeros(labels[wider].shape, dtype=bool)
@@ -586,22 +573,13 @@ def _dilate(cells: np.ndarray) -> np.ndarray:
     return rows[:-2] | rows[1:-1] | rows[2:]
 
 
-def _straddles(cells: np.ndarray, win, i: int, j: int) -> bool:
-    """Whether grid cell (i, j) and its 8 neighbours are partly inside and
-    partly outside the cell set held on window win.  The set stays two
-    cells clear of the window's edges inside the grid, so the neighbours
-    off the window are outside it."""
-    a, b = i - win[0].start, j - win[1].start
-    block = cells[max(0, a - 1):max(0, a + 2), max(0, b - 1):max(0, b + 2)]
-    return bool(block.any()) and not block.all()
-
-
-def _count_on(cells: np.ndarray, win, ij: np.ndarray) -> int:
-    """How many of the (i, j) rows (-1 rows off-grid, so off the window)
-    fall on the cell set held on window win."""
+def _on(cells: np.ndarray, win, ij: np.ndarray) -> np.ndarray:
+    """Whether each (i, j) row (-1 rows off-grid, so off the window) falls
+    on the cell set held on window win.  A moat stays two cells clear of
+    its window's edges inside the grid, so cells off it are outside."""
     i, j = ij[:, 0] - win[0].start, ij[:, 1] - win[1].start
     on = (i >= 0) & (i < cells.shape[0]) & (j >= 0) & (j < cells.shape[1])
-    return int(np.count_nonzero(cells[i[on], j[on]]))
+    return on & cells[np.where(on, i, 0), np.where(on, j, 0)]
 
 
 def _plane_segments(mask: RegionMask, cells: np.ndarray, win) -> np.ndarray:
@@ -636,11 +614,11 @@ def classify_components(mask: RegionMask, split: RootSplit, K: ConvexDomain,
     reports = []
     for cid, win in enumerate(mask.windows):
         cells, in_k, out_keps = _component_flags(mask, cid, win, K, epsilon)
-        r_inside = _count_on(cells, win, r_cells)
+        r_inside = int(_on(cells, win, r_cells).sum())
         moat, moat_win, absorbed, err = _moat(mask, cid, crit_cells)
         segs = _plane_segments(mask, moat, moat_win)
-        q_enc = _count_on(moat, moat_win, q_cells)
-        r_enc = _count_on(moat, moat_win, r_cells)
+        q_enc = int(_on(moat, moat_win, q_cells).sum())
+        r_enc = int(_on(moat, moat_win, r_cells).sum())
         count = qp_enc = 0
         try:
             winding, q_winding, margin = rouche_pass(split.inside,
