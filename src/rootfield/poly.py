@@ -144,8 +144,8 @@ def derivative(p: Polynomial) -> Polynomial:
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     acc = np.full_like(z, coeffs[-1])
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = acc * z + coeffs[k]
+    for c in coeffs[-2::-1]:
+        np.add(np.multiply(acc, z, out=acc), c, out=acc)
     return acc
 
 
@@ -200,9 +200,13 @@ def majorant_logmag(coeffs, z):
 
     |p(z)| computed in doubles carries absolute error of order
     eps * degree * majorant, so residual certificates must be read
-    against this quantity rather than against max|c_k| alone.
+    against this quantity rather than against max|c_k| alone.  It
+    depends on |z| alone, so it is evaluated once per distinct modulus: a
+    circle's samples have a handful.
     """
-    return phase_logmag(np.abs(coeffs), np.abs(z))[1]
+    az = np.atleast_1d(np.abs(z))
+    moduli, back = np.unique(az, return_inverse=True)
+    return phase_logmag(np.abs(coeffs), moduli)[1][back.reshape(az.shape)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,20 @@ of Snyder, SIGGRAPH 1992): each field sum by its `kernels.ball_bound`,
 (`_block_bounds`).  A block whose bounds fix the sign
 of g for every delta is settled: its cells on the grid are marked in
 A_delta or out of it as a whole.  The single cells left are evaluated
-exactly, in float64, and marked by g <= EQUALITY_TOL.  The fill is
-therefore a boolean grid per delta that holds membership, not values of
-g, and the labels are those of the dense grid, cell for cell.
+exactly, in float64, and marked by g <= EQUALITY_TOL.  The fill holds
+membership, not values of g, and the labels are those of the dense grid,
+cell for cell.
 
-Everything after the fill costs the size of the labeled region, not of
-the grid.  Labeling runs on the window of the cells with g <= EQUALITY_TOL
-(the top blocks the quadtree could not certify positive bound it), with
-the ids a whole-grid labeling would give; every cell outside that window
-is -1 by construction.  The mask stores each component's window, and
-moats, flags and witness paths work inside those windows.
+The fill, the paint and the labels cost the region, not the grid.  Each
+delta's reach window is the hull of the top blocks not certified positive
+for it, and every cell off it has g > EQUALITY_TOL; its fill starts all
+False on that window and only the blocks settled inside A_delta are
+painted.  Labeling runs there too, with the ids a whole-grid labeling
+would give, and the mask holds its labels on the window.  It stores each
+component's window, and moats, flags, witness paths and the figure read
+the labels through those windows, so no theorem run builds a grid-sized
+array.  The whole-grid labels are built only for a caller that reads
+them, on the first read, and then kept (`RegionMask`).
 
 Counts do not run along the raw component staircase: critical points hug
 the zero level of g, so the contour is the boundary of the "moat" instead
@@ -72,27 +76,60 @@ _RING_LIMIT = 6        # moat growth rings before a component count gives up
 _BLOCK = 32            # side, in cells, of the quadtree's top blocks
 
 
-@dataclass(frozen=True)
 class RegionMask:
     """Membership of A_delta and its component labels on a regular cell
     grid; no value of g is kept.
 
-    labels[i, j] is a dense component id for each cell whose center has
-    g <= EQUALITY_TOL, numbered in raster order of each component's first
-    cell, and -1 elsewhere; labeling runs only on the window of those
-    cells, so every cell outside it is -1 by construction.  windows[c] is
-    the (rows, columns) slice pair of component c's bounding box on the
-    grid.  evaluations counts the cells and block centers at which the
-    field terms were evaluated, shared by the masks of one `build_masks`
-    call.
+    The labels are held on a window of the grid, the block of rows and
+    columns whose first cell is origin: a dense component id for each
+    cell whose center has g <= EQUALITY_TOL, numbered in raster order of
+    each component's first cell, and -1 elsewhere.  Every cell off the
+    window is -1 (`build_masks` holds each mask on its reach window), and
+    the package reads the labels through the window (`labels_on`).
+    windows[c] is the (rows, columns) slice pair of component c's
+    bounding box on the grid.  evaluations counts the cells and block
+    centers at which the field terms were evaluated, shared by the masks
+    of one `build_masks` call.
+
+    `labels` is the whole-grid array, built on its first read and kept;
+    the window is then a view of it, so a caller holds one array, not
+    two.  It is kept because a view freed after each read costs more
+    than one held: the benchmark's census check reads it once per mask,
+    and rebuilt per read an in-process census round ran 0.37 s, against
+    0.33 s with whole-grid masks and 0.32 s kept (medians of 5
+    processes, 2-vCPU host).  The time went to page faults in the
+    check's own whole-grid temporaries, about 55,000 a round against
+    4,000 and 8,000.  A mask built from a whole-grid labels array has
+    origin (0, 0).
     """
 
-    bbox: tuple[float, float, float, float]   # xmin, xmax, ymin, ymax
-    resolution: float                         # cells per unit length
-    delta: float
-    labels: np.ndarray
-    windows: tuple[tuple[slice, slice], ...]
-    evaluations: int = 0
+    def __init__(self, bbox, resolution: float, delta: float,
+                 labels: np.ndarray, windows, evaluations: int = 0,
+                 origin: tuple[int, int] = (0, 0), shape=None):
+        self.bbox = bbox                  # xmin, xmax, ymin, ymax
+        self.resolution = resolution      # cells per unit length
+        self.delta = delta
+        self.windows = windows
+        self.evaluations = evaluations
+        self.shape = tuple(labels.shape if shape is None else shape)
+        i0, j0 = (int(v) for v in origin)
+        self._span = (slice(i0, i0 + labels.shape[0]),
+                      slice(j0, j0 + labels.shape[1]))
+        self._window = labels
+        self._grid = None
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The labels of every cell of the grid, built on the first read
+        and kept."""
+        if self._grid is None:
+            if self._window.shape == self.shape:
+                self._grid = self._window
+            else:
+                self._grid = np.full(self.shape, -1, dtype=np.int32)
+                self._grid[self._span] = self._window
+                self._window = self._grid[self._span]
+        return self._grid
 
     @property
     def indicator(self) -> np.ndarray:
@@ -108,9 +145,19 @@ class RegionMask:
     def cell_size(self) -> float:
         return 1.0 / self.resolution
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.labels.shape
+    def labels_on(self, window) -> np.ndarray:
+        """A new array of the labels on window, a (rows, columns) slice
+        pair with bounds on the grid, read through the held window."""
+        (r0, r1), (c0, c1) = ((s.start, s.stop) for s in window)
+        out = np.full((r1 - r0, c1 - c0), -1, dtype=self._window.dtype)
+        rows, cols = self._span
+        i0, i1 = max(r0, rows.start), min(r1, rows.stop)
+        j0, j1 = max(c0, cols.start), min(c1, cols.stop)
+        if i0 < i1 and j0 < j1:
+            out[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = self._window[
+                i0 - rows.start:i1 - rows.start,
+                j0 - cols.start:j1 - cols.start]
+        return out
 
     def window_of(self, ids, margin: int = 0) -> tuple[slice, slice]:
         """The (rows, columns) window holding the components ids, widened
@@ -126,7 +173,7 @@ class RegionMask:
 
     def cell_centers(self, window=(slice(None), slice(None))) -> np.ndarray:
         """Centers of the cells in window, a (rows, columns) slice pair."""
-        ny, nx = self.labels.shape
+        ny, nx = self.shape
         h = self.cell_size
         xs = (self.bbox[0] + (np.arange(nx) + 0.5) * h)[window[1]]
         ys = (self.bbox[2] + (np.arange(ny) + 0.5) * h)[window[0]]
@@ -245,35 +292,44 @@ def build_masks(split: RootSplit, deltas, bbox, resolution: float,
     near = cells[_near_root(split, xs[cells[:, 1]] + 1j * ys[cells[:, 0]])]
 
     masks = []
-    for delta, inside, win in zip(deltas, fills, reach):
-        _patch_singular_cells(split, delta, inside, near, xs, ys, h)
-        _far_field_check(inside, (xmin, xmax, ymin, ymax))
-        labels, windows = _label(inside, win)
+    for delta, inside, (rows, cols) in zip(deltas, fills, reach):
+        # the top block of a cell whose center is within SINGULAR_GUARD
+        # of a root has a lower bound far below zero, or nan, so the cell
+        # is in every reach window
+        _patch_singular_cells(split, delta, inside,
+                              near - [rows.start, cols.start], xs[cols],
+                              ys[rows], h)
+        _far_field_check(inside, (rows, cols), (ny, nx),
+                         (xmin, xmax, ymin, ymax))
+        origin = (rows.start, cols.start)
+        labels, windows = _label(inside, origin)
         masks.append(RegionMask((xmin, xmax, ymin, ymax), float(resolution),
-                                delta, labels, windows, evaluations))
+                                delta, labels, windows, evaluations,
+                                origin, (ny, nx)))
     return masks
 
 
-def _label(inside: np.ndarray, reach):
+def _label(inside: np.ndarray, origin):
     """(labels, windows) of the 4-connected components of the True cells
-    of inside, the cells with g <= EQUALITY_TOL.
+    of inside, the cells with g <= EQUALITY_TOL on a window of the grid
+    whose first cell is origin, a (row, column) pair: int32 labels on
+    the window and the components' windows on the grid.
 
-    Every such cell lies in the window reach, and labeling runs on the
-    row runs of True cells there (`_runs`).  Runs in adjacent rows join
-    when their column intervals overlap, which is 4-connectivity: runs
-    that touch only at a corner stay apart.  A min-label union with
+    Every True cell of the grid lies in the window, and labeling runs on
+    the row runs of True cells there (`_runs`).  Runs in adjacent rows
+    join when their column intervals overlap, which is 4-connectivity:
+    runs that touch only at a corner stay apart.  A min-label union with
     pointer jumping leads every run to the first run of its component.
     The runs come in raster order, so numbering the components by their
     first runs gives the ids of a raster-order labeling of the whole grid
-    (those of `scipy.ndimage.label`).  Cells outside reach are -1 by
-    construction.
+    (those of `scipy.ndimage.label`).
 
     The cost grows with the number of runs, not of cells.  A_delta is a
     level set whose components have few runs per row, so the run count
     grows with their height, not their area.
     """
     labels = np.full(inside.shape, -1, dtype=np.int32)
-    row, start, stop = _runs(inside[reach])
+    row, start, stop = _runs(inside)
     if not row.size:
         return labels, ()
     comp, first = _run_components(row, start, stop)
@@ -283,9 +339,8 @@ def _label(inside: np.ndarray, reach):
     np.minimum.at(c0, comp, start)
     np.maximum.at(c1, comp, stop)
     # the True cells in raster order are the runs' cells, run after run
-    labels[reach][inside[reach]] = np.repeat(comp.astype(np.int32),
-                                             stop - start)
-    i0, j0 = reach[0].start, reach[1].start
+    labels[inside] = np.repeat(comp.astype(np.int32), stop - start)
+    i0, j0 = origin
     windows = tuple((slice(i0 + r0, i0 + r1 + 1), slice(j0 + a0, j0 + a1))
                     for r0, r1, a0, a1 in zip(row[first].tolist(),
                                               last.tolist(), c0.tolist(),
@@ -325,30 +380,33 @@ def _run_components(row, start, stop):
 
 
 def _signed_fill(split: RootSplit, deltas, xs, ys, shape):
-    """(boolean grid of the given shape per delta, True where
-    g <= EQUALITY_TOL; reach window per delta; evaluation count) on the
-    cell centers xs x ys, which run on to whole _BLOCK x _BLOCK top blocks
-    past the grid.
+    """(boolean array per delta on its reach window, True where
+    g <= EQUALITY_TOL; the reach window per delta; evaluation count) on
+    the cell centers xs x ys of a grid of the given shape, which run on
+    to whole _BLOCK x _BLOCK top blocks past the grid.
 
-    A block is its corner (i0, j0); each level has one side, and a
-    block's quarters are equal squares.  A block whose bounds from
+    A delta's reach is the window of the top blocks not certified
+    positive for it, clipped to the grid; its corner sits on a multiple
+    of _BLOCK, so of every block side.  Every cell outside it has
+    g > EQUALITY_TOL, so its fill is held on the reach alone, and starts
+    all False.  A block is its corner (i0, j0); each level has one side,
+    and a block's quarters are equal squares.  A block whose bounds from
     `_block_bounds` fix the sign of g for every delta is settled and
-    painted True where its upper bound is negative, False where its lower
-    bound exceeds EQUALITY_TOL; any other block splits into its quarters
-    that reach the grid, down to single cells, where g is evaluated
-    exactly as on a dense grid (the same points and arithmetic, hence the
-    same bits) and compared with EQUALITY_TOL.  The blocks of one level
-    partition what the coarser levels left unsettled, so every cell is
-    written once.  A delta's reach is the window of the top blocks not
-    certified positive for it; every True cell lies inside it.
+    painted True for the deltas where its upper bound is negative; for
+    the others its lower bound exceeds EQUALITY_TOL and it stays False.
+    Any other block splits into its quarters that reach the grid, down
+    to single cells, where g is evaluated exactly as on a dense grid (the
+    same points and arithmetic, hence the same bits) and compared with
+    EQUALITY_TOL; each delta writes the cells in its reach.  The blocks
+    of one level partition what the coarser levels left unsettled, so
+    every cell is settled or evaluated once.
     """
     ny, nx = shape
-    fills = [np.empty(shape, dtype=bool) for _ in deltas]
     dl = np.array(deltas)[:, None]
     i0, j0 = (a.ravel() for a in np.meshgrid(np.arange(0, ny, _BLOCK),
                                              np.arange(0, nx, _BLOCK),
                                              indexing="ij"))
-    size, reach, evaluations = _BLOCK, None, 0
+    size, fills, evaluations = _BLOCK, None, 0
     while size > 1:
         x0, x1, y0, y1 = xs[j0], xs[j0 + size - 1], ys[i0], ys[i0 + size - 1]
         zc = 0.5 * (x0 + x1) + 0.5j * (y0 + y1)
@@ -358,9 +416,13 @@ def _signed_fill(split: RootSplit, deltas, xs, ys, shape):
         lo, hi = _block_bounds(split, dl, zc, rho)
         positive = lo > EQUALITY_TOL
         settled = np.all(positive | (hi < 0.0), axis=0)
-        if reach is None:
+        if fills is None:
             reach = [_hull(i0[~p], j0[~p], size, shape) for p in positive]
-        _paint(fills, i0[settled], j0[settled], size, ~positive[:, settled])
+            fills = [np.zeros((w[0].stop - w[0].start,
+                               w[1].stop - w[1].start), dtype=bool)
+                     for w in reach]
+        _paint(fills, reach, i0[settled], j0[settled], size,
+               ~positive[:, settled])
         evaluations += zc.size
         size //= 2
         i0, j0 = i0[~settled], j0[~settled]
@@ -369,9 +431,12 @@ def _signed_fill(split: RootSplit, deltas, xs, ys, shape):
         on = (i0 < ny) & (j0 < nx)
         i0, j0 = i0[on], j0[on]
     a, b, c = _indicator_terms(split, xs[j0] + 1j * ys[i0])
-    for delta, inside in zip(deltas, fills):
+    for delta, inside, (rows, cols) in zip(deltas, fills, reach):
+        on = (rows.start <= i0) & (i0 < rows.stop) \
+            & (cols.start <= j0) & (j0 < cols.stop)
         with np.errstate(invalid="ignore"):
-            inside[i0, j0] = a - b - delta * c <= EQUALITY_TOL
+            inside[i0[on] - rows.start, j0[on] - cols.start] = \
+                a[on] - b[on] - delta * c[on] <= EQUALITY_TOL
     return fills, reach, evaluations + i0.size
 
 
@@ -408,31 +473,32 @@ def _block_bounds(split: RootSplit, deltas: np.ndarray, zc: np.ndarray,
                 centre + e_ab - deltas * c_lo + margin)
 
 
-def _paint(fills, i0: np.ndarray, j0: np.ndarray, size: int,
+def _paint(fills, reach, i0: np.ndarray, j0: np.ndarray, size: int,
            inside: np.ndarray) -> None:
-    """fills[k][i:i + size, j:j + size] = inside[k, b], the membership of
-    settled block b for delta k, for every block corner (i, j) =
-    (i0[b], j0[b]), clipped to the grid.
+    """Mark True, on fills[k] held on the window reach[k], the grid cells
+    [i:i + size, j:j + size] of every settled block b with corner
+    (i, j) = (i0[b], j0[b]) that lies in A_delta for delta k, inside[k, b]
+    True; a block in A_delta for a delta lies in its reach.
 
-    The corners sit on multiples of size, so the blocks inside the grid
-    are written through one block view of it, a contiguous run per block
-    row; the few that the grid's edge cuts, as clipped slices.
+    The window's corner and the block corners sit on multiples of size,
+    so the blocks inside the window are written through one block view
+    of it, a contiguous run per block row; the few that the grid's edge
+    cuts, as clipped slices.
     """
-    ny, nx = fills[0].shape
-    inner = (i0 + size <= ny) & (j0 + size <= nx)
-    cut = list(zip(i0[~inner].tolist(), j0[~inner].tolist()))
-    for fill, v in zip(fills, inside):
+    for fill, (rows, cols), v in zip(fills, reach, inside):
+        i, j = i0[v] - rows.start, j0[v] - cols.start
+        ny, nx = fill.shape
+        inner = (i + size <= ny) & (j + size <= nx)
         view = fill[:ny - ny % size, :nx - nx % size].reshape(
             ny // size, size, nx // size, size)
-        view[i0[inner] // size, :, j0[inner] // size, :] = \
-            v[inner, None, None]
-        for (i, j), w in zip(cut, v[~inner]):
-            fill[i:i + size, j:j + size] = w
+        view[i[inner] // size, :, j[inner] // size, :] = True
+        for a, b in zip(i[~inner].tolist(), j[~inner].tolist()):
+            fill[a:a + size, b:b + size] = True
 
 
 def _patch_singular_cells(split, delta, inside, cells, xs, ys, h) -> None:
-    """Re-mark, in place on the boolean grid inside, the cells (i, j)
-    whose center sits on a root.
+    """Re-mark, in place on the boolean array inside with cell centers
+    xs x ys, the cells (i, j) whose center sits on a root.
 
     Each such cell is subdivided once; the cell takes the membership,
     g <= EQUALITY_TOL, of the nearest non-singular quarter point.  If all
@@ -454,12 +520,19 @@ def _patch_singular_cells(split, delta, inside, cells, xs, ys, h) -> None:
         inside[i, j] = vals[pick] <= EQUALITY_TOL
 
 
-def _far_field_check(inside: np.ndarray, bbox):
-    """Raise GrowBBox when a border cell of the boolean grid inside is in
-    A_delta, suggesting the box grown 1.5 times about its center."""
-    border = np.concatenate([inside[0, :], inside[-1, :],
-                             inside[1:-1, 0], inside[1:-1, -1]])
-    if not border.any():
+def _far_field_check(inside: np.ndarray, window, shape, bbox):
+    """Raise GrowBBox when a border cell of a grid of the given shape is
+    in A_delta, suggesting the box grown 1.5 times about its center.
+
+    inside holds membership on window, a (rows, columns) slice pair, and
+    every cell off it is outside A_delta, so only the window's sides that
+    lie on the grid's border are read."""
+    rows, cols = window
+    sides = ((rows.start == 0, inside[:1]),
+             (rows.stop == shape[0], inside[-1:]),
+             (cols.start == 0, inside[:, :1]),
+             (cols.stop == shape[1], inside[:, -1:]))
+    if not any(on and side.any() for on, side in sides):
         return
     xmin, xmax, ymin, ymax = bbox
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
@@ -530,13 +603,13 @@ def _moat(mask: RegionMask, component: int, protect: np.ndarray):
     and the window widens when a component is absorbed.
     Returns (cells on the window, window, absorbed ids, error or None).
     """
-    labels = mask.labels
     margin = _RING_LIMIT + 2
     win = mask.window_of([component], margin)
-    current = labels[win] == component
+    labels = mask.labels_on(win)
+    current = labels == component
     absorbed: set[int] = set()
     for _ in range(_RING_LIMIT):
-        current |= _dilate(current) & (labels[win] < 0)
+        current |= _dilate(current) & (labels < 0)
         # a protect cell is in trouble when its 3 x 3 block on the window
         # is partly in the moat; no cell off the window is (see `_on`)
         trouble = protect[_on(_dilate(current) & _dilate(~current), win,
@@ -547,17 +620,18 @@ def _moat(mask: RegionMask, component: int, protect: np.ndarray):
         # next to the moat, so its 3 x 3 block on the grid is on the window
         near = np.zeros(current.shape, dtype=bool)
         near[trouble[:, 0] - win[0].start, trouble[:, 1] - win[1].start] = True
-        absorbed.update(int(c) for c in np.unique(labels[win][_dilate(near)])
+        absorbed.update(int(c) for c in np.unique(labels[_dilate(near)])
                         if c >= 0 and c != component)
         # the wider window holds the old one: move the moat onto it
         wider = mask.window_of([component, *absorbed], margin)
-        moved = np.zeros(labels[wider].shape, dtype=bool)
+        labels = mask.labels_on(wider)
+        moved = np.zeros(labels.shape, dtype=bool)
         moved[win[0].start - wider[0].start:win[0].stop - wider[0].start,
               win[1].start - wider[1].start:win[1].stop - wider[1].start] \
             = current
         current, win = moved, wider
         for cid in absorbed:
-            current |= labels[win] == cid
+            current |= labels == cid
     err = "moat growth exhausted with p' roots on the boundary"
     return current, win, tuple(sorted(absorbed)), err
 
@@ -646,7 +720,7 @@ def _component_flags(mask: RegionMask, cid: int, win, K: ConvexDomain,
                      epsilon: float):
     """(cells, in_K, beyond_K_eps) boolean arrays on the window win of
     component cid; the flags are evaluated on its cells only."""
-    cells = mask.labels[win] == cid
+    cells = mask.labels_on(win) == cid
     pts = mask.cell_centers(win)[cells]
     in_k = np.zeros(cells.shape, dtype=bool)
     out_keps = np.zeros(cells.shape, dtype=bool)

@@ -92,7 +92,7 @@ def _component_rects(frame, mask: regions.RegionMask):
     are 4-connected, so a run holds one label."""
     out = ['<g shape-rendering="crispEdges">']
     rows, cols = mask.window_of(range(mask.n_components))
-    labels = mask.labels[rows, cols]
+    labels = mask.labels_on((rows, cols))
     h = mask.cell_size
     x0, _, y0, _ = mask.bbox
     ii, start, stop = regions._runs(labels >= 0)

@@ -217,6 +217,34 @@ def test_curve_min_brackets_dense_oracle(m, mode, seed):
     assert v >= oracle * (1.0 - ch.BRACKET_REL_TOL) - 1e-12
 
 
+@given(st.integers(0, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_curve_min_field_bracket_holds_before_the_polish(m, bent, seed):
+    # the bracket itself: with `_polish` stubbed out, value is the least
+    # node of the closed bracket, so the true minimum lies in
+    # [value * (1 - BRACKET_REL_TOL), value]; the dense oracle lies at or
+    # above the true minimum, so it cannot lie below that bracket.  A
+    # nearly cancelling pair of charges across the curve makes a dip in
+    # |F| narrower than the first intervals, between nodes where |F| is
+    # large, that only a sound lower bound keeps open; m more charges lie
+    # at least 0.5 off the real axis
+    rng = np.random.default_rng(seed)
+    x0, y = rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-2.5, -1.0)
+    pair = [x0 + 1j * y, x0 - 1j * y * (1.0 + 10.0 ** rng.uniform(-3, -0.5))]
+    others = rng.normal(size=m) + 1j * rng.choice([-1.0, 1.0], size=m) \
+        * (0.5 + rng.exponential(size=m))
+    C = ch.ChargeSet(np.concatenate([pair, others]))
+    curve = ch.Curve([0.0, x0 + 0.1j * y * rng.uniform(-1.0, 1.0), 1.0]
+                     if bent else [0.0, 1.0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ch, "_polish", lambda values, nodes, t, value: (t, value))
+        t, v = ch.curve_min(C, curve, mode="field")
+    oracle = _refined_oracle(C, curve, "field")
+    assert v == pytest.approx(abs(field_sum(curve.point(t), C.charges)),
+                              rel=1e-14)
+    assert v * (1.0 - ch.BRACKET_REL_TOL) <= oracle * (1.0 + 1e-12)
+
+
 def test_curve_min_corner_is_a_node():
     # the corner 1 + 2i of 0 -> 1 + 2i -> 3 is the curve point farthest
     # from the charge, at t = 0.4415..., which no even sampling hits; the

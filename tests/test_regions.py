@@ -1,7 +1,9 @@
 """Region masks: indicator values, membership and labeling, moats, and the
 Rouché census."""
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from scipy import ndimage
 
 from rootfield import geometry as geo
-from rootfield import contours, harness, poly, regions
+from rootfield import contours, harness, poly, regions, render
 from rootfield.errors import (GrowBBox, RootOnContour, SingularCell,
                               SingularPoint)
 
@@ -162,19 +164,63 @@ def test_far_field_check_rejects_tight_bbox():
     assert x0 < -4.0 and x1 > 5.0 and y0 < -4.0 and y1 > 4.0
 
 
+# windows of a 6 x 9 grid: the whole grid, windows on two or one of its
+# border sides, and one on none of them
+FAR_WINDOWS = ((slice(0, 6), slice(0, 9)), (slice(0, 4), slice(3, 9)),
+               (slice(2, 6), slice(0, 5)), (slice(3, 6), slice(2, 7)),
+               (slice(1, 5), slice(1, 8)))
+
+
 @pytest.mark.parametrize("edge", ["bottom", "top", "left", "right"])
 def test_far_field_check_on_membership(edge):
+    # membership held on a window, every cell off it outside A_delta
     bbox = (-1.0, 3.0, -2.0, 2.0)
-    inside = np.zeros((6, 9), dtype=bool)
-    inside[2:4, 3:6] = True                  # inside cells off the border
-    regions._far_field_check(inside, bbox)
-    row, col = {"bottom": (0, 4), "top": (-1, 4), "left": (3, 0),
-                "right": (3, -1)}[edge]
-    inside[row, col] = True
-    with pytest.raises(GrowBBox) as exc:
-        regions._far_field_check(inside, bbox)
-    # the box grown 1.5 times about its center (1, 0)
-    assert exc.value.suggested == (-2.0, 4.0, -3.0, 3.0)
+    row, col = {"bottom": (0, 4), "top": (5, 4), "left": (3, 0),
+                "right": (3, 8)}[edge]
+    raised = 0
+    for win in FAR_WINDOWS:
+        grid = np.zeros((6, 9), dtype=bool)
+        grid[3, 3:6] = True                  # inside cells off the border
+        regions._far_field_check(grid[win], win, grid.shape, bbox)
+        if not (win[0].start <= row < win[0].stop
+                and win[1].start <= col < win[1].stop):
+            continue
+        grid[row, col] = True
+        with pytest.raises(GrowBBox) as exc:
+            regions._far_field_check(grid[win], win, grid.shape, bbox)
+        # the box grown 1.5 times about its center (1, 0)
+        assert exc.value.suggested == (-2.0, 4.0, -3.0, 3.0)
+        raised += 1
+    assert raised >= 2
+    # a window side inside the grid is not on its border, and an empty
+    # window holds no cell
+    regions._far_field_check(np.ones((4, 7), dtype=bool), FAR_WINDOWS[-1],
+                             (6, 9), bbox)
+    regions._far_field_check(np.zeros((0, 0), dtype=bool),
+                             (slice(0, 0), slice(0, 0)), (6, 9), bbox)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.3))
+def test_far_field_check_on_a_window_reads_the_whole_border(seed, density):
+    # the dense oracle: a True cell anywhere on the whole grid's border,
+    # with membership on any window that holds every True cell
+    rng = np.random.default_rng(seed)
+    ny, nx = rng.integers(1, 12, size=2)
+    grid = rng.uniform(size=(ny, nx)) < density
+    ii, jj = np.nonzero(grid)
+    lo = (rng.integers(0, ii.min() + 1) if ii.size else rng.integers(0, ny),
+          rng.integers(0, jj.min() + 1) if jj.size else rng.integers(0, nx))
+    hi = (rng.integers(max(ii.max(initial=-1) + 1, lo[0]), ny + 1),
+          rng.integers(max(jj.max(initial=-1) + 1, lo[1]), nx + 1))
+    win = (slice(int(lo[0]), int(hi[0])), slice(int(lo[1]), int(hi[1])))
+    border = grid[[0, -1], :].any() or grid[:, [0, -1]].any()
+    bbox = (0.0, 1.0, 0.0, 1.0)
+    if border:
+        with pytest.raises(GrowBBox):
+            regions._far_field_check(grid[win], win, grid.shape, bbox)
+    else:
+        regions._far_field_check(grid[win], win, grid.shape, bbox)
 
 
 def test_no_outside_roots_blobs_shrink_with_delta():
@@ -221,9 +267,11 @@ def test_root_on_cell_center_is_patched():
             mask = regions.build_mask(split, delta, bbox, 10.0)
         (i, j), = _cells(mask, [root]).tolist()
         center = mask.cell_centers()[i, j]
-        # the root sits on its cell's center, so the cell is patched ...
+        # the root sits on its cell's center, so the cell is patched, on
+        # the window the mask holds ...
         assert regions._near_root(split, np.array([center]))[0]
-        assert (i, j) in patched
+        rows, cols = mask._span
+        assert (i - rows.start, j - cols.start) in patched
         # ... from its nearest non-singular quarter point; all four are
         # equally near here and agree, so whichever is picked, the cell
         # has its membership
@@ -261,6 +309,7 @@ def _dense_oracle(split, deltas, bbox, resolution, centers):
     xs, ys = centers[0].real, centers[:, 0].imag
     a, b, c = regions._indicator_terms(split, centers)
     near = regions._near_root(split, centers)
+    whole = (slice(0, centers.shape[0]), slice(0, centers.shape[1]))
     out = []
     for delta in deltas:
         with np.errstate(invalid="ignore"):
@@ -270,7 +319,7 @@ def _dense_oracle(split, deltas, bbox, resolution, centers):
                                       np.argwhere(near | np.isnan(g)),
                                       xs, ys, h)
         try:
-            regions._far_field_check(inside, bbox)
+            regions._far_field_check(inside, whole, inside.shape, bbox)
         except GrowBBox as exc:
             return exc
         labels, count = ndimage.label(inside, structure=FOUR)
@@ -334,15 +383,20 @@ def test_quadtree_matches_dense_grid(case):
     ny = max(4, int(np.ceil((bbox[3] - bbox[2]) * res)))
     nx = max(4, int(np.ceil((bbox[1] - bbox[0]) * res)))
     painted, evaluated = [], []
+    member = [np.zeros((ny, nx), dtype=bool) for _ in deltas]
     reached = [np.zeros((ny, nx), dtype=bool)]
+    whole = [(slice(0, ny), slice(0, nx))]
     real_paint, real_terms = regions._paint, regions._indicator_terms
 
-    def recording(fills, i0, j0, size, inside):
+    def recording(fills, reach, i0, j0, size, inside):
         painted.extend((i, j, size) for i, j in zip(i0, j0))
-        real_paint(fills, i0, j0, size, inside)
-        # the same blocks painted True on a grid that starts all False:
-        # the cells that _paint really writes
-        real_paint(reached, i0, j0, size, np.ones((1, i0.size), dtype=bool))
+        real_paint(fills, reach, i0, j0, size, inside)
+        # the same blocks painted on whole grids that start all False:
+        # the cells of the blocks settled inside A_delta, per delta, and
+        # the cells of all settled blocks
+        real_paint(member, whole * len(deltas), i0, j0, size, inside)
+        real_paint(reached, whole, i0, j0, size,
+                   np.ones((1, i0.size), dtype=bool))
 
     def terms(split, zs):
         # the first call evaluates the single cells no block settled;
@@ -380,14 +434,28 @@ def test_quadtree_matches_dense_grid(case):
     assert (exact >= 0).all()
     np.add.at(writes, (exact[:, 0], exact[:, 1]), 1)
     assert (writes == 1).all()
-    for mask, (inside, labels, count) in zip(masks, oracle):
-        # the labels are their own exact-size array, not a view of a
-        # padded one
-        assert mask.shape == (ny, nx) and mask.labels.base is None
-        assert mask.n_components == count
+    for mask, painted_in, (inside, labels, count) in zip(masks, member,
+                                                         oracle):
+        # the mask holds its reach window, whose corner sits on a multiple
+        # of every block side; every cell off it is outside A_delta, and
+        # so is every block painted inside it
+        rows, cols = mask._span
+        assert rows.start % regions._BLOCK == cols.start % regions._BLOCK == 0
+        off = np.ones((ny, nx), dtype=bool)
+        off[rows, cols] = False
+        assert not (inside & off).any() and not (painted_in & off).any()
+        assert mask.shape == (ny, nx) and mask.n_components == count
+        # read through the window, then as the whole grid built on the
+        # first read and kept: its own exact-size array, not a view of a
+        # padded one, which the window then views
+        assert np.array_equal(mask.labels_on(whole[0]), labels)
+        assert mask.labels is mask.labels and mask.labels.base is None
+        assert np.shares_memory(mask._window, mask.labels)
         assert np.array_equal(mask.labels, labels)
+        assert np.array_equal(mask.labels_on(whole[0]), labels)
         # membership is the dense g <= EQUALITY_TOL, cell for cell
         assert np.array_equal(mask.indicator, inside)
+        assert not (painted_in & ~inside).any()
         assert mask.evaluations >= np.count_nonzero(~settled)
 
 
@@ -477,13 +545,15 @@ def test_windowed_labels_and_moats_match_the_whole_grid():
         masks = regions.build_masks(split, (1e-2, 1e-3, 1e-4), CENSUS_BOX,
                                     res)
         for mask in masks:
+            # the moats read the labels through the window the mask holds,
+            # before the whole-grid labels the oracles read are built
+            moats = [regions._moat(mask, cid, _cells(mask, split.critical))
+                     for cid in range(mask.n_components)]
             dense, count = ndimage.label(mask.indicator, structure=FOUR)
             assert mask.n_components == count
             assert np.array_equal(mask.labels, dense - 1)
             assert mask.windows == tuple(ndimage.find_objects(dense))
-            for cid in range(count):
-                cells, win, absorbed, err = regions._moat(
-                    mask, cid, _cells(mask, split.critical))
+            for cid, (cells, win, absorbed, err) in enumerate(moats):
                 want, want_absorbed, want_err = _dense_moat(mask, cid,
                                                             split.critical)
                 whole = np.zeros(mask.shape, dtype=bool)
@@ -495,18 +565,12 @@ def test_windowed_labels_and_moats_match_the_whole_grid():
     assert absorbing >= 5
 
 
-def _ndimage_label(inside, reach):
-    """What `_label` should return, from scipy.ndimage on the window
-    reach of the boolean grid inside."""
-    labels = np.full(inside.shape, -1, dtype=np.int32)
-    sub, count = ndimage.label(inside[reach], structure=FOUR)
-    if not count:
-        return labels, ()
-    labels[reach] = sub - 1
-    i0, j0 = reach[0].start, reach[1].start
-    return labels, tuple((slice(a.start + i0, a.stop + i0),
-                          slice(b.start + j0, b.stop + j0))
-                         for a, b in ndimage.find_objects(sub))
+def _ndimage_label(inside):
+    """What `_label` should give on any window of the boolean grid inside
+    that holds its True cells, from scipy.ndimage on the whole grid:
+    (labels of the whole grid, windows)."""
+    dense, count = ndimage.label(inside, structure=FOUR)
+    return dense - 1, tuple(ndimage.find_objects(dense)) if count else ()
 
 
 def _assert_labels_match_ndimage(cells):
@@ -518,10 +582,16 @@ def _assert_labels_match_ndimage(cells):
     grid[3:3 + ny, 4:4 + nx] = cells
     cases.append((grid, (slice(2, 4 + ny), slice(1, 4 + nx))))
     for inside, reach in cases:
-        labels, windows = regions._label(inside, reach)
-        want_labels, want_windows = _ndimage_label(inside, reach)
+        labels, windows = regions._label(inside[reach],
+                                         (reach[0].start, reach[1].start))
+        want_labels, want_windows = _ndimage_label(inside)
         assert labels.dtype == np.int32
-        assert np.array_equal(labels, want_labels)
+        # the window's labels are the whole grid's there, and the grid's
+        # labels off the window are -1
+        assert np.array_equal(labels, want_labels[reach])
+        off = np.ones(inside.shape, dtype=bool)
+        off[reach] = False
+        assert (want_labels[off] == -1).all()
         assert windows == want_windows
         assert all(isinstance(v, int) for w in windows for s in w
                    for v in (s.start, s.stop))
@@ -616,6 +686,40 @@ def test_label_matches_ndimage_on_random_fills(density):
         _assert_labels_match_ndimage(rng.uniform(size=(ny, nx)) < density)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_labels_on_reads_the_grid_through_the_held_window(seed):
+    # a mask held on a window of its grid reads any window of the grid as
+    # the whole-grid labels give it, before and after those are built
+    rng = np.random.default_rng(seed)
+    ny, nx = (int(v) for v in rng.integers(1, 12, size=2))
+
+    def window():
+        (r0, r1), (c0, c1) = (sorted(rng.integers(0, n + 1, size=2).tolist())
+                              for n in (ny, nx))
+        return slice(r0, r1), slice(c0, c1)
+
+    held = window()
+    grid = np.full((ny, nx), -1, dtype=np.int32)
+    grid[held] = rng.integers(-1, 3, size=grid[held].shape)
+    mask = regions.RegionMask((0.0, 1.0, 0.0, 1.0), 10.0, 1e-3,
+                              grid[held].copy(), (),
+                              origin=(held[0].start, held[1].start),
+                              shape=(ny, nx))
+    for built in (False, True):
+        if built:
+            assert np.array_equal(mask.labels, grid)
+            assert mask._window.size == 0 \
+                or np.shares_memory(mask._window, mask.labels)
+        for _ in range(6):
+            win = window()
+            got = mask.labels_on(win)
+            assert got.dtype == np.int32 and np.array_equal(got, grid[win])
+            got[...] = 7                 # a new array, not the mask's
+        assert np.array_equal(
+            mask.labels_on((slice(0, ny), slice(0, nx))), grid)
+
+
 def test_ring_growth_is_the_square_dilation():
     rng = np.random.default_rng(9)
     for _ in range(200):
@@ -672,10 +776,11 @@ def test_moat_trouble_test_is_the_per_cell_rule(seed, density):
 
 def test_census_masks_hold_only_their_labels():
     # the census benchmark's box, resolution and deltas: 1860^2 cells per
-    # mask.  A mask keeps no grid of g, so what the masks hold is their
-    # int32 labels, and the fill's boolean grids and labeling keep the
-    # peak under 8 bytes per cell per delta (a float64 grid per delta
-    # alone is 8)
+    # mask.  A mask keeps no grid of g and no whole-grid array, so what
+    # the masks hold is their int32 labels on their reach windows (12% of
+    # the cells here), and the fills and labeling on those windows keep
+    # the peak under 1 byte per cell per delta (a whole-grid boolean fill
+    # and int32 labels alone are 5)
     split, _ = _census_instance(0)
     deltas = (1e-2, 1e-3, 1e-4)
     tracemalloc.start()
@@ -685,10 +790,50 @@ def test_census_masks_hold_only_their_labels():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    cells = masks[0].labels.size
+    cells = int(np.prod(masks[0].shape))
     assert cells == 1860 ** 2
-    assert held - base <= sum(m.labels.nbytes for m in masks) + 2 ** 20
-    assert (peak - base) / (cells * len(deltas)) < 8.0
+    assert all(m._window.base is None and m._window.dtype == np.int32
+               for m in masks)
+    assert held - base <= sum(m._window.nbytes for m in masks) + 2 ** 20
+    assert (peak - base) / (cells * len(deltas)) < 1.0
+
+
+def test_theorem_run_and_figure_build_no_grid_sized_array():
+    # the theorem-grid benchmark instance on its 1320 x 1968 grid: the run
+    # and its figure read every mask through its window, so no step
+    # builds the whole-grid labels, and the peak of traced memory stays
+    # under 1 byte per cell (a whole-grid boolean fill and int32 labels
+    # alone are 5)
+    ys = np.random.default_rng(1).uniform(-1.0, 1.0, 2)
+    cfg = harness.ExperimentConfig(
+        domain=K, epsilon=0.25, n=100, m=2,
+        outside_sampler=[3.7 + 1j * ys[0], -3.7 + 1j * ys[1]],
+        delta_sweep=(1e-3,), resolution=120.0, seed=1)
+    whole_grid_reads = []
+    real = regions.RegionMask.labels
+
+    def spy(mask):
+        whole_grid_reads.append(mask.shape)
+        return real.fget(mask)
+
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as out:
+        mp.setattr(regions.RegionMask, "labels", property(spy))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = harness.run_theorem_experiment(cfg)
+            render.emit_svg(report, Path(out) / "figure.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mask.shape == (1320, 1968)
+        assert report.mask.n_components > 0
+        assert whole_grid_reads == []
+        assert (peak - base) / (1320 * 1968) <= 1.0
+        # the spy sees a read
+        assert report.mask.labels.shape == (1320, 1968)
+        assert whole_grid_reads == [(1320, 1968)]
 
 
 def test_qprime_counts_match_solved_zeros_in_the_moat():
