@@ -4,13 +4,16 @@ Every subcommand writes its artifacts under --out and accepts only the
 flags it reads; all but render read an optional JSON config (--config).
 Each reports through exit codes: 0 on success, 1 when a checked
 assertion fails (theorem verdict, certificate violation, ceiling
-breach), 2 on configuration problems.
+breach), 2 on configuration problems (an unwritable --out too).  As
+before, files are overwritten in place, not atomic, not fsynced; none
+is cut to zero first: ext4's auto_da_alloc then flushes it, 55-65 ms.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -19,7 +22,7 @@ from . import __version__, harness, render, search
 from .charges import Curve, lemma1_curve_bound, sharp_example
 from .errors import BudgetExhausted, ConfigError, RootfieldError
 from .harness import read_field, read_int, read_ints, read_points, \
-    read_real, read_sharp_ms, write_points
+    read_real, read_sharp_ms, write_artifact, write_points
 from .search import CEILING_SLACK
 
 EXIT_OK = 0
@@ -49,8 +52,9 @@ def _load_config(args) -> dict:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out or ".")
+    if any(map(os.path.isfile, (out, *out.parents))):
+        raise ConfigError(f"cannot write {out}: a file is in the way")
     return out
 
 
@@ -65,9 +69,7 @@ def _experiment_config(args, raw: dict) -> harness.ExperimentConfig:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_artifact(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +78,8 @@ def _write_json(path: Path, obj) -> None:
 
 def _cmd_theorem(args) -> int:
     cfg = _experiment_config(args, _load_config(args))
-    rep = harness.run_theorem_experiment(cfg)
     out = _out_dir(args)
+    rep = harness.run_theorem_experiment(cfg)
     _write_json(out / "report.json", rep.to_json())
     render.emit_svg(rep, out / "figure.svg")
     for stage, msg in rep.errors:
@@ -109,8 +111,8 @@ def _cmd_lemma(args) -> int:
     kwargs = {k: read_field(raw, k, f) for k, f in read.items() if k in raw}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    suite = harness.run_lemma_suite(**kwargs)
     out = _out_dir(args)
+    suite = harness.run_lemma_suite(**kwargs)
     _write_json(out / "lemma.json", asdict(suite))
     print(f"{suite.trials} torus + {suite.curve_trials} curve instances, "
           f"{len(suite.violations)} violations -> {out / 'lemma.json'}")
@@ -127,7 +129,7 @@ def _cmd_sharp(args) -> int:
         lines.append(f"{m},{ex.t!r},{ex.value!r},{ex.ratio!r}")
         print(f"m={m:5d}  value={ex.value:.6f}  "
               f"value/(m ln m)={ex.ratio:.6f}")
-    (out / "sharp.csv").write_text("\n".join(lines) + "\n")
+    write_artifact(out / "sharp.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -142,12 +144,12 @@ def _cmd_supercharge(args) -> int:
         exclusion_margin=read_field(raw, "exclusion_margin", read_real, 1e-2),
         seed=args.seed if args.seed is not None
         else read_field(raw, "seed", read_int, 0))
+    out = _out_dir(args)
     try:
         res = search.optimize_charges(cfg)
     except BudgetExhausted as exc:
         res = exc.result
     ceiling = lemma1_curve_bound(res.best_charges, curve).value
-    out = _out_dir(args)
     _write_json(out / "supercharge.json", {
         "m": cfg.m, "achieved": res.achieved, "ceiling": ceiling,
         "charges": write_points(res.best_charges.charges),

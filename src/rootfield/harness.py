@@ -15,6 +15,8 @@ here, through `read_field`; `write_points` writes every point.
 from __future__ import annotations
 
 import csv
+import io
+import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, \
     replace
 
@@ -109,6 +111,17 @@ def _point(value) -> complex:
 def read_points(value) -> np.ndarray:
     """A list of [x, y] pairs of finite reals, as a complex array."""
     return np.array(_list_of(_point)(value), dtype=np.complex128)
+
+
+def write_artifact(path, text: str) -> None:
+    """Overwrite path in place with text as UTF-8 (see `cli`)."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with os.fdopen(fd, "wb") as fh:
+            fh.truncate(fh.write(text.encode()))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_points(points) -> list[list[float]]:
@@ -496,10 +509,11 @@ def sweep_m(cfg: ExperimentConfig, m_values, path=None,
     else:
         rows = [_sweep_row(sub) for sub in subs]
     if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SWEEP_M_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+        buf = io.StringIO()     # keeps csv's CRLF rows as written
+        writer = csv.DictWriter(buf, fieldnames=SWEEP_M_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+        write_artifact(path, buf.getvalue())
     return rows
 
 

@@ -184,5 +184,4 @@ def emit_svg(report, path) -> None:
     if witness is not None:
         lines += _witness_layer(frame, witness)
     lines.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _harness.write_artifact(path, "\n".join(lines) + "\n")

@@ -1,8 +1,12 @@
 """Command-line behavior: artifacts, exit codes, schema stability."""
 
+import builtins
+import io
 import json
+import os
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -246,3 +250,113 @@ def test_each_subcommand_accepts_only_the_flags_it_reads(capsys):
                 assert exc.value.code == 2
                 assert f"unrecognized arguments: --{flag}" \
                     in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# writing artifacts: --out checked before the run, files overwritten in place
+# --------------------------------------------------------------------------
+
+SWEEP = dict(EXPERIMENT, n=8, delta_sweep=[], m_values=[0, 2])
+SHARP = {"sharp_ms": [10, 50]}
+
+
+def _run_into(tmp_path, out):
+    """theorem, sweep-m and sharp into out; their four artifacts' bytes."""
+    for command, config in (("theorem", EXPERIMENT), ("sweep-m", SWEEP),
+                            ("sharp", SHARP)):
+        cfg = _write(tmp_path, config, f"{command}.json")
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in
+            ("report.json", "figure.svg", "sweep.csv", "sharp.csv")}
+
+
+@pytest.mark.parametrize("command", ["theorem", "sweep-m", "lemma", "sharp",
+                                     "supercharge", "render"])
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_out_through_a_file_exits_two_before_the_run(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     where):
+    source = []
+    if command == "render":
+        report = harness.run_theorem_experiment(
+            harness.ExperimentConfig.from_json(EXPERIMENT))
+        source = [_write(tmp_path, report.to_json(), "report.json")]
+    ran = []
+    for name in ("run_theorem_experiment", "sweep_m", "run_lemma_suite"):
+        monkeypatch.setattr(cli.harness, name, lambda *a, **k: ran.append(1))
+    monkeypatch.setattr(cli, "sharp_example", lambda m: ran.append(1))
+    monkeypatch.setattr(cli.search, "optimize_charges",
+                        lambda cfg: ran.append(1))
+    (tmp_path / "file").write_text("kept\n")
+    code = cli.main([command, *source, "--out", str(tmp_path / where)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: cannot write")
+    assert "Traceback" not in err
+    assert ran == []
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_an_unwritable_artifact_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "run" / "report.json").mkdir(parents=True)
+    cfg = _write(tmp_path, EXPERIMENT)
+    assert cli.main(["theorem", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write")
+    assert "Traceback" not in err
+    with pytest.raises(cli.ConfigError, match="cannot write"):
+        harness.write_artifact(tmp_path, "x")
+
+
+def test_artifacts_overwrite_larger_files_in_place(tmp_path):
+    fresh = _run_into(tmp_path, tmp_path / "fresh")
+    out = tmp_path / "old"
+    out.mkdir()
+    before = {}
+    for name, data in fresh.items():
+        (out / name).write_bytes(os.urandom(len(data) + 100_000))
+        os.chmod(out / name, 0o600)
+        before[name] = os.stat(out / name).st_ino
+    assert _run_into(tmp_path, out) == fresh
+    for name in fresh:
+        st = os.stat(out / name)
+        assert (st.st_ino, st.st_mode & 0o777) == (before[name], 0o600)
+
+
+def test_a_symlinked_report_is_written_through_the_link(tmp_path):
+    cfg = _write(tmp_path, EXPERIMENT)
+    fresh, out = tmp_path / "fresh", tmp_path / "linked"
+    cli.main(["theorem", "--config", cfg, "--out", str(fresh)])
+    out.mkdir()
+    target = tmp_path / "kept.json"
+    target.write_bytes(b"x" * 100_000)
+    (out / "report.json").symlink_to(target)
+    assert cli.main(["theorem", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "report.json").is_symlink()
+    assert target.read_bytes() == (fresh / "report.json").read_bytes()
+
+
+def test_a_rerun_opens_no_artifact_with_truncation(tmp_path, monkeypatch):
+    # an open that cuts a file to zero bytes makes ext4 (auto_da_alloc)
+    # force the new blocks out at close; every artifact is written over
+    out = tmp_path / "run"
+    opened, real_os_open, real_open = [], os.open, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        opened.append((os.path.basename(path), flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def py_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and Path(file).parent == out:
+            assert not set(mode) & set("wax+"), (file, mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", py_open)
+    monkeypatch.setattr(io, "open", py_open)
+    assert _run_into(tmp_path, out) == _run_into(tmp_path, out)
+    written = [name for name, flags in opened if flags & os.O_WRONLY]
+    assert written == ["report.json", "figure.svg", "sweep.csv",
+                       "sharp.csv"] * 2
+    assert not [f for _, f in opened if f & os.O_TRUNC]
